@@ -1,14 +1,9 @@
-//! Distance-kernel microbenchmark: the flat [`VectorSet`] storage with
-//! the unrolled kernels against the nested-`Vec` layout with naive
-//! scalar loops (the engine's pre-flat representation).
+//! Distance-kernel microbenchmark: the shipped unrolled kernels over
+//! the flat [`VectorSet`] storage.
 //!
 //! The workload is the clustering hot loop: for every point, distance
-//! to every one of `k` centroids. Both the squared-Euclidean kernel
-//! (k-means assignment) and the L1 kernel (BIC scoring / diagnostics)
-//! get an A/B lane — scalar vs the 8-accumulator unrolled form — and
-//! `sq_4lane`/`sq_8lane` isolate the 4→8 width change, so a lane-width
-//! change shows up as a ratio shift here before it reaches the
-//! pipeline gate.
+//! to every one of `k` centroids, for both the squared-Euclidean kernel
+//! (k-means assignment) and the L1 kernel (BIC scoring / diagnostics).
 
 use cbsp_simpoint::{distance_l1, distance_sq, VectorSet};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -26,117 +21,18 @@ fn synthetic(n: usize, dims: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// The pre-VectorSet kernel: plain scalar loop over nested Vecs.
-fn scalar_distance_sq(a: &[f64], b: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for (x, y) in a.iter().zip(b) {
-        let d = x - y;
-        acc += d * d;
-    }
-    acc
-}
-
-/// Scalar L1 baseline for the A/B lane.
-fn scalar_distance_l1(a: &[f64], b: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for (x, y) in a.iter().zip(b) {
-        acc += (x - y).abs();
-    }
-    acc
-}
-
-/// The 4-lane predecessor of `distance_sq`: same structure, half the
-/// accumulator chains. The `sq_4lane`/`sq_8lane` pair isolates the
-/// width change from everything else.
-fn distance_sq_4lane(a: &[f64], b: &[f64]) -> f64 {
-    const LANES: usize = 4;
-    let main = a.len() & !(LANES - 1);
-    let mut acc = [0.0f64; LANES];
-    for (ca, cb) in a[..main]
-        .chunks_exact(LANES)
-        .zip(b[..main].chunks_exact(LANES))
-    {
-        for lane in 0..LANES {
-            let d = ca[lane] - cb[lane];
-            acc[lane] += d * d;
-        }
-    }
-    let mut tail = 0.0;
-    for (x, y) in a[main..].iter().zip(&b[main..]) {
-        let d = x - y;
-        tail += d * d;
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
-}
-
 fn bench_distance_kernel(c: &mut Criterion) {
     let mut group = c.benchmark_group("distance_kernel");
     for &dims in &[15usize, 64, 240] {
-        let rows = synthetic(1024, dims);
-        let centroid_rows = synthetic(K, dims);
-        let flat = VectorSet::from_rows(&rows);
-        let centroids = VectorSet::from_rows(&centroid_rows);
+        let flat = VectorSet::from_rows(&synthetic(1024, dims));
+        let centroids = VectorSet::from_rows(&synthetic(K, dims));
 
-        group.bench_with_input(
-            BenchmarkId::new("nested_vec_scalar", dims),
-            &dims,
-            |b, _| {
-                b.iter(|| {
-                    let mut sum = 0.0;
-                    for v in &rows {
-                        for cent in &centroid_rows {
-                            sum += scalar_distance_sq(v, cent);
-                        }
-                    }
-                    black_box(sum)
-                })
-            },
-        );
         group.bench_with_input(BenchmarkId::new("flat_unrolled", dims), &dims, |b, _| {
             b.iter(|| {
                 let mut sum = 0.0;
                 for v in flat.rows() {
                     for cent in centroids.rows() {
                         sum += distance_sq(v, cent);
-                    }
-                }
-                black_box(sum)
-            })
-        });
-
-        // Width A/B lane: the 4-lane predecessor vs the shipped 8-lane
-        // kernel, both over the flat layout so only the width differs.
-        group.bench_with_input(BenchmarkId::new("sq_4lane", dims), &dims, |b, _| {
-            b.iter(|| {
-                let mut sum = 0.0;
-                for v in flat.rows() {
-                    for cent in centroids.rows() {
-                        sum += distance_sq_4lane(v, cent);
-                    }
-                }
-                black_box(sum)
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("sq_8lane", dims), &dims, |b, _| {
-            b.iter(|| {
-                let mut sum = 0.0;
-                for v in flat.rows() {
-                    for cent in centroids.rows() {
-                        sum += distance_sq(v, cent);
-                    }
-                }
-                black_box(sum)
-            })
-        });
-
-        // L1 A/B lane: scalar loop vs the unrolled 8-lane kernel, both
-        // over the flat layout so only the kernel differs.
-        group.bench_with_input(BenchmarkId::new("l1_scalar", dims), &dims, |b, _| {
-            b.iter(|| {
-                let mut sum = 0.0;
-                for v in flat.rows() {
-                    for cent in centroids.rows() {
-                        sum += scalar_distance_l1(v, cent);
                     }
                 }
                 black_box(sum)

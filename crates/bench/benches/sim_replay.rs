@@ -12,7 +12,7 @@ use cbsp_program::{
 use cbsp_sim::{
     record_trace, replay, replay_full, replay_slice, simulate_full, slice_trace, MemoryConfig,
 };
-use cbsp_store::{put_trace_legacy, ArtifactStore, TraceCache};
+use cbsp_store::{ArtifactStore, TraceCache};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::path::PathBuf;
 
@@ -134,26 +134,11 @@ fn bench_interpret_vs_replay(c: &mut Criterion) {
             })
         });
 
-        // Replay through a store-backed cache primed with a *legacy*
-        // JSON envelope: includes the envelope read, checksum, and
-        // base64 decode of a cold in-memory tier (rebuilt each
-        // iteration; migration disabled so every iteration re-reads
-        // the JSON path).
-        let (store, dir) = temp_store(name);
-        put_trace_legacy(&store, &bin, &input, &trace).expect("store usable");
-        group.bench_with_input(BenchmarkId::new("store_replay", name), &name, |b, _| {
-            b.iter(|| {
-                let cache = TraceCache::new(Some(&store)).without_migration();
-                let trace = cache.get_or_record(&bin, &input).expect("store usable");
-                black_box(replay_full(&trace, &mem).expect("decodes"))
-            })
-        });
-        let _ = std::fs::remove_dir_all(&dir);
-
-        // Same cold store-backed replay, served from the blob tier:
+        // Replay through a store-backed cache with a cold in-memory
+        // tier (rebuilt each iteration), served from the blob tier:
         // header validation plus one checksum pass over bytes that are
-        // adopted verbatim as the trace — no base64, no JSON.
-        let (store, dir) = temp_store(&format!("{name}-blob"));
+        // adopted verbatim as the trace.
+        let (store, dir) = temp_store(name);
         let primer = TraceCache::new(Some(&store));
         primer.get_or_record(&bin, &input).expect("store usable");
         group.bench_with_input(

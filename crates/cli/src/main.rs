@@ -57,18 +57,14 @@ commands:
       [--interval N] [--scale S] [--threads N]
       [--estimator bbv|bbv+mav|early|stratified]
       [--cache-dir DIR] [--no-cache 1] [--refresh 1]
-                                 (reads per-simpoint trace slices; set
-                                 CBSP_NO_TRACE_SLICES=1 to force full
-                                 in-context replays; stratified also
-                                 reports a confidence half-width)
-  cache <stats|gc|migrate>     inspect, garbage-collect, or migrate the
-      [--cache-dir DIR]          artifact store (stats splits pipeline stages
-                                 from the trace cache and reports per-format
-                                 json/blob populations; gc keeps
-                                 manifest-referenced stage artifacts and
-                                 evicts recorded traces — they re-record on
-                                 next use; migrate rewrites legacy JSON trace
-                                 envelopes as binary blobs)
+                                 (reads per-simpoint trace slices;
+                                 stratified also reports a confidence
+                                 half-width)
+  cache <stats|gc>             inspect or garbage-collect the artifact
+      [--cache-dir DIR]          store (stats splits pipeline stages from the
+                                 trace cache; gc keeps manifest-referenced
+                                 stage artifacts and evicts recorded traces —
+                                 they re-record on next use)
   serve                        run the simulation-point query daemon
       [--addr HOST:PORT] [--threads N] [--max-inflight N]
       [--cache-dir DIR] [--timeout-ms N] [--shard-id N]

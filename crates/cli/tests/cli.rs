@@ -235,9 +235,14 @@ fn cross_serves_warm_run_from_cache() {
     assert!(gc.contains("removed 0 artifacts"), "{gc}");
     assert!(gc.contains("kept 8"), "{gc}");
 
-    let bad = cbsp(&dir, &["cache", "shred", "--cache-dir", "store"]);
-    assert!(!bad.status.success());
-    assert!(String::from_utf8_lossy(&bad.stderr).contains("unknown cache action"));
+    for action in ["shred", "migrate"] {
+        let bad = cbsp(&dir, &["cache", action, "--cache-dir", "store"]);
+        assert!(!bad.status.success(), "cache {action} must fail");
+        assert!(
+            String::from_utf8_lossy(&bad.stderr).contains("unknown cache action"),
+            "cache {action}"
+        );
+    }
 }
 
 #[test]

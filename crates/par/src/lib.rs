@@ -279,6 +279,7 @@ mod tests {
 
     #[test]
     fn run_indexed_preserves_order() {
+        let _guard = cbsp_trace::test_lock();
         for threads in [1, 2, 8] {
             let pool = Pool::new(threads);
             let out = pool.run_indexed(100, |i| i * i);
@@ -288,6 +289,7 @@ mod tests {
 
     #[test]
     fn run_indexed_handles_empty_and_single() {
+        let _guard = cbsp_trace::test_lock();
         let pool = Pool::new(4);
         assert_eq!(pool.run_indexed(0, |i| i), Vec::<usize>::new());
         assert_eq!(pool.run_indexed(1, |i| i + 7), vec![7]);
@@ -303,6 +305,7 @@ mod tests {
 
     #[test]
     fn reduction_is_bit_identical_across_thread_counts() {
+        let _guard = cbsp_trace::test_lock();
         // A floating-point sum whose value depends on association
         // order: if chunking or merge order varied with the thread
         // count, these results would differ in the low bits.
@@ -327,6 +330,7 @@ mod tests {
 
     #[test]
     fn reduce_chunks_empty_is_none() {
+        let _guard = cbsp_trace::test_lock();
         let pool = Pool::new(4);
         assert_eq!(
             pool.reduce_chunks(0, 8, |_| 0.0f64, |a: f64, b| a + b),
@@ -352,6 +356,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "chunk size must be positive")]
     fn zero_chunk_panics() {
+        let _guard = cbsp_trace::test_lock();
         let _ = Pool::serial().map_chunks(10, 0, |r| r.len());
     }
 
@@ -422,6 +427,7 @@ mod tests {
 
     #[test]
     fn worker_panics_propagate() {
+        let _guard = cbsp_trace::test_lock();
         let result = std::panic::catch_unwind(|| {
             Pool::new(4).run_indexed(16, |i| {
                 if i == 7 {

@@ -229,7 +229,7 @@ impl Selector for EarliestSelector {
 /// weight by stratum instruction mass.
 ///
 /// Degenerate-case contract (mirrors the k-means++
-/// degenerate-distribution audit in [`crate::kmeans`]):
+/// degenerate-distribution audit in [`mod@crate::kmeans`]):
 ///
 /// * a single-member phase yields exactly one representative with
 ///   share 1,

@@ -161,9 +161,8 @@ impl VectorSet {
 /// NEON/SSE registers) and, more importantly, break the loop-carried
 /// add dependency eight ways: with ~4-cycle add latency and 2
 /// adds/cycle throughput, at least eight chains are needed to keep the
-/// FP units saturated. Verified against the 4-lane predecessor in the
-/// `distance_kernel` criterion bench (`sq_4lane` / `sq_8lane` A/B
-/// lanes).
+/// FP units saturated. An A/B bench against the 4-lane predecessor
+/// settled the width.
 pub const KERNEL_LANES: usize = 8;
 
 /// Squared Euclidean distance between two equal-length vectors.

@@ -310,22 +310,6 @@ impl ArtifactStore {
         );
         Ok(Some(Blob { meta, payload }))
     }
-
-    /// Removes the *envelope* file for `key` if one exists — the
-    /// cleanup half of a legacy-to-blob migration. Removing a file
-    /// that is already gone is not an error (a racing migrator won).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CbspError::StoreIo`] on any other filesystem failure.
-    pub fn remove_envelope(&self, key: &StageKey) -> Result<(), CbspError> {
-        let path = self.object_path(key);
-        match std::fs::remove_file(&path) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(io_err(&path, e)),
-        }
-    }
 }
 
 /// Derives a subordinate blob key from `parent`: the SHA-256 of
@@ -361,6 +345,7 @@ mod tests {
 
     #[test]
     fn blob_round_trips_and_is_idempotent() {
+        let _lock = cbsp_trace::test_lock();
         let (store, dir) = temp_store("roundtrip");
         let key = a_key(1);
         let meta = [1u8, 2, 3];
@@ -383,6 +368,7 @@ mod tests {
 
     #[test]
     fn clean_miss_is_none() {
+        let _lock = cbsp_trace::test_lock();
         let (store, dir) = temp_store("miss");
         assert_eq!(store.get_blob("trace", &a_key(2)).expect("no error"), None);
         let _ = std::fs::remove_dir_all(&dir);
@@ -390,6 +376,7 @@ mod tests {
 
     #[test]
     fn wrong_stage_and_version_are_typed() {
+        let _lock = cbsp_trace::test_lock();
         let (store, dir) = temp_store("stage");
         let key = a_key(3);
         store.put_blob("trace", &key, &[], b"xyz").expect("puts");
@@ -413,6 +400,7 @@ mod tests {
 
     #[test]
     fn truncation_and_corruption_are_typed_never_panics() {
+        let _lock = cbsp_trace::test_lock();
         let (store, dir) = temp_store("corrupt");
         let key = a_key(4);
         let payload: Vec<u8> = (0..5000u32).map(|i| i as u8).collect();

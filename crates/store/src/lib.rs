@@ -64,7 +64,5 @@ pub use store::{
     RunManifest, StageKey, StageStats, StoreStats, SCHEMA_VERSION,
 };
 pub use traces::{
-    migrate_store, prefetch_disabled, put_slices_legacy, put_trace_legacy, slicing_disabled,
-    trace_key, trace_slice_key, CpiEstimate, MigrateReport, TraceCache, TRACE_SLICE_STAGE,
-    TRACE_STAGE,
+    trace_key, trace_slice_key, CpiEstimate, TraceCache, TRACE_SLICE_STAGE, TRACE_STAGE,
 };

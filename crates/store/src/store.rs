@@ -68,9 +68,9 @@ impl StageKey {
     }
 
     /// Re-admits a 64-hex-digit digest as a key. Keys are normally
-    /// *derived* ([`stage_key`]), but migration and blob sub-keys need
-    /// to reconstruct one from an existing on-disk digest. Returns
-    /// `None` unless `hex` is exactly 64 lowercase-hex digits.
+    /// *derived* ([`stage_key`]), but blob sub-keys are rebuilt from a
+    /// digest. Returns `None` unless `hex` is exactly 64 lowercase-hex
+    /// digits.
     pub fn parse(hex: &str) -> Option<StageKey> {
         let valid = hex.len() == 64
             && hex
@@ -139,10 +139,6 @@ pub struct StoreStats {
     pub manifests: u64,
     /// Per-stage breakdown, keyed by stage name.
     pub per_stage: BTreeMap<String, StageStats>,
-    /// Per-format breakdown (`json` envelopes vs `blob` files), so
-    /// `cache stats` reports both tiers and gc reports don't silently
-    /// miss one.
-    pub per_format: BTreeMap<String, StageStats>,
 }
 
 /// Result of a [`ArtifactStore::gc`] sweep.
@@ -456,7 +452,7 @@ impl ArtifactStore {
 
     fn walk_objects(
         &self,
-        mut visit: impl FnMut(&Path, u64, Option<&str>, &str),
+        mut visit: impl FnMut(&Path, u64, Option<&str>),
     ) -> Result<(), CbspError> {
         let objects = self.root.join("objects");
         for shard in std::fs::read_dir(&objects).map_err(|e| io_err(&objects, e))? {
@@ -466,16 +462,16 @@ impl ArtifactStore {
             }
             for entry in std::fs::read_dir(&shard).map_err(|e| io_err(&shard, e))? {
                 let path = entry.map_err(|e| io_err(&shard, e))?.path();
-                let format = match path.extension().and_then(|e| e.to_str()) {
-                    Some("json") => "json",
-                    Some("blob") => "blob",
+                let is_blob = match path.extension().and_then(|e| e.to_str()) {
+                    Some("json") => false,
+                    Some("blob") => true,
                     _ => continue,
                 };
                 let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
                 // Best-effort stage attribution for stats; a file that
                 // doesn't parse still counts toward totals. Blob stage
                 // names sit in the fixed header — no JSON parse needed.
-                let stage = if format == "blob" {
+                let stage = if is_blob {
                     read_blob_stage(&path)
                 } else {
                     std::fs::read_to_string(&path)
@@ -493,37 +489,10 @@ impl ArtifactStore {
                             })
                         })
                 };
-                visit(&path, bytes, stage.as_deref(), format);
+                visit(&path, bytes, stage.as_deref());
             }
         }
         Ok(())
-    }
-
-    /// Enumerates `(stage, key)` for every artifact stored in `format`
-    /// (`"json"` or `"blob"`) — the worklist a migration sweeps over.
-    /// Files whose stage cannot be attributed or whose name is not a
-    /// valid key are skipped (they cannot be migrated mechanically and
-    /// will be repaired on use instead).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CbspError::StoreIo`] if the store cannot be listed.
-    pub fn keys_in_format(&self, format: &str) -> Result<Vec<(String, StageKey)>, CbspError> {
-        let mut out = Vec::new();
-        self.walk_objects(|path, _, stage, fmt| {
-            if fmt != format {
-                return;
-            }
-            let key = path
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .and_then(StageKey::parse);
-            if let (Some(stage), Some(key)) = (stage, key) {
-                out.push((stage.to_string(), key));
-            }
-        })?;
-        out.sort();
-        Ok(out)
     }
 
     /// Disk-usage statistics for `cache stats`.
@@ -533,7 +502,7 @@ impl ArtifactStore {
     /// Returns [`CbspError::StoreIo`] if the store cannot be listed.
     pub fn stats(&self) -> Result<StoreStats, CbspError> {
         let mut stats = StoreStats::default();
-        self.walk_objects(|_, bytes, stage, format| {
+        self.walk_objects(|_, bytes, stage| {
             stats.artifacts += 1;
             stats.bytes += bytes;
             let entry = stats
@@ -542,9 +511,6 @@ impl ArtifactStore {
                 .or_default();
             entry.artifacts += 1;
             entry.bytes += bytes;
-            let fmt = stats.per_format.entry(format.to_string()).or_default();
-            fmt.artifacts += 1;
-            fmt.bytes += bytes;
         })?;
         stats.manifests = self.manifests()?.len() as u64;
         Ok(stats)
@@ -564,7 +530,7 @@ impl ArtifactStore {
         }
         let mut report = GcReport::default();
         let mut doomed: Vec<PathBuf> = Vec::new();
-        self.walk_objects(|path, bytes, _, _| {
+        self.walk_objects(|path, bytes, _| {
             let key = path
                 .file_stem()
                 .and_then(|s| s.to_str())

@@ -15,25 +15,24 @@
 //!
 //! ## The binary blob tier
 //!
-//! Trace payloads are megabytes of varint event bytes; round-tripping
-//! them through base64-in-JSON envelopes pays ~33% size inflation plus
-//! a parse, a decode, and a copy on every read. Persistent trace and
-//! slice artifacts are therefore written to the store's **blob tier**
-//! (see [`crate::blob`]): raw checksummed binary files under the exact
-//! same content digests, with the event bytes stored verbatim. The
-//! read path is zero-copy — the payload buffer that comes off disk
-//! *becomes* [`EventTrace::bytes`], with no re-encode or intermediate
-//! copy — and a sliced-trace manifest's per-slice blobs are prefetched
-//! in parallel over a [`cbsp_par::Pool`] (independent files; the
-//! index-ordered merge keeps results byte-identical at any thread
-//! count; set `CBSP_NO_PREFETCH=1` to force serial reads).
+//! Trace payloads are megabytes of varint event bytes, so persistent
+//! trace and slice artifacts are written to the store's **blob tier**
+//! (see [`crate::blob`]): raw checksummed binary files under the
+//! content digests, with the event bytes stored verbatim. Blobs
+//! replaced base64-in-JSON envelopes because cold trace loads were
+//! ~2.6× faster. The read path is zero-copy — the payload buffer that
+//! comes off disk *becomes* [`EventTrace::bytes`], with no re-encode or
+//! intermediate copy — and a sliced-trace manifest's per-slice blobs
+//! are prefetched in parallel over a [`cbsp_par::Pool`] (independent
+//! files; the index-ordered merge keeps results byte-identical at any
+//! thread count).
 //!
-//! Legacy JSON envelopes remain readable: a legacy hit is decoded,
-//! rewritten as a blob, and its envelope removed (read-through
-//! migration, counted by `store/legacy_migrations`); [`migrate_store`]
-//! performs the same rewrite in bulk for `cbsp cache migrate`. Either
-//! format yields bit-identical traces, slices, and estimates. Corrupt
-//! or truncated artifacts in either format follow the repair-as-miss
+//! The blob is the only encoding this cache reads or writes. Trace and
+//! slice artifacts are leases — no run manifest references them, so
+//! `gc` always evicts them — and a JSON envelope left by an older
+//! version is therefore a plain miss: the artifact is re-recorded, its
+//! blob lands beside the envelope, and the next `gc` evicts the
+//! envelope. Corrupt or truncated blobs follow the repair-as-miss
 //! contract: typed errors, re-record, rewrite in place.
 
 use cbsp_core::{weighted_cpi, weighted_cpi_with, CbspError};
@@ -41,11 +40,10 @@ use cbsp_par::Pool;
 use cbsp_profile::ExecPoint;
 use cbsp_program::{Binary, Input};
 use cbsp_sim::{
-    record_trace, replay_marker_sliced, replay_slice, slice_trace, EventTrace, IntervalSim,
-    LevelStats, MemoryConfig, SimStats, SlicedTrace, TraceSlice,
+    record_trace, replay_slice, slice_trace, EventTrace, IntervalSim, LevelStats, MemoryConfig,
+    SimStats, SlicedTrace, TraceSlice,
 };
 use cbsp_simpoint::SimPoint;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -61,110 +59,6 @@ pub const TRACE_STAGE: &str = "trace";
 /// never referenced by run manifests, so `gc` always evicts them.
 pub const TRACE_SLICE_STAGE: &str = "trace_slice";
 
-/// `true` when the `CBSP_NO_TRACE_SLICES` environment knob disables the
-/// sliced-trace estimate path (warm estimates then replay the full
-/// trace in context; see README "Trace cache knobs").
-pub fn slicing_disabled() -> bool {
-    std::env::var("CBSP_NO_TRACE_SLICES").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-/// `true` when the `CBSP_NO_PREFETCH` environment knob disables the
-/// parallel slice-blob prefetch fan-out (slice blobs are then read
-/// serially; same bytes, same results — the knob is purely a
-/// performance fallback for diagnosis).
-pub fn prefetch_disabled() -> bool {
-    std::env::var("CBSP_NO_PREFETCH").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-/// Legacy on-store form of an [`EventTrace`]: header fields plus
-/// base64 bytes inside the standard JSON envelope. New writes use the
-/// blob tier; this form is kept readable for migration.
-#[derive(Debug, Serialize, Deserialize)]
-struct TraceArtifact {
-    n_procs: u32,
-    n_loops: u32,
-    events: u64,
-    data: String,
-}
-
-const BASE64_ALPHABET: &[u8; 64] =
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
-
-/// Encodes `bytes` as unpadded standard-alphabet base64.
-pub fn base64_encode(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len().div_ceil(3) * 4);
-    for chunk in bytes.chunks(3) {
-        let b = [
-            chunk[0],
-            *chunk.get(1).unwrap_or(&0),
-            *chunk.get(2).unwrap_or(&0),
-        ];
-        let v = (u32::from(b[0]) << 16) | (u32::from(b[1]) << 8) | u32::from(b[2]);
-        let chars = [
-            BASE64_ALPHABET[(v >> 18) as usize & 63],
-            BASE64_ALPHABET[(v >> 12) as usize & 63],
-            BASE64_ALPHABET[(v >> 6) as usize & 63],
-            BASE64_ALPHABET[v as usize & 63],
-        ];
-        let keep = match chunk.len() {
-            1 => 2,
-            2 => 3,
-            _ => 4,
-        };
-        for &c in &chars[..keep] {
-            out.push(c as char);
-        }
-    }
-    out
-}
-
-/// Decodes unpadded standard-alphabet base64 (trailing `=` tolerated).
-/// Returns `None` on any character outside the alphabet or an
-/// impossible length.
-pub fn base64_decode(text: &str) -> Option<Vec<u8>> {
-    let trimmed = text.trim_end_matches('=');
-    let mut out = Vec::with_capacity(trimmed.len() / 4 * 3 + 2);
-    let mut chunk = [0u8; 4];
-    let mut filled = 0;
-    let decode_one = |c: u8| -> Option<u8> {
-        match c {
-            b'A'..=b'Z' => Some(c - b'A'),
-            b'a'..=b'z' => Some(c - b'a' + 26),
-            b'0'..=b'9' => Some(c - b'0' + 52),
-            b'+' => Some(62),
-            b'/' => Some(63),
-            _ => None,
-        }
-    };
-    let flush = |chunk: &[u8], out: &mut Vec<u8>| -> Option<()> {
-        let v = chunk.iter().fold(0u32, |acc, &c| (acc << 6) | u32::from(c));
-        match chunk.len() {
-            4 => out.extend_from_slice(&[(v >> 16) as u8, (v >> 8) as u8, v as u8]),
-            3 => {
-                let v = v << 6;
-                out.extend_from_slice(&[(v >> 16) as u8, (v >> 8) as u8]);
-            }
-            2 => {
-                let v = v << 12;
-                out.push((v >> 16) as u8);
-            }
-            1 => return None,
-            _ => {}
-        }
-        Some(())
-    };
-    for &c in trimmed.as_bytes() {
-        chunk[filled] = decode_one(c)?;
-        filled += 1;
-        if filled == 4 {
-            flush(&chunk, &mut out)?;
-            filled = 0;
-        }
-    }
-    flush(&chunk[..filled], &mut out)?;
-    Some(out)
-}
-
 /// Content key of the trace for `(binary, input)`.
 pub fn trace_key(binary: &Binary, input: &Input) -> StageKey {
     stage_key(
@@ -174,29 +68,6 @@ pub fn trace_key(binary: &Binary, input: &Input) -> StageKey {
             Value::Str(content_hash(input)),
         ],
     )
-}
-
-/// Legacy on-store form of one [`TraceSlice`]: the interval index, the
-/// packed state checkpoint, and the re-based event stream (both
-/// base64).
-#[derive(Debug, Serialize, Deserialize)]
-struct SliceEntry {
-    interval: u64,
-    state: String,
-    events: u64,
-    data: String,
-}
-
-/// Legacy on-store form of a [`SlicedTrace`]: the slice manifest with
-/// every slice payload inline, base64-encoded. New writes use the blob
-/// tier; this form is kept readable for migration.
-#[derive(Debug, Serialize, Deserialize)]
-struct SliceArtifact {
-    n_procs: u32,
-    n_loops: u32,
-    full: SimStats,
-    intervals: u64,
-    slices: Vec<SliceEntry>,
 }
 
 /// Content key of the slice manifest for `(binary, input)` sliced at
@@ -349,7 +220,7 @@ fn slice_manifest_meta(n_procs: u32, n_loops: u32, sliced: &SlicedTrace) -> Vec<
     m
 }
 
-fn decode_slice_manifest(blob: &Blob) -> Option<SliceManifest> {
+fn decode_slice_manifest(blob: Blob) -> Option<SliceManifest> {
     if !blob.payload.is_empty() {
         return None;
     }
@@ -454,151 +325,33 @@ fn put_slice_blobs(
     Ok(())
 }
 
-// ---------------------------------------------------------------------
-// Legacy-envelope writers and bulk migration
-// ---------------------------------------------------------------------
+/// Outcome of one blob-tier read under the repair-as-miss contract.
+enum Lookup<T> {
+    /// The blob exists, passed its framing checks, and decoded.
+    Hit(T),
+    /// No blob under the key.
+    Miss,
+    /// The blob failed its framing checks or did not decode; the
+    /// caller re-materializes the artifact and overwrites it.
+    Corrupt,
+}
 
-/// Writes `trace` as a **legacy JSON envelope** (base64 payload),
-/// removing any blob for the same key so the envelope is what a reader
-/// finds. Exists for migration tests and the `json_cold` benchmark
-/// lanes — production writes go to the blob tier.
-///
-/// # Errors
-///
-/// Returns [`CbspError::StoreIo`] on filesystem failure.
-pub fn put_trace_legacy(
+/// Reads the blob of (`stage`, `key`) and decodes it with `decode`,
+/// folding typed corruption into [`Lookup::Corrupt`].
+fn lookup<T>(
     store: &ArtifactStore,
-    binary: &Binary,
-    input: &Input,
-    trace: &EventTrace,
-) -> Result<StageKey, CbspError> {
-    let key = trace_key(binary, input);
-    let artifact = TraceArtifact {
-        n_procs: trace.n_procs,
-        n_loops: trace.n_loops,
-        events: trace.events,
-        data: base64_encode(&trace.bytes),
-    };
-    store.put_overwrite(TRACE_STAGE, &key, &artifact)?;
-    let _ = std::fs::remove_file(store.blob_path(&key));
-    Ok(key)
-}
-
-/// Writes `sliced` as a **legacy JSON envelope** (all slices inline,
-/// base64), removing any manifest or per-slice blobs for the same key.
-/// Exists for migration tests and the `json_cold` benchmark lanes.
-///
-/// # Errors
-///
-/// Returns [`CbspError::StoreIo`] on filesystem failure.
-pub fn put_slices_legacy(
-    store: &ArtifactStore,
-    binary: &Binary,
-    input: &Input,
-    config: &MemoryConfig,
-    boundaries: &[ExecPoint],
-    selected: &[usize],
-    sliced: &SlicedTrace,
-) -> Result<StageKey, CbspError> {
-    let mut wanted: Vec<usize> = selected.to_vec();
-    wanted.sort_unstable();
-    wanted.dedup();
-    let key = trace_slice_key(binary, input, config, boundaries, &wanted);
-    store.put_overwrite(
-        TRACE_SLICE_STAGE,
-        &key,
-        &encode_slice_artifact(binary, sliced),
-    )?;
-    let _ = std::fs::remove_file(store.blob_path(&key));
-    for s in &sliced.slices {
-        let skey = derived_key(&key, "slice", s.interval as u64);
-        let _ = std::fs::remove_file(store.blob_path(&skey));
-    }
-    Ok(key)
-}
-
-/// Result of a [`migrate_store`] sweep.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MigrateReport {
-    /// Legacy trace envelopes rewritten as blobs.
-    pub traces: u64,
-    /// Legacy slice-manifest envelopes rewritten as blob manifests
-    /// plus per-slice blobs.
-    pub slice_manifests: u64,
-    /// Legacy envelopes left in place because they failed to decode
-    /// (they will be repaired on use, or evicted by `gc`).
-    pub skipped: u64,
-}
-
-/// Rewrites every legacy `trace`/`trace_slice` JSON envelope in `store`
-/// as blob-tier files, removing each envelope after its blob lands —
-/// the bulk form of the read-through migration, backing `cbsp cache
-/// migrate`. Pipeline-stage envelopes are not touched (JSON is the
-/// right format for small structured artifacts). Keys are unchanged,
-/// so nothing a run manifest references moves.
-///
-/// # Errors
-///
-/// Returns [`CbspError::StoreIo`] on filesystem failure. Corrupt
-/// envelopes are counted in [`MigrateReport::skipped`], not errored.
-pub fn migrate_store(store: &ArtifactStore) -> Result<MigrateReport, CbspError> {
-    let mut report = MigrateReport::default();
-    for (stage, key) in store.keys_in_format("json")? {
-        match stage.as_str() {
-            TRACE_STAGE => match store.get::<TraceArtifact>(&stage, &key) {
-                Ok(Some(artifact)) => match base64_decode(&artifact.data) {
-                    Some(bytes) => {
-                        let trace = EventTrace {
-                            n_procs: artifact.n_procs,
-                            n_loops: artifact.n_loops,
-                            events: artifact.events,
-                            bytes,
-                        };
-                        store.put_blob_overwrite(
-                            TRACE_STAGE,
-                            &key,
-                            &trace_blob_meta(&trace),
-                            &trace.bytes,
-                        )?;
-                        store.remove_envelope(&key)?;
-                        cbsp_trace::add("store/legacy_migrations", 1);
-                        report.traces += 1;
-                    }
-                    None => report.skipped += 1,
-                },
-                Ok(None) => {}
-                Err(
-                    CbspError::ArtifactCorrupt { .. } | CbspError::ArtifactVersionMismatch { .. },
-                ) => report.skipped += 1,
-                Err(other) => return Err(other),
-            },
-            TRACE_SLICE_STAGE => match store.get::<SliceArtifact>(&stage, &key) {
-                Ok(Some(artifact)) => match decode_slice_artifact(&artifact) {
-                    Some(sliced) => {
-                        put_slice_blobs(
-                            store,
-                            &key,
-                            artifact.n_procs,
-                            artifact.n_loops,
-                            &sliced,
-                            true,
-                        )?;
-                        store.remove_envelope(&key)?;
-                        cbsp_trace::add("store/legacy_migrations", 1);
-                        report.slice_manifests += 1;
-                    }
-                    None => report.skipped += 1,
-                },
-                Ok(None) => {}
-                Err(
-                    CbspError::ArtifactCorrupt { .. } | CbspError::ArtifactVersionMismatch { .. },
-                ) => report.skipped += 1,
-                Err(other) => return Err(other),
-            },
-            _ => {}
+    stage: &str,
+    key: &StageKey,
+    decode: impl FnOnce(Blob) -> Option<T>,
+) -> Result<Lookup<T>, CbspError> {
+    match store.get_blob(stage, key) {
+        Ok(Some(blob)) => Ok(decode(blob).map_or(Lookup::Corrupt, Lookup::Hit)),
+        Ok(None) => Ok(Lookup::Miss),
+        Err(CbspError::ArtifactCorrupt { .. } | CbspError::ArtifactVersionMismatch { .. }) => {
+            Ok(Lookup::Corrupt)
         }
+        Err(other) => Err(other),
     }
-    Ok(report)
 }
 
 // ---------------------------------------------------------------------
@@ -628,29 +381,15 @@ pub struct TraceCache<'s> {
     /// In-memory tier of the sliced-trace path: per-simpoint slice
     /// manifests keyed like the `trace_slice` store namespace.
     slices: Mutex<HashMap<String, Arc<SlicedTrace>>>,
-    /// Pool slice-blob prefetches fan out over (serial when
-    /// `CBSP_NO_PREFETCH` is set).
+    /// Pool slice-blob prefetches fan out over.
     prefetch: Pool,
-    /// Whether a legacy JSON hit is rewritten to the blob tier
-    /// (read-through migration). On by default; the `json_cold` bench
-    /// lanes disable it so the legacy path stays measurable.
-    migrate: bool,
 }
 
 impl<'s> TraceCache<'s> {
     /// Creates a cache backed by `store` (pass `None` for purely
     /// in-memory record-once behaviour).
     pub fn new(store: Option<&'s ArtifactStore>) -> Self {
-        TraceCache {
-            store: match store {
-                Some(s) => StoreTier::Borrowed(s),
-                None => StoreTier::None,
-            },
-            mem: Mutex::new(HashMap::new()),
-            slices: Mutex::new(HashMap::new()),
-            prefetch: Pool::auto(),
-            migrate: true,
-        }
+        TraceCache::with_tier(store.map_or(StoreTier::None, StoreTier::Borrowed))
     }
 
     /// Creates a cache with no persistent tier.
@@ -663,29 +402,21 @@ impl<'s> TraceCache<'s> {
     /// long-lived server keeps one of these so both the in-memory tier
     /// and the on-disk tier stay warm across requests.
     pub fn shared(store: Arc<ArtifactStore>) -> TraceCache<'static> {
+        TraceCache::with_tier(StoreTier::Shared(store))
+    }
+
+    fn with_tier(store: StoreTier<'s>) -> Self {
         TraceCache {
-            store: StoreTier::Shared(store),
+            store,
             mem: Mutex::new(HashMap::new()),
             slices: Mutex::new(HashMap::new()),
             prefetch: Pool::auto(),
-            migrate: true,
         }
-    }
-
-    /// Disables read-through migration of legacy JSON envelopes: a
-    /// legacy hit is served but the envelope stays as-is. For
-    /// benchmarks and diagnostics that need the legacy path to remain
-    /// on disk across repeated reads.
-    #[must_use]
-    pub fn without_migration(mut self) -> Self {
-        self.migrate = false;
-        self
     }
 
     /// Overrides the pool slice-blob prefetches fan out over (the
     /// default is [`Pool::auto`]). Determinism tests pin this to
-    /// compare thread counts; `CBSP_NO_PREFETCH` still wins at call
-    /// time.
+    /// compare thread counts.
     #[must_use]
     pub fn with_prefetch(mut self, pool: Pool) -> Self {
         self.prefetch = pool;
@@ -701,24 +432,13 @@ impl<'s> TraceCache<'s> {
         }
     }
 
-    /// The pool slice prefetches run on, honouring `CBSP_NO_PREFETCH`
-    /// at call time.
-    fn prefetch_pool(&self) -> Pool {
-        if prefetch_disabled() {
-            Pool::serial()
-        } else {
-            self.prefetch
-        }
-    }
-
     /// Returns the recorded trace for `(binary, input)`, interpreting
     /// the binary only if neither cache tier has it. Safe to call from
     /// pool workers; concurrent misses on the same key settle on one
     /// entry.
     ///
     /// Store hits read the blob tier zero-copy (the read buffer is
-    /// handed out as [`EventTrace::bytes`]); a legacy JSON hit is
-    /// served and migrated to a blob in place.
+    /// handed out as [`EventTrace::bytes`]).
     ///
     /// # Errors
     ///
@@ -738,66 +458,18 @@ impl<'s> TraceCache<'s> {
 
         let mut repair = false;
         if let Some(store) = self.store() {
-            match store.get_blob(TRACE_STAGE, &key) {
-                Ok(Some(blob)) => match decode_trace_blob(blob) {
-                    Some(trace) => {
-                        cbsp_trace::add("sim/trace_cache_hits", 1);
-                        let trace = Arc::new(trace);
-                        self.insert(mem_key, &trace);
-                        return Ok(trace);
-                    }
-                    None => {
-                        repair = true;
-                        cbsp_trace::add("store/repairs", 1);
-                    }
-                },
-                Ok(None) => match store.get::<TraceArtifact>(TRACE_STAGE, &key) {
-                    Ok(Some(artifact)) => match base64_decode(&artifact.data) {
-                        Some(bytes) => {
-                            cbsp_trace::add("sim/trace_cache_hits", 1);
-                            let trace = Arc::new(EventTrace {
-                                n_procs: artifact.n_procs,
-                                n_loops: artifact.n_loops,
-                                events: artifact.events,
-                                bytes,
-                            });
-                            if self.migrate {
-                                store.put_blob_overwrite(
-                                    TRACE_STAGE,
-                                    &key,
-                                    &trace_blob_meta(&trace),
-                                    &trace.bytes,
-                                )?;
-                                store.remove_envelope(&key)?;
-                                cbsp_trace::add("store/legacy_migrations", 1);
-                            }
-                            self.insert(mem_key, &trace);
-                            return Ok(trace);
-                        }
-                        None => {
-                            // Checksummed envelope with undecodable
-                            // base64: treat like any corrupt artifact.
-                            repair = true;
-                            cbsp_trace::add("store/repairs", 1);
-                        }
-                    },
-                    Ok(None) => {}
-                    Err(
-                        CbspError::ArtifactCorrupt { .. }
-                        | CbspError::ArtifactVersionMismatch { .. },
-                    ) => {
-                        repair = true;
-                        cbsp_trace::add("store/repairs", 1);
-                    }
-                    Err(other) => return Err(other),
-                },
-                Err(
-                    CbspError::ArtifactCorrupt { .. } | CbspError::ArtifactVersionMismatch { .. },
-                ) => {
+            match lookup(store, TRACE_STAGE, &key, decode_trace_blob)? {
+                Lookup::Hit(trace) => {
+                    cbsp_trace::add("sim/trace_cache_hits", 1);
+                    let trace = Arc::new(trace);
+                    self.insert(mem_key, &trace);
+                    return Ok(trace);
+                }
+                Lookup::Miss => {}
+                Lookup::Corrupt => {
                     repair = true;
                     cbsp_trace::add("store/repairs", 1);
                 }
-                Err(other) => return Err(other),
             }
         }
 
@@ -807,7 +479,6 @@ impl<'s> TraceCache<'s> {
             let meta = trace_blob_meta(&trace);
             if repair {
                 store.put_blob_overwrite(TRACE_STAGE, &key, &meta, &trace.bytes)?;
-                store.remove_envelope(&key)?;
             } else {
                 store.put_blob(TRACE_STAGE, &key, &meta, &trace.bytes)?;
             }
@@ -883,71 +554,25 @@ impl<'s> TraceCache<'s> {
 
         let mut repair = false;
         if let Some(store) = self.store() {
-            match store.get_blob(TRACE_SLICE_STAGE, &key) {
-                Ok(Some(blob)) => match decode_slice_manifest(&blob) {
-                    Some(man) => match self.fetch_slice_blobs(store, &key, &man)? {
-                        Some(slices) => {
-                            cbsp_trace::add("sim/full_replay_avoided", 1);
-                            let sliced = Arc::new(SlicedTrace {
-                                full: man.full,
-                                intervals: man.intervals,
-                                slices,
-                            });
-                            self.insert_slices(mem_key, &sliced);
-                            return Ok(sliced);
-                        }
-                        None => {
-                            repair = true;
-                            cbsp_trace::add("store/repairs", 1);
-                        }
-                    },
-                    None => {
-                        repair = true;
-                        cbsp_trace::add("store/repairs", 1);
+            match lookup(store, TRACE_SLICE_STAGE, &key, decode_slice_manifest)? {
+                Lookup::Hit(man) => match self.fetch_slice_blobs(store, &key, &man)? {
+                    Some(slices) => {
+                        cbsp_trace::add("sim/full_replay_avoided", 1);
+                        let sliced = Arc::new(SlicedTrace {
+                            full: man.full,
+                            intervals: man.intervals,
+                            slices,
+                        });
+                        self.insert_slices(mem_key, &sliced);
+                        return Ok(sliced);
                     }
+                    None => repair = true,
                 },
-                Ok(None) => match store.get::<SliceArtifact>(TRACE_SLICE_STAGE, &key) {
-                    Ok(Some(artifact)) => match decode_slice_artifact(&artifact) {
-                        Some(sliced) => {
-                            cbsp_trace::add("sim/full_replay_avoided", 1);
-                            let sliced = Arc::new(sliced);
-                            if self.migrate {
-                                put_slice_blobs(
-                                    store,
-                                    &key,
-                                    artifact.n_procs,
-                                    artifact.n_loops,
-                                    &sliced,
-                                    true,
-                                )?;
-                                store.remove_envelope(&key)?;
-                                cbsp_trace::add("store/legacy_migrations", 1);
-                            }
-                            self.insert_slices(mem_key, &sliced);
-                            return Ok(sliced);
-                        }
-                        None => {
-                            repair = true;
-                            cbsp_trace::add("store/repairs", 1);
-                        }
-                    },
-                    Ok(None) => {}
-                    Err(
-                        CbspError::ArtifactCorrupt { .. }
-                        | CbspError::ArtifactVersionMismatch { .. },
-                    ) => {
-                        repair = true;
-                        cbsp_trace::add("store/repairs", 1);
-                    }
-                    Err(other) => return Err(other),
-                },
-                Err(
-                    CbspError::ArtifactCorrupt { .. } | CbspError::ArtifactVersionMismatch { .. },
-                ) => {
-                    repair = true;
-                    cbsp_trace::add("store/repairs", 1);
-                }
-                Err(other) => return Err(other),
+                Lookup::Miss => {}
+                Lookup::Corrupt => repair = true,
+            }
+            if repair {
+                cbsp_trace::add("store/repairs", 1);
             }
         }
 
@@ -967,9 +592,6 @@ impl<'s> TraceCache<'s> {
         let sliced = Arc::new(sliced);
         if let Some(store) = self.store() {
             put_slice_blobs(store, &key, full.n_procs, full.n_loops, &sliced, repair)?;
-            if repair {
-                store.remove_envelope(&key)?;
-            }
         }
         self.insert_slices(mem_key, &sliced);
         Ok(sliced)
@@ -986,25 +608,19 @@ impl<'s> TraceCache<'s> {
         key: &StageKey,
         man: &SliceManifest,
     ) -> Result<Option<Vec<TraceSlice>>, CbspError> {
-        let pool = self.prefetch_pool();
-        if man.slice_intervals.len() > 1 && pool.threads() > 1 {
+        if man.slice_intervals.len() > 1 && self.prefetch.threads() > 1 {
             cbsp_trace::add("store/prefetch_fanouts", 1);
         }
-        let fetched: Result<Vec<Option<TraceSlice>>, CbspError> = pool
+        let fetched: Result<Vec<Option<TraceSlice>>, CbspError> = self
+            .prefetch
             .run_indexed(man.slice_intervals.len(), |i| {
                 let interval = man.slice_intervals[i];
                 let skey = derived_key(key, "slice", interval);
-                match store.get_blob(TRACE_SLICE_STAGE, &skey) {
-                    Ok(Some(blob)) => {
-                        Ok(decode_slice_blob(interval, man.n_procs, man.n_loops, blob))
-                    }
-                    Ok(None) => Ok(None),
-                    Err(
-                        CbspError::ArtifactCorrupt { .. }
-                        | CbspError::ArtifactVersionMismatch { .. },
-                    ) => Ok(None),
-                    Err(other) => Err(other),
-                }
+                let decode = |blob| decode_slice_blob(interval, man.n_procs, man.n_loops, blob);
+                Ok(match lookup(store, TRACE_SLICE_STAGE, &skey, decode)? {
+                    Lookup::Hit(slice) => Some(slice),
+                    Lookup::Miss | Lookup::Corrupt => None,
+                })
             })
             .into_iter()
             .collect();
@@ -1019,7 +635,6 @@ impl<'s> TraceCache<'s> {
         let trace = Arc::new(record_trace(binary, input));
         if let Some(store) = self.store() {
             store.put_blob_overwrite(TRACE_STAGE, &key, &trace_blob_meta(&trace), &trace.bytes)?;
-            store.remove_envelope(&key)?;
         }
         self.insert(key.as_hex().to_string(), &trace);
         Ok(trace)
@@ -1039,14 +654,12 @@ impl<'s> TraceCache<'s> {
     /// the slice manifest — so a warm call decodes only kilobytes.
     /// Slice replays are bit-identical to the in-context interval
     /// statistics of a full replay, so the result is byte-identical
-    /// across cache temperature, on-disk format, thread count, *and*
-    /// to the full-replay path.
+    /// across cache temperature and thread count, *and* to the same
+    /// estimate computed over the full trace with
+    /// [`cbsp_sim::replay_marker_sliced`].
     ///
     /// `phase_weights` follows [`weighted_cpi_with`] (the cross-binary
-    /// scheme); pass `None` to use each point's own weight. With the
-    /// `CBSP_NO_TRACE_SLICES` knob set, falls back to a full in-context
-    /// replay — same estimates, none of the byte savings; the knob is
-    /// purely a performance fallback.
+    /// scheme); pass `None` to use each point's own weight.
     ///
     /// # Errors
     ///
@@ -1068,17 +681,6 @@ impl<'s> TraceCache<'s> {
         interval_count: usize,
     ) -> Result<CpiEstimate, CbspError> {
         let _span = cbsp_trace::span_labeled("sim/estimate_sliced", || binary.label());
-        if slicing_disabled() {
-            return self.estimate_cpi_full(
-                binary,
-                input,
-                config,
-                boundaries,
-                points,
-                phase_weights,
-                interval_count,
-            );
-        }
         let selected: Vec<usize> = points.iter().map(|p| p.interval).collect();
         let sliced = self.get_slices(binary, input, config, boundaries, &selected)?;
         let n = interval_count.max(sliced.intervals);
@@ -1102,7 +704,6 @@ impl<'s> TraceCache<'s> {
                     .expect("freshly sliced trace decodes");
                 let fresh = Arc::new(fresh);
                 put_slice_blobs(store, &key, full.n_procs, full.n_loops, &fresh, true)?;
-                store.remove_envelope(&key)?;
                 self.insert_slices(key.as_hex().to_string(), &fresh);
                 replayed = replay_all_slices(&fresh, config);
             }
@@ -1120,43 +721,6 @@ impl<'s> TraceCache<'s> {
         Ok(CpiEstimate {
             true_cpi: sliced.full.cpi(),
             instructions: sliced.full.instructions,
-            estimated_cpi,
-            interval_cpis,
-        })
-    }
-
-    /// The pre-slicing estimate path: replay the full trace in context.
-    /// Kept behind `CBSP_NO_TRACE_SLICES` as a diagnostic baseline.
-    #[allow(clippy::too_many_arguments)]
-    fn estimate_cpi_full(
-        &self,
-        binary: &Binary,
-        input: &Input,
-        config: &MemoryConfig,
-        boundaries: &[ExecPoint],
-        points: &[SimPoint],
-        phase_weights: Option<&[f64]>,
-        interval_count: usize,
-    ) -> Result<CpiEstimate, CbspError> {
-        let trace = self.get_or_record(binary, input)?;
-        let (full, mut intervals) = match replay_marker_sliced(&trace, config, boundaries) {
-            Ok(r) => r,
-            Err(_) => {
-                cbsp_trace::add("store/repairs", 1);
-                let fresh = self.rerecord(binary, input)?;
-                replay_marker_sliced(&fresh, config, boundaries)
-                    .expect("freshly recorded trace decodes")
-            }
-        };
-        intervals.resize(interval_count.max(intervals.len()), IntervalSim::default());
-        let interval_cpis: Vec<f64> = intervals.iter().map(IntervalSim::cpi).collect();
-        let estimated_cpi = match phase_weights {
-            Some(w) => weighted_cpi_with(points, w, &interval_cpis),
-            None => weighted_cpi(points, &interval_cpis),
-        };
-        Ok(CpiEstimate {
-            true_cpi: full.cpi(),
-            instructions: full.instructions,
             estimated_cpi,
             interval_cpis,
         })
@@ -1188,49 +752,6 @@ fn replay_all_slices(
         .iter()
         .map(|s| replay_slice(s, config).ok().map(|r| (s.interval, r)))
         .collect()
-}
-
-fn encode_slice_artifact(binary: &Binary, sliced: &SlicedTrace) -> SliceArtifact {
-    SliceArtifact {
-        n_procs: binary.procs.len() as u32,
-        n_loops: binary.loops.len() as u32,
-        full: sliced.full,
-        intervals: sliced.intervals as u64,
-        slices: sliced
-            .slices
-            .iter()
-            .map(|s| SliceEntry {
-                interval: s.interval as u64,
-                state: base64_encode(&s.state),
-                events: s.trace.events,
-                data: base64_encode(&s.trace.bytes),
-            })
-            .collect(),
-    }
-}
-
-fn decode_slice_artifact(artifact: &SliceArtifact) -> Option<SlicedTrace> {
-    let slices = artifact
-        .slices
-        .iter()
-        .map(|e| {
-            Some(TraceSlice {
-                interval: e.interval as usize,
-                state: base64_decode(&e.state)?,
-                trace: EventTrace {
-                    n_procs: artifact.n_procs,
-                    n_loops: artifact.n_loops,
-                    events: e.events,
-                    bytes: base64_decode(&e.data)?,
-                },
-            })
-        })
-        .collect::<Option<Vec<_>>>()?;
-    Some(SlicedTrace {
-        full: artifact.full,
-        intervals: artifact.intervals as usize,
-        slices,
-    })
 }
 
 #[cfg(test)]
@@ -1319,36 +840,11 @@ mod tests {
     }
 
     #[test]
-    fn base64_round_trips() {
-        for len in 0..=67 {
-            let bytes: Vec<u8> = (0..len as u8)
-                .map(|i| i.wrapping_mul(37).wrapping_add(len as u8))
-                .collect();
-            let text = base64_encode(&bytes);
-            assert_eq!(
-                base64_decode(&text).as_deref(),
-                Some(bytes.as_slice()),
-                "len {len}"
-            );
-        }
-        assert_eq!(
-            base64_encode(b"any carnal pleasure"),
-            "YW55IGNhcm5hbCBwbGVhc3VyZQ"
-        );
-        assert_eq!(
-            base64_decode("YW55IGNhcm5hbCBwbGVhc3VyZQ==").as_deref(),
-            Some(b"any carnal pleasure".as_slice())
-        );
-        assert!(base64_decode("a").is_none(), "length 1 mod 4 is impossible");
-        assert!(base64_decode("ab c").is_none(), "alphabet violation");
-    }
-
-    #[test]
     fn memory_tier_records_once() {
+        let _lock = cbsp_trace::test_lock();
         let bin = test_binary();
         let input = Input::test();
         let cache = TraceCache::in_memory();
-        let _lock = cbsp_trace::test_lock();
         cbsp_trace::enable();
         cbsp_trace::reset();
         let t1 = cache.get_or_record(&bin, &input).expect("records");
@@ -1363,6 +859,7 @@ mod tests {
 
     #[test]
     fn store_tier_serves_blob_hits_zero_decode() {
+        let _lock = cbsp_trace::test_lock();
         let bin = test_binary();
         let input = Input::test();
         let (store, dir) = temp_store("persist");
@@ -1376,7 +873,6 @@ mod tests {
 
         // A fresh cache (fresh process, conceptually) hits the store.
         let second = TraceCache::new(Some(&store));
-        let _lock = cbsp_trace::test_lock();
         cbsp_trace::enable();
         cbsp_trace::reset();
         let t2 = second.get_or_record(&bin, &input).expect("store hit");
@@ -1398,6 +894,7 @@ mod tests {
 
     #[test]
     fn corrupt_stored_trace_blob_is_repaired() {
+        let _lock = cbsp_trace::test_lock();
         let bin = test_binary();
         let input = Input::test();
         let (store, dir) = temp_store("repair");
@@ -1420,54 +917,8 @@ mod tests {
     }
 
     #[test]
-    fn legacy_trace_envelope_reads_through_and_migrates() {
-        let bin = test_binary();
-        let input = Input::test();
-        let (store, dir) = temp_store("legacy-trace");
-        let recorded = record_trace(&bin, &input);
-        let key = put_trace_legacy(&store, &bin, &input, &recorded).expect("writes legacy");
-        assert!(store.contains(&key), "legacy envelope on disk");
-        assert!(!store.contains_blob(&key), "no blob yet");
-
-        let cache = TraceCache::new(Some(&store));
-        let _lock = cbsp_trace::test_lock();
-        cbsp_trace::enable();
-        cbsp_trace::reset();
-        let t = cache.get_or_record(&bin, &input).expect("legacy hit");
-        let counters = cbsp_trace::snapshot().counters;
-        cbsp_trace::disable();
-        assert_eq!(*t, recorded, "legacy payload decodes to the same trace");
-        assert_eq!(counters.get("sim/trace_cache_hits"), Some(&1));
-        assert_eq!(counters.get("store/legacy_migrations"), Some(&1));
-        // Read-through migration: blob written, envelope gone.
-        assert!(store.contains_blob(&key));
-        assert!(!store.contains(&key));
-
-        // A fresh cache now hits the blob directly.
-        let fresh = TraceCache::new(Some(&store));
-        let t2 = fresh.get_or_record(&bin, &input).expect("blob hit");
-        assert_eq!(*t, *t2);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn without_migration_leaves_the_envelope_in_place() {
-        let bin = test_binary();
-        let input = Input::test();
-        let (store, dir) = temp_store("no-migrate");
-        let recorded = record_trace(&bin, &input);
-        let key = put_trace_legacy(&store, &bin, &input, &recorded).expect("writes legacy");
-
-        let cache = TraceCache::new(Some(&store)).without_migration();
-        let t = cache.get_or_record(&bin, &input).expect("legacy hit");
-        assert_eq!(*t, recorded);
-        assert!(store.contains(&key), "envelope untouched");
-        assert!(!store.contains_blob(&key), "no blob written");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn pool_fanout_records_each_binary_once() {
+        let _lock = cbsp_trace::test_lock();
         let prog = workloads::by_name("gzip")
             .expect("in suite")
             .build(Scale::Test);
@@ -1492,6 +943,7 @@ mod tests {
 
     #[test]
     fn warm_slice_manifest_avoids_the_full_replay() {
+        let _lock = cbsp_trace::test_lock();
         let bin = test_binary();
         let input = Input::test();
         let (boundaries, points) = boundaries_and_points(&bin, &input);
@@ -1499,7 +951,6 @@ mod tests {
         let config = MemoryConfig::table1();
         let cache = TraceCache::in_memory();
 
-        let _lock = cbsp_trace::test_lock();
         cbsp_trace::enable();
         cbsp_trace::reset();
         let cold = cache
@@ -1533,6 +984,7 @@ mod tests {
 
     #[test]
     fn slice_manifest_persists_as_blobs_and_prefetches() {
+        let _lock = cbsp_trace::test_lock();
         let bin = test_binary();
         let input = Input::test();
         let (boundaries, points) = boundaries_and_points(&bin, &input);
@@ -1557,7 +1009,6 @@ mod tests {
         // A fresh cache (fresh process, conceptually) loads the stored
         // manifest without touching the full trace.
         let second = TraceCache::new(Some(&store));
-        let _lock = cbsp_trace::test_lock();
         cbsp_trace::enable();
         cbsp_trace::reset();
         let warm = second
@@ -1581,6 +1032,7 @@ mod tests {
 
     #[test]
     fn corrupt_slice_manifest_blob_is_repaired_as_a_miss() {
+        let _lock = cbsp_trace::test_lock();
         let bin = test_binary();
         let input = Input::test();
         let (boundaries, points) = boundaries_and_points(&bin, &input);
@@ -1615,6 +1067,7 @@ mod tests {
 
     #[test]
     fn corrupt_per_slice_blob_is_repaired_as_a_miss() {
+        let _lock = cbsp_trace::test_lock();
         let bin = test_binary();
         let input = Input::test();
         let (boundaries, points) = boundaries_and_points(&bin, &input);
@@ -1658,120 +1111,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn legacy_slice_envelope_reads_through_and_migrates() {
-        let bin = test_binary();
-        let input = Input::test();
-        let (boundaries, points) = boundaries_and_points(&bin, &input);
-        let selected: Vec<usize> = points.iter().map(|p| p.interval).collect();
-        let config = MemoryConfig::table1();
-        let (store, dir) = temp_store("legacy-slices");
-
-        // Materialize slices, then rewrite them as a legacy envelope.
-        let seed = TraceCache::in_memory();
-        let sliced = seed
-            .get_slices(&bin, &input, &config, &boundaries, &selected)
-            .expect("materializes");
-        let key = put_slices_legacy(
-            &store,
-            &bin,
-            &input,
-            &config,
-            &boundaries,
-            &selected,
-            &sliced,
-        )
-        .expect("writes legacy");
-        assert!(store.contains(&key));
-        assert!(!store.contains_blob(&key));
-
-        let cache = TraceCache::new(Some(&store));
-        let _lock = cbsp_trace::test_lock();
-        cbsp_trace::enable();
-        cbsp_trace::reset();
-        let warm = cache
-            .get_slices(&bin, &input, &config, &boundaries, &selected)
-            .expect("legacy hit");
-        let counters = cbsp_trace::snapshot().counters;
-        cbsp_trace::disable();
-        assert_eq!(*warm, *sliced, "legacy payload decodes identically");
-        assert_eq!(counters.get("sim/full_replay_avoided"), Some(&1));
-        assert_eq!(counters.get("store/legacy_migrations"), Some(&1));
-        // Migrated: manifest + slice blobs written, envelope gone.
-        assert!(store.contains_blob(&key));
-        assert!(!store.contains(&key));
-        for s in sliced.slices.iter() {
-            assert!(store.contains_blob(&derived_key(&key, "slice", s.interval as u64)));
-        }
-
-        let fresh = TraceCache::new(Some(&store));
-        let again = fresh
-            .get_slices(&bin, &input, &config, &boundaries, &selected)
-            .expect("blob hit");
-        assert_eq!(*warm, *again);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn migrate_store_rewrites_every_legacy_envelope() {
-        let bin = test_binary();
-        let input = Input::test();
-        let (boundaries, points) = boundaries_and_points(&bin, &input);
-        let selected: Vec<usize> = points.iter().map(|p| p.interval).collect();
-        let config = MemoryConfig::table1();
-        let (store, dir) = temp_store("bulk-migrate");
-
-        let recorded = record_trace(&bin, &input);
-        let tkey = put_trace_legacy(&store, &bin, &input, &recorded).expect("legacy trace");
-        let seed = TraceCache::in_memory();
-        let sliced = seed
-            .get_slices(&bin, &input, &config, &boundaries, &selected)
-            .expect("materializes");
-        let skey = put_slices_legacy(
-            &store,
-            &bin,
-            &input,
-            &config,
-            &boundaries,
-            &selected,
-            &sliced,
-        )
-        .expect("legacy slices");
-
-        let report = migrate_store(&store).expect("migrates");
-        assert_eq!(
-            report,
-            MigrateReport {
-                traces: 1,
-                slice_manifests: 1,
-                skipped: 0
-            }
-        );
-        assert!(store.contains_blob(&tkey) && !store.contains(&tkey));
-        assert!(store.contains_blob(&skey) && !store.contains(&skey));
-        // Idempotent: nothing legacy remains.
-        assert_eq!(
-            migrate_store(&store).expect("no-op"),
-            MigrateReport::default()
-        );
-
-        // Migrated artifacts serve bit-identical data.
-        let cache = TraceCache::new(Some(&store));
-        assert_eq!(*cache.get_or_record(&bin, &input).expect("hit"), recorded);
-        assert_eq!(
-            *cache
-                .get_slices(&bin, &input, &config, &boundaries, &selected)
-                .expect("hit"),
-            *sliced
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// The estimate is byte-identical across cache temperature and
     /// thread count: cold materialization and warm slice replay run the
     /// same per-interval simulations.
     #[test]
     fn sliced_estimate_is_identical_cold_warm_and_across_threads() {
+        let _lock = cbsp_trace::test_lock();
         let bin = test_binary();
         let input = Input::test();
         let (boundaries, points) = boundaries_and_points(&bin, &input);
