@@ -275,6 +275,7 @@ mod tests {
 
     #[test]
     fn ablations_run_on_a_small_subset() {
+        let _guard = cbsp_trace::test_lock();
         let results = run_ablations(&["gzip"], Scale::Test, 20_000, &MemoryConfig::table1());
         assert_eq!(results.len(), standard_variants(20_000).len());
         for r in &results {
@@ -287,6 +288,7 @@ mod tests {
 
     #[test]
     fn preserving_inline_lines_increases_mappable_points() {
+        let _guard = cbsp_trace::test_lock();
         // With inline debug lines preserved, fma3d's inlined loops match
         // directly — at least as many mappable points as the baseline,
         // found without the recovery pass.

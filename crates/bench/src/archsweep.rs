@@ -191,6 +191,7 @@ mod tests {
 
     #[test]
     fn sweep_runs_and_estimates_stay_accurate() {
+        let _guard = cbsp_trace::test_lock();
         let archs = standard_archs();
         let row = sweep_benchmark("gzip", Scale::Train, 50_000, &archs);
         assert_eq!(row.cpi_err.len(), archs.len());

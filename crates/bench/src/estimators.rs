@@ -225,6 +225,7 @@ mod tests {
 
     #[test]
     fn lanes_share_slicing_and_default_matches_base() {
+        let _guard = cbsp_trace::test_lock();
         let run = evaluate_benchmark("gzip", Scale::Train, 20_000, &MemoryConfig::table1());
         let estimators: Vec<EstimatorConfig> = ["bbv", "bbv+mav", "stratified"]
             .iter()

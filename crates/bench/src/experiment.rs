@@ -9,7 +9,7 @@ use cbsp_core::{
 };
 use cbsp_par::Pool;
 use cbsp_program::{compile, workloads, Binary, CompileTarget, Input, Scale};
-use cbsp_sim::{replay_fli_sliced, replay_marker_sliced, IntervalSim, MemoryConfig, SimStats};
+use cbsp_sim::{replay_sliced_both, IntervalSim, MemoryConfig, SimStats};
 use cbsp_simpoint::SimPointConfig;
 use cbsp_store::{ArtifactStore, CachePolicy, Orchestrator, TraceCache};
 use serde::{Deserialize, Serialize};
@@ -238,9 +238,10 @@ pub fn evaluate_benchmark_pooled(
 
 /// [`evaluate_benchmark_pooled`] with an explicit [`TraceCache`]: each
 /// `(binary, input)` pair is interpreted (and recorded) at most once
-/// per cache; both detailed slicings are pool-parallel replays of the
-/// recorded traces. Pass a cache without a persistent tier to keep
-/// pipeline-stage caching while opting out of on-disk traces.
+/// per cache, and one pool-parallel replay of each recorded trace
+/// yields both detailed slicings. Pass a cache without a persistent
+/// tier to keep pipeline-stage caching while opting out of on-disk
+/// traces.
 ///
 /// # Panics
 ///
@@ -300,36 +301,26 @@ pub fn evaluate_benchmark_cached(
 
     // Detailed simulation, sliced both ways: record each binary's
     // event trace once (pool-parallel, served from the cache when this
-    // `(binary, input)` was already interpreted), then replay it into
-    // both sinks — eight pool-parallel replays instead of eight
-    // re-interpretations.
+    // `(binary, input)` was already interpreted), then replay it once
+    // into both slicings — four pool-parallel replays, one per binary,
+    // and no re-interpretation.
     let event_traces = traces
         .get_or_record_all(&bin_refs, &input, pool)
         .expect("trace store usable");
-    let sims = pool.run_indexed(binaries.len() * 2, |j| {
-        let b = j / 2;
-        if j % 2 == 0 {
-            replay_marker_sliced(&event_traces[b], mem, &cross.boundaries[b])
-                .expect("recorded trace decodes")
-        } else {
-            replay_fli_sliced(&event_traces[b], mem, interval_target)
-                .expect("recorded trace decodes")
-        }
+    let sims = pool.run_indexed(binaries.len(), |b| {
+        replay_sliced_both(&event_traces[b], mem, &cross.boundaries[b], interval_target)
+            .expect("recorded trace decodes")
     });
     drop(event_traces);
     let mut true_stats = [SimStats::default(); 4];
     let mut vli_interval_stats = Vec::with_capacity(4);
     let mut fli_interval_stats = Vec::with_capacity(4);
-    let mut pairs = sims.into_iter();
-    for slot in true_stats.iter_mut().take(binaries.len()) {
-        let (full_v, mut ivs_v) = pairs.next().expect("marker replay per binary");
-        let (full_f, ivs_f) = pairs.next().expect("fli replay per binary");
-        ivs_v.resize(cross.interval_count(), IntervalSim::default());
-        debug_assert_eq!(full_v, full_f, "slicing must not change the simulation");
-        let _ = full_f;
-        *slot = full_v;
-        vli_interval_stats.push(ivs_v);
-        fli_interval_stats.push(ivs_f);
+    for (slot, mut sim) in true_stats.iter_mut().zip(sims) {
+        sim.marker
+            .resize(cross.interval_count(), IntervalSim::default());
+        *slot = sim.stats;
+        vli_interval_stats.push(sim.marker);
+        fli_interval_stats.push(sim.fli);
     }
 
     // FLI estimates: per-binary points and weights.
@@ -537,6 +528,7 @@ mod tests {
 
     #[test]
     fn evaluate_one_benchmark_end_to_end() {
+        let _guard = cbsp_trace::test_lock();
         // Train scale: Test-scale runs are so short that the init phase
         // dominates the interval population and estimates get noisy.
         let run = evaluate_benchmark("gzip", Scale::Train, 20_000, &MemoryConfig::table1());
@@ -555,8 +547,39 @@ mod tests {
         assert!(e.mappable_points > 0);
     }
 
+    /// Asserts exact counters, so every test in this crate that replays
+    /// holds `cbsp_trace::test_lock()`: a concurrent replay would land
+    /// in this count.
+    #[test]
+    fn evaluation_replays_each_binary_once() {
+        let _guard = cbsp_trace::test_lock();
+        let traces = TraceCache::in_memory();
+        cbsp_trace::enable();
+        cbsp_trace::reset();
+        let run = evaluate_benchmark_cached(
+            "gzip",
+            Scale::Test,
+            20_000,
+            &MemoryConfig::table1(),
+            None,
+            &traces,
+            &Pool::new(2),
+        );
+        let counters = cbsp_trace::snapshot().counters;
+        cbsp_trace::disable();
+        cbsp_trace::reset();
+        assert_eq!(
+            counters.get("sim/replays"),
+            Some(&4),
+            "one replay per binary feeds both slicings"
+        );
+        let instructions: u64 = run.eval.true_stats.iter().map(|s| s.instructions).sum();
+        assert_eq!(counters.get("sim/instructions"), Some(&instructions));
+    }
+
     #[test]
     fn phase_bias_tables_are_well_formed() {
+        let _guard = cbsp_trace::test_lock();
         let run = evaluate_benchmark("apsi", Scale::Test, 20_000, &MemoryConfig::table1());
         let t = phase_bias(&run, Pair::P32o64o, 3);
         assert!(!t.vli[0].is_empty());

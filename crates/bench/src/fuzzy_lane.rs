@@ -237,6 +237,7 @@ mod tests {
 
     #[test]
     fn lane_maps_destroyed_binaries_and_estimates_cpi() {
+        let _guard = cbsp_trace::test_lock();
         let row = fuzzy_benchmark(
             "swim",
             Scale::Test,

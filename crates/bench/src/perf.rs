@@ -324,9 +324,9 @@ pub const COMPARE_MIN_MS: f64 = 5.0;
 /// Baseline speedup below which a stage counts as gated-serial: the
 /// pool decided (via `Pool::for_work`'s cost estimate, or because the
 /// stage is memory-bandwidth-bound) that fan-out would not pay, so its
-/// parallel time *is* its serial time plus noise. `profile` and `vli`
-/// sit here at Reference scale by design — see DESIGN.md, "Stages that
-/// stay near 1× on purpose".
+/// parallel time *is* its serial time plus noise. No stage of the
+/// committed baseline sits here — see DESIGN.md, "Stages with small
+/// parallel speedups".
 pub const GATED_SERIAL_MAX_SPEEDUP: f64 = 1.05;
 
 /// Result of comparing a current perf run against a committed baseline.

@@ -257,6 +257,7 @@ mod tests {
 
     #[test]
     fn figures_render_for_a_small_suite() {
+        let _guard = cbsp_trace::test_lock();
         let r = run_suite(
             &["gzip".to_string()],
             Scale::Test,
@@ -272,6 +273,7 @@ mod tests {
 
     #[test]
     fn phase_table_renders() {
+        let _guard = cbsp_trace::test_lock();
         let run = evaluate_benchmark("apsi", Scale::Test, 20_000, &MemoryConfig::table1());
         let t = phase_bias(&run, crate::experiment::Pair::P32o64o, 3);
         let s = phase_table(&t, ("32o", "64o"));

@@ -156,6 +156,7 @@ mod tests {
 
     #[test]
     fn estimates_are_stable_across_seeds() {
+        let _guard = cbsp_trace::test_lock();
         let row = seed_stability("gzip", Scale::Train, 50_000, 3);
         assert_eq!(row.est_speedups.len(), 3);
         assert!(

@@ -9,7 +9,7 @@ use cbsp_core::{
 };
 use cbsp_profile::MarkerRef;
 use cbsp_program::{compile, workloads, CompileTarget, Input, Scale};
-use cbsp_sim::{record_trace, replay_fli_sliced, replay_marker_sliced, IntervalSim, MemoryConfig};
+use cbsp_sim::{record_trace, replay_sliced_both, IntervalSim, MemoryConfig};
 use cbsp_simpoint::{analyze, SimPointConfig};
 use std::fmt::Write as _;
 
@@ -44,26 +44,42 @@ pub fn softmark_benchmark(name: &str, scale: Scale, interval_target: u64) -> Sof
     let mem = MemoryConfig::table1();
     let sp_config = SimPointConfig::default();
 
-    // One recording of the 64o binary serves both detailed runs below.
-    let trace = record_trace(&bin, &input);
-
-    // FLI baseline.
-    let (full, fli_ivs) =
-        replay_fli_sliced(&trace, &mem, interval_target).expect("recorded trace decodes");
-    let fli_profile = cbsp_profile::profile_fli(&bin, &input, interval_target);
-    let vectors: Vec<Vec<f64>> = fli_profile.iter().map(|i| i.bbv.clone()).collect();
-    let instrs: Vec<u64> = fli_profile.iter().map(|i| i.instrs).collect();
-    let fli_sp = analyze(&vectors, &instrs, &sp_config);
-    let fli_cpis: Vec<f64> = fli_ivs.iter().map(IntervalSim::cpi).collect();
-    let fli_err = relative_error(full.cpi(), weighted_cpi(&fli_sp.points, &fli_cpis));
-
     // Marker-aligned slicing at the most regular candidate. Unlike the
     // VLI pitch, a phase marker's natural period may be much smaller
     // than the interval target — each execution then bounds one (small)
     // phase-aligned interval, which is fine for clustering.
     let stats = marker_period_stats(&bin, &input);
     let picked = select_phase_markers(&stats, interval_target / 64, 2_000.0, 0.6);
-    let Some(best) = picked.first().copied() else {
+    let best = picked.first().copied();
+    // Boundaries at every execution of the marker from 1..execs, so the
+    // marker slicing yields the aligned intervals' in-context stats.
+    let boundaries: Vec<cbsp_profile::ExecPoint> = best
+        .map(|best| {
+            (1..=best.execs)
+                .map(|count| cbsp_profile::ExecPoint {
+                    marker: best.marker,
+                    count,
+                })
+                .collect()
+        })
+        .unwrap_or_default();
+
+    // One recording and one detailed replay of the 64o binary serve
+    // both slicings.
+    let trace = record_trace(&bin, &input);
+    let sim = replay_sliced_both(&trace, &mem, &boundaries, interval_target)
+        .expect("recorded trace decodes");
+    let full = sim.stats;
+
+    // FLI baseline.
+    let fli_profile = cbsp_profile::profile_fli(&bin, &input, interval_target);
+    let vectors: Vec<Vec<f64>> = fli_profile.iter().map(|i| i.bbv.clone()).collect();
+    let instrs: Vec<u64> = fli_profile.iter().map(|i| i.instrs).collect();
+    let fli_sp = analyze(&vectors, &instrs, &sp_config);
+    let fli_cpis: Vec<f64> = sim.fli.iter().map(IntervalSim::cpi).collect();
+    let fli_err = relative_error(full.cpi(), weighted_cpi(&fli_sp.points, &fli_cpis));
+
+    let Some(best) = best else {
         return SoftMarkRow {
             name: name.to_string(),
             marker: None,
@@ -77,16 +93,7 @@ pub fn softmark_benchmark(name: &str, scale: Scale, interval_target: u64) -> Sof
     let vectors: Vec<Vec<f64>> = aligned.iter().map(|i| i.bbv.clone()).collect();
     let instrs: Vec<u64> = aligned.iter().map(|i| i.instrs).collect();
     let aligned_sp = analyze(&vectors, &instrs, &sp_config);
-    // Reuse the marker-sliced simulator for in-context interval stats:
-    // boundaries are every execution of the marker from 1..execs.
-    let boundaries: Vec<cbsp_profile::ExecPoint> = (1..=best.execs)
-        .map(|count| cbsp_profile::ExecPoint {
-            marker: best.marker,
-            count,
-        })
-        .collect();
-    let (_, mut aligned_ivs) =
-        replay_marker_sliced(&trace, &mem, &boundaries).expect("recorded trace decodes");
+    let mut aligned_ivs = sim.marker;
     aligned_ivs.resize(aligned.len(), IntervalSim::default());
     let aligned_cpis: Vec<f64> = aligned_ivs.iter().map(IntervalSim::cpi).collect();
     let aligned_err = relative_error(full.cpi(), weighted_cpi(&aligned_sp.points, &aligned_cpis));
@@ -136,6 +143,7 @@ mod tests {
 
     #[test]
     fn swim_aligned_slicing_is_competitive() {
+        let _guard = cbsp_trace::test_lock();
         let row = softmark_benchmark("swim", Scale::Train, 50_000);
         assert!(row.marker.is_some(), "swim has regular markers");
         assert!(row.marker_cv < 0.3);

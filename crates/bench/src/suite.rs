@@ -171,6 +171,7 @@ mod tests {
 
     #[test]
     fn subset_suite_runs_and_aggregates() {
+        let _guard = cbsp_trace::test_lock();
         let names = vec!["gzip".to_string(), "swim".to_string()];
         let r = run_suite(&names, Scale::Test, 20_000, &MemoryConfig::table1(), 2);
         assert_eq!(r.benchmarks.len(), 2);

@@ -107,6 +107,7 @@ mod tests {
 
     #[test]
     fn cold_start_hurts_estimates() {
+        let _guard = cbsp_trace::test_lock();
         let row = warmup_benchmark("gzip", Scale::Train, 50_000);
         assert!(row.warm_err() < 0.05, "warm err {}", row.warm_err());
         assert!(

@@ -14,6 +14,10 @@
 //! * [`simulate_marker_sliced`] — the same run, reported per mapped
 //!   marker-bounded interval (for cross-binary SimPoint evaluation).
 //!
+//! Each has a `replay_*` twin that simulates a recorded
+//! [`EventTrace`] instead of interpreting the binary, and
+//! [`replay_sliced_both`] reports both slicings from one replay.
+//!
 //! ## Example
 //!
 //! ```
@@ -51,11 +55,12 @@ pub use regions::{
 };
 pub use replay::{
     replay, replay_bytes, replay_fli_sliced, replay_full, replay_marker_sliced, replay_regions,
-    replay_regions_with, TraceError,
+    replay_regions_with, replay_sliced_both, TraceError,
 };
 pub use runner::{
     simulate_fli_sliced, simulate_fli_sliced_all, simulate_full, simulate_full_all,
-    simulate_marker_sliced, simulate_marker_sliced_all, FliSlicedSim, FullSim, MarkerSlicedSim,
+    simulate_marker_sliced, simulate_marker_sliced_all, BothSlicings, FliSlicedSim, FullSim,
+    MarkerSlicedSim,
 };
 pub use slice::{replay_slice, slice_trace, SlicedTrace, TraceSlice};
 pub use stats::{IntervalSim, LevelStats, SimStats};

@@ -9,7 +9,7 @@
 //! state it would have in a full run) but is not charged to any region.
 
 use crate::config::MemoryConfig;
-use crate::hierarchy::{Hierarchy, ServicedBy};
+use crate::hierarchy::Hierarchy;
 use crate::stats::IntervalSim;
 use cbsp_par::Pool;
 use cbsp_profile::{MarkerCounts, PinPointsFile, RegionBound, SimRegion};
@@ -121,9 +121,7 @@ impl TraceSink for RegionSink {
     #[inline]
     fn on_block(&mut self, _: BlockId, instrs: u64) {
         for &i in &self.active {
-            let t = &mut self.regions[i];
-            t.stats.instructions += instrs;
-            t.stats.cycles += instrs;
+            self.regions[i].stats.charge_block(instrs);
         }
         self.instrs += instrs;
         self.roll_instr();
@@ -134,15 +132,7 @@ impl TraceSink for RegionSink {
         // Functional warming: the hierarchy sees every access.
         let (lvl, latency) = self.hierarchy.access(addr, is_write);
         for &i in &self.active {
-            let t = &mut self.regions[i];
-            t.stats.accesses += 1;
-            t.stats.cycles += latency;
-            if lvl != ServicedBy::L1 {
-                t.stats.l1_misses += 1;
-            }
-            if lvl == ServicedBy::Dram {
-                t.stats.dram_accesses += 1;
-            }
+            self.regions[i].stats.charge_access(lvl, latency);
         }
     }
 

@@ -14,7 +14,7 @@
 use crate::config::MemoryConfig;
 use crate::record::{unzigzag, EventTrace, TAG_ACCESS, TAG_BLOCK, TAG_MARKER};
 use crate::regions::{RegionStats, Warmup};
-use crate::runner::{FliSlicedSim, FullSim, MarkerSlicedSim};
+use crate::runner::{BothSlicedSim, BothSlicings, FliSlicedSim, FullSim, MarkerSlicedSim};
 use crate::stats::{IntervalSim, SimStats};
 use cbsp_profile::{ExecPoint, PinPointsFile};
 use cbsp_program::{BinLoopId, BinProcId, BlockId, Marker, TraceSink};
@@ -278,6 +278,46 @@ pub fn replay_marker_sliced(
     let (stats, intervals) = sink.finish();
     cbsp_trace::add("sim/instructions", stats.instructions);
     Ok((stats, intervals))
+}
+
+/// [`replay_marker_sliced`] and [`replay_fli_sliced`] in one pass: one
+/// cache hierarchy (and predictor) simulates the trace once, and each
+/// charge lands in both slicings. The result equals the two separate
+/// replays field for field at half the simulation work.
+///
+/// # Errors
+///
+/// Returns a [`TraceError`] if the trace fails to decode.
+///
+/// # Panics
+///
+/// Panics if `fli_target` is zero, or if some boundary was never
+/// reached (same contract as [`replay_marker_sliced`]).
+pub fn replay_sliced_both(
+    trace: &EventTrace,
+    config: &MemoryConfig,
+    boundaries: &[ExecPoint],
+    fli_target: u64,
+) -> Result<BothSlicings, TraceError> {
+    let _span = cbsp_trace::span_labeled("sim/replay_sliced_both", || {
+        format!("{} events", trace.events)
+    });
+    let marker = MarkerSlicedSim::with_dims(
+        config,
+        trace.n_procs as usize,
+        trace.n_loops as usize,
+        boundaries.to_vec(),
+    );
+    let mut sink = BothSlicedSim::new(marker, fli_target);
+    replay(trace, &mut sink)?;
+    assert_eq!(
+        sink.unreached_boundaries(),
+        0,
+        "marker boundaries must all occur in this binary's execution"
+    );
+    let both = sink.finish();
+    cbsp_trace::add("sim/instructions", both.stats.instructions);
+    Ok(both)
 }
 
 /// [`crate::simulate_regions`] from a recorded trace.

@@ -49,31 +49,31 @@ impl Engine {
     // are associative u64 additions, so the finished totals are
     // identical to per-event accounting.
 
+    /// Resolves a branch and charges its mispredict penalty; returns
+    /// the penalty (0 without a predictor) for [`BothSlicedSim`] to
+    /// charge again.
     #[inline]
-    pub(crate) fn branch(&mut self, branch: u64, taken: bool) {
-        if let Some(p) = &mut self.predictor {
-            let penalty = p.resolve(branch, taken);
-            self.cur.cycles += penalty;
-        }
+    pub(crate) fn branch(&mut self, branch: u64, taken: bool) -> u64 {
+        let Some(p) = &mut self.predictor else {
+            return 0;
+        };
+        let penalty = p.resolve(branch, taken);
+        self.cur.cycles += penalty;
+        penalty
     }
 
     #[inline]
     pub(crate) fn block(&mut self, instrs: u64) {
-        self.cur.instructions += instrs;
-        self.cur.cycles += instrs;
+        self.cur.charge_block(instrs);
     }
 
+    /// Services and charges one access; returns the servicing level and
+    /// latency for [`BothSlicedSim`] to charge again.
     #[inline]
-    pub(crate) fn access(&mut self, addr: u64, is_write: bool) {
-        let (lvl, latency) = self.hierarchy.access(addr, is_write);
-        self.cur.accesses += 1;
-        self.cur.cycles += latency;
-        if lvl != ServicedBy::L1 {
-            self.cur.l1_misses += 1;
-        }
-        if lvl == ServicedBy::Dram {
-            self.cur.dram_accesses += 1;
-        }
+    pub(crate) fn access(&mut self, addr: u64, is_write: bool) -> (ServicedBy, u64) {
+        let (level, latency) = self.hierarchy.access(addr, is_write);
+        self.cur.charge_access(level, latency);
+        (level, latency)
     }
 
     /// Packs the microarchitectural state — cache hierarchy plus the
@@ -317,6 +317,91 @@ impl TraceSink for MarkerSlicedSim {
                 self.next += 1;
             }
         }
+    }
+}
+
+/// Whole-run statistics of one simulation and its two slicings, from
+/// [`crate::replay_sliced_both`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct BothSlicings {
+    /// Whole-program statistics, which slicing does not change.
+    pub stats: SimStats,
+    /// One interval per marker boundary plus a final tail (if it
+    /// executed any instructions), as from [`MarkerSlicedSim`].
+    pub marker: Vec<IntervalSim>,
+    /// Fixed-length intervals, as from [`FliSlicedSim`].
+    pub fli: Vec<IntervalSim>,
+}
+
+/// Sink that slices one simulation both ways at once. The marker side
+/// is a whole [`MarkerSlicedSim`]; every block, access and branch
+/// penalty its engine charges is charged again to a fixed-length open
+/// interval, which closes by [`FliSlicedSim`]'s rule. One hierarchy and
+/// one predictor serve both slicings.
+#[derive(Debug)]
+pub(crate) struct BothSlicedSim {
+    marker: MarkerSlicedSim,
+    target: u64,
+    fli_cur: IntervalSim,
+    fli: Vec<IntervalSim>,
+}
+
+impl BothSlicedSim {
+    /// # Panics
+    ///
+    /// Panics if `target` is zero.
+    pub(crate) fn new(marker: MarkerSlicedSim, target: u64) -> Self {
+        assert!(target > 0, "interval target must be positive");
+        BothSlicedSim {
+            marker,
+            target,
+            fli_cur: IntervalSim::default(),
+            fli: Vec::new(),
+        }
+    }
+
+    pub(crate) fn unreached_boundaries(&self) -> usize {
+        self.marker.unreached_boundaries()
+    }
+
+    pub(crate) fn finish(mut self) -> BothSlicings {
+        // The tail rule of `Engine::finish`.
+        if self.fli_cur.instructions > 0 {
+            self.fli.push(self.fli_cur);
+        }
+        let (stats, marker) = self.marker.finish();
+        BothSlicings {
+            stats,
+            marker,
+            fli: self.fli,
+        }
+    }
+}
+
+impl TraceSink for BothSlicedSim {
+    #[inline]
+    fn on_branch(&mut self, branch: u64, taken: bool) {
+        self.fli_cur.cycles += self.marker.engine.branch(branch, taken);
+    }
+
+    #[inline]
+    fn on_block(&mut self, _: BlockId, instrs: u64) {
+        self.marker.engine.block(instrs);
+        self.fli_cur.charge_block(instrs);
+        if self.fli_cur.instructions >= self.target {
+            self.fli.push(std::mem::take(&mut self.fli_cur));
+        }
+    }
+
+    #[inline]
+    fn on_access(&mut self, addr: u64, is_write: bool) {
+        let (level, latency) = self.marker.engine.access(addr, is_write);
+        self.fli_cur.charge_access(level, latency);
+    }
+
+    #[inline]
+    fn on_marker(&mut self, marker: Marker) {
+        self.marker.on_marker(marker);
     }
 }
 

@@ -1,5 +1,6 @@
 //! Simulation statistics.
 
+use crate::hierarchy::ServicedBy;
 use serde::{Deserialize, Serialize};
 
 /// Hit/miss counts of one cache level.
@@ -134,6 +135,28 @@ pub struct IntervalSim {
 }
 
 impl IntervalSim {
+    /// Charges a basic block of `instrs` instructions, one cycle each.
+    #[inline]
+    pub(crate) fn charge_block(&mut self, instrs: u64) {
+        self.instructions += instrs;
+        self.cycles += instrs;
+    }
+
+    /// Charges one data access serviced by `level` after `latency`
+    /// cycles. Every simulation sink charges accesses through this one
+    /// rule.
+    #[inline]
+    pub(crate) fn charge_access(&mut self, level: ServicedBy, latency: u64) {
+        self.accesses += 1;
+        self.cycles += latency;
+        if level != ServicedBy::L1 {
+            self.l1_misses += 1;
+        }
+        if level == ServicedBy::Dram {
+            self.dram_accesses += 1;
+        }
+    }
+
     /// Cycles per instruction of this interval (0 if empty).
     pub fn cpi(&self) -> f64 {
         if self.instructions == 0 {

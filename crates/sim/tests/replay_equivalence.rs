@@ -1,7 +1,8 @@
 //! Interpret-vs-replay equivalence: the record-once replay engine must
 //! reproduce direct interpretation byte-for-byte for every sink type at
-//! any thread count, and damaged trace buffers must come back as typed
-//! errors — never panics.
+//! any thread count, the fused two-way replay must equal the two
+//! single-slicing replays, and damaged trace buffers must come back as
+//! typed errors — never panics.
 
 use cbsp_par::Pool;
 use cbsp_profile::{ExecPoint, MarkerRef, PinPointsFile, RegionBound, SimRegion};
@@ -10,10 +11,12 @@ use cbsp_program::{
 };
 use cbsp_sim::{
     record_trace, replay, replay_fli_sliced, replay_full, replay_marker_sliced,
-    replay_regions_with, replay_slice, simulate_fli_sliced, simulate_full, simulate_marker_sliced,
-    simulate_regions_with, slice_trace, EventTrace, MemoryConfig, TraceError, Warmup,
+    replay_regions_with, replay_slice, replay_sliced_both, simulate_fli_sliced, simulate_full,
+    simulate_marker_sliced, simulate_regions_with, slice_trace, BothSlicings, EventTrace,
+    MemoryConfig, TraceError, Warmup,
 };
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 const FLI_TARGET: u64 = 5_000;
 
@@ -48,9 +51,10 @@ impl TraceSink for MarkerTally {
     }
 }
 
-/// Four boundaries at evenly spaced executions of the binary's most
-/// frequent marker (in execution order, as the sliced sinks require).
-fn marker_boundaries(bin: &Binary, input: &Input) -> Vec<ExecPoint> {
+/// Up to `cuts` boundaries at evenly spaced executions of the binary's
+/// most frequent marker (in execution order, as the sliced sinks
+/// require).
+fn marker_boundaries(bin: &Binary, input: &Input, cuts: u64) -> Vec<ExecPoint> {
     let mut tally = MarkerTally::default();
     run(bin, input, &mut tally);
     let (&marker, &execs) = tally
@@ -58,7 +62,7 @@ fn marker_boundaries(bin: &Binary, input: &Input) -> Vec<ExecPoint> {
         .iter()
         .max_by_key(|(_, &n)| n)
         .expect("binary executes at least one marker");
-    let cuts = 4.min(execs);
+    let cuts = cuts.min(execs);
     (1..=cuts)
         .map(|i| ExecPoint {
             marker,
@@ -69,7 +73,7 @@ fn marker_boundaries(bin: &Binary, input: &Input) -> Vec<ExecPoint> {
 
 /// A small region file mixing instruction and marker bounds.
 fn region_file(bin: &Binary, input: &Input, total_instrs: u64) -> PinPointsFile {
-    let boundaries = marker_boundaries(bin, input);
+    let boundaries = marker_boundaries(bin, input, 4);
     PinPointsFile {
         program: "equivalence".to_string(),
         binary: "test".to_string(),
@@ -117,7 +121,7 @@ fn replay_matches_interpretation_for_every_sink() {
                 replay_fli_sliced(&trace, &mem, FLI_TARGET).expect("decodes")
             );
 
-            let boundaries = marker_boundaries(bin, &input);
+            let boundaries = marker_boundaries(bin, &input, 4);
             let marker = simulate_marker_sliced(bin, &input, &mem, &boundaries);
             assert_eq!(
                 marker,
@@ -160,7 +164,7 @@ fn replay_is_deterministic_across_thread_counts() {
     let bin = &binaries[1];
     let trace = record_trace(bin, &input);
     let mem = MemoryConfig::table1();
-    let boundaries = marker_boundaries(bin, &input);
+    let boundaries = marker_boundaries(bin, &input, 4);
 
     let full = simulate_full(bin, &input, &mem);
     let fli = simulate_fli_sliced(bin, &input, &mem, FLI_TARGET);
@@ -187,6 +191,48 @@ fn replay_is_deterministic_across_thread_counts() {
     }
 }
 
+/// One fused replay reports both slicings exactly as the two separate
+/// replays do — whole-run totals and every interval of both, field for
+/// field — for every binary of two benchmarks, with and without the
+/// branch predictor, from pools of 1 and 8 threads.
+#[test]
+fn fused_replay_matches_both_separate_replays() {
+    let mut predicted = MemoryConfig::table1();
+    predicted.branch = Some(cbsp_sim::BranchConfig::default());
+    let pools = [Pool::new(1), Pool::new(8)];
+    for name in ["gzip", "swim"] {
+        let (binaries, input) = test_binaries(name);
+        for bin in &binaries {
+            let trace = record_trace(bin, &input);
+            let boundaries = marker_boundaries(bin, &input, 4);
+            for mem in [MemoryConfig::table1(), predicted] {
+                let (stats, marker) =
+                    replay_marker_sliced(&trace, &mem, &boundaries).expect("decodes");
+                let (fli_stats, fli) =
+                    replay_fli_sliced(&trace, &mem, FLI_TARGET).expect("decodes");
+                assert_eq!(stats, fli_stats, "slicing must not change the simulation");
+                assert_eq!(mem.branch.is_some(), stats.branches > 0);
+                let expected = BothSlicings { stats, marker, fli };
+                for pool in &pools {
+                    let outcomes = pool.run_indexed(pool.threads(), |_| {
+                        replay_sliced_both(&trace, &mem, &boundaries, FLI_TARGET).expect("decodes")
+                    });
+                    for got in outcomes {
+                        assert_eq!(
+                            got,
+                            expected,
+                            "{name} {}, predictor {}, {} threads",
+                            bin.label(),
+                            mem.branch.is_some(),
+                            pool.threads()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Per-simpoint trace slices are byte-identical to a full-trace replay
 /// restricted to their interval: every slice carries an exact state
 /// checkpoint, so its replay reproduces the in-context interval
@@ -198,7 +244,7 @@ fn slice_replay_matches_full_replay_restricted_to_the_interval() {
     let bin = &binaries[1];
     let trace = record_trace(bin, &input);
     let mem = MemoryConfig::table1();
-    let boundaries = marker_boundaries(bin, &input);
+    let boundaries = marker_boundaries(bin, &input, 4);
     let selected: Vec<usize> = (0..=boundaries.len()).collect();
 
     let (_, in_context) = replay_marker_sliced(&trace, &mem, &boundaries).expect("decodes");
@@ -229,6 +275,23 @@ fn slice_replay_matches_full_replay_restricted_to_the_interval() {
             assert_eq!(baseline, got, "{threads} threads");
         }
     }
+}
+
+/// The gzip 32o trace with 32 candidate boundaries, shared by the
+/// fused-replay property.
+fn fused_fixture() -> &'static (EventTrace, Vec<ExecPoint>) {
+    static FIXTURE: OnceLock<(EventTrace, Vec<ExecPoint>)> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let prog = workloads::by_name("gzip")
+            .expect("in suite")
+            .build(Scale::Test);
+        let bin = compile(&prog, CompileTarget::W32_O2);
+        let input = Input::test();
+        (
+            record_trace(&bin, &input),
+            marker_boundaries(&bin, &input, 32),
+        )
+    })
 }
 
 fn recorded_trace() -> EventTrace {
@@ -285,7 +348,7 @@ proptest! {
         let mem = MemoryConfig::table1();
         let prog = workloads::by_name("gzip").expect("in suite").build(Scale::Test);
         let bin = compile(&prog, CompileTarget::W32_O2);
-        let boundaries = marker_boundaries(&bin, &Input::test());
+        let boundaries = marker_boundaries(&bin, &Input::test(), 4);
         let sliced = slice_trace(&trace, &mem, &boundaries, &[1]).expect("slices");
         let base = &sliced.slices[0];
 
@@ -322,6 +385,34 @@ proptest! {
         let offset = ((flipped_state.state.len() - 1) as f64 * frac) as usize;
         flipped_state.state[offset] ^= flip;
         let _ = replay_slice(&flipped_state, &mem);
+    }
+
+    /// The fused replay equals the two separate replays for any FLI
+    /// target — down to 1, which no block is smaller than, so every
+    /// block closes an interval — and any in-order subset of the
+    /// candidate boundaries, with or without the branch predictor.
+    #[test]
+    fn fused_replay_matches_for_any_target_and_boundaries(
+        target in prop_oneof![Just(1u64), 2u64..1_000, 1_000u64..200_000],
+        mask in any::<u64>(),
+        predict in any::<bool>(),
+    ) {
+        let (trace, candidates) = fused_fixture();
+        let boundaries: Vec<ExecPoint> = candidates
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| mask >> i & 1 == 1)
+            .map(|(_, &b)| b)
+            .collect();
+        let mut mem = MemoryConfig::table1();
+        if predict {
+            mem.branch = Some(cbsp_sim::BranchConfig::default());
+        }
+        let (stats, marker) = replay_marker_sliced(trace, &mem, &boundaries).expect("decodes");
+        let (fli_stats, fli) = replay_fli_sliced(trace, &mem, target).expect("decodes");
+        prop_assert_eq!(stats, fli_stats);
+        let got = replay_sliced_both(trace, &mem, &boundaries, target).expect("decodes");
+        prop_assert_eq!(got, BothSlicings { stats, marker, fli });
     }
 
     /// Growing or shrinking the event count against a fixed buffer is
