@@ -14,6 +14,8 @@
 //!      --regions out/gcc-32o.pinpoints.json --full 1
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod commands;
 mod opts;
 

@@ -283,7 +283,7 @@ impl Cluster {
         self.core.map.lock().expect("map lock").clone()
     }
 
-    /// Stops one spawned worker the hard-but-clean way (the workspace
+    /// Stops one spawned worker the hard-but-clean way (this crate
     /// forbids unsafe code, so there is no `kill(2)`): the worker
     /// drains its admitted requests, its listener closes, and from the
     /// router's perspective it is dead — connects are refused, the

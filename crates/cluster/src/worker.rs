@@ -8,8 +8,8 @@
 //! directory; the router owns their lifecycle and restarts them when
 //! they die. **Adopted** workers are externally managed daemons listed
 //! in a shard map; the router proxies to them and health-checks them
-//! but never restarts them. (The workspace forbids unsafe code, so
-//! there is no process spawning or signal handling anywhere — a
+//! but never restarts them. (This crate forbids unsafe code, so there
+//! is no process spawning or signal handling here — a
 //! "worker process" is a daemon instance with its own listener, queue,
 //! and caches, which is exactly the unit the protocol sees.)
 

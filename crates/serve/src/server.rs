@@ -27,7 +27,7 @@
 //! The `server.shutdown` method (or [`Server::shutdown`]) flips the
 //! draining flag: new connections and new requests are refused, queued
 //! and executing requests run to completion, then [`Server::wait`]
-//! returns. There is no signal handler — the workspace forbids unsafe
+//! returns. There is no signal handler — this crate forbids unsafe
 //! code, so SIGTERM cannot be trapped; process supervisors should send
 //! `server.shutdown` and wait for the port to close.
 

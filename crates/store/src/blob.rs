@@ -245,7 +245,10 @@ impl ArtifactStore {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(io_err(&path, e)),
         };
-        let total = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+        // The length of the opened file, not of whatever the path names
+        // now: a concurrent `cache gc` may unlink the blob after the
+        // open, and the open handle still reads it whole.
+        let total = file.metadata().map_err(|e| io_err(&path, e))?.len();
 
         let mut header = [0u8; BLOB_HEADER_LEN];
         file.read_exact(&mut header)
@@ -439,6 +442,51 @@ mod tests {
         std::fs::write(&path, &flipped).expect("flips");
         let err = store.get_blob("trace", &key).expect_err("checksum");
         assert!(matches!(err, CbspError::ArtifactCorrupt { .. }), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A fixed blob's 100-byte header. Its key and checksum are
+    /// SHA-256 digests, so a hash that drifted would orphan every
+    /// existing store, and quietly: each warm read would turn into a
+    /// repair and a re-record.
+    const GOLDEN_HEADER: &str = concat!(
+        // magic, version, stage
+        "434253420100000005747261636500000000000000000000",
+        // key
+        "f6c9e4cde769c258a7bf41456631671a54d66116f81dc15219a3e3701c56c778",
+        // checksum of meta and payload
+        "26ea47e9c65865bdfa4a7542d0b6af070fad267810131b49ee1f6169b23d7430",
+        // meta and payload lengths
+        "0b0000001027000000000000",
+    );
+
+    #[test]
+    fn header_is_byte_stable_and_reads_back_without_repair() {
+        let _lock = cbsp_trace::test_lock();
+        let (store, dir) = temp_store("golden");
+        let key = stage_key("trace", &[Value::Str("golden".to_string()), Value::UInt(7)]);
+        let meta = b"golden meta";
+        let payload: Vec<u8> = (0..10_000u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        store.put_blob("trace", &key, meta, &payload).expect("puts");
+        let bytes = std::fs::read(store.blob_path(&key)).expect("blob exists");
+        let header: String = bytes[..BLOB_HEADER_LEN]
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(header, GOLDEN_HEADER);
+
+        cbsp_trace::enable();
+        cbsp_trace::reset();
+        let blob = store.get_blob("trace", &key).expect("reads");
+        let counters = cbsp_trace::snapshot().counters;
+        cbsp_trace::disable();
+        let blob = blob.expect("hit");
+        assert_eq!(blob.meta, meta);
+        assert_eq!(blob.payload, payload);
+        assert_eq!(counters.get("store/blob_reads"), Some(&1));
+        assert_eq!(counters.get("store/repairs").copied().unwrap_or(0), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

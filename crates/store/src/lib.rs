@@ -45,6 +45,9 @@
 //! std::fs::remove_dir_all(&dir).ok();
 //! ```
 
+// The SHA-extensions kernel in `sha256` is the one exception.
+#![deny(unsafe_code)]
+
 pub mod blob;
 pub mod orchestrator;
 pub mod sha256;
