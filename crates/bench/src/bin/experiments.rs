@@ -49,7 +49,8 @@ struct Options {
     threads: usize,
     json: Option<String>,
     cache_dir: Option<String>,
-    /// `false` disables persisting/reusing event traces in the store.
+    /// `false` (`--no-trace-cache`) disables persisting/reusing event
+    /// traces and replay leases in the store.
     trace_cache: bool,
     /// Estimator lanes to evaluate head-to-head (empty = none).
     estimators: Vec<EstimatorConfig>,

@@ -9,7 +9,7 @@ use cbsp_core::{
 };
 use cbsp_par::Pool;
 use cbsp_program::{compile, workloads, Binary, CompileTarget, Input, Scale};
-use cbsp_sim::{replay_sliced_both, IntervalSim, MemoryConfig, SimStats};
+use cbsp_sim::{IntervalSim, MemoryConfig, SimStats};
 use cbsp_simpoint::SimPointConfig;
 use cbsp_store::{ArtifactStore, CachePolicy, Orchestrator, TraceCache};
 use serde::{Deserialize, Serialize};
@@ -239,9 +239,14 @@ pub fn evaluate_benchmark_pooled(
 /// [`evaluate_benchmark_pooled`] with an explicit [`TraceCache`]: each
 /// `(binary, input)` pair is interpreted (and recorded) at most once
 /// per cache, and one pool-parallel replay of each recorded trace
-/// yields both detailed slicings. Pass a cache without a persistent
-/// tier to keep pipeline-stage caching while opting out of on-disk
-/// traces.
+/// yields both detailed slicings
+/// ([`TraceCache::replay_sliced_both_all`]). When the cache has a
+/// store tier, those simulations are a replay lease: a later
+/// evaluation of the same binaries, input, memory configuration,
+/// boundaries and interval target reads them back instead of
+/// replaying. Pass a cache without a persistent tier to keep
+/// pipeline-stage caching while opting out of on-disk traces and
+/// replay leases.
 ///
 /// # Panics
 ///
@@ -299,19 +304,20 @@ pub fn evaluate_benchmark_cached(
         run_per_binary(&binaries[b], &input, interval_target, &fli_config)
     });
 
-    // Detailed simulation, sliced both ways: record each binary's
-    // event trace once (pool-parallel, served from the cache when this
-    // `(binary, input)` was already interpreted), then replay it once
-    // into both slicings — four pool-parallel replays, one per binary,
-    // and no re-interpretation.
-    let event_traces = traces
-        .get_or_record_all(&bin_refs, &input, pool)
+    // Detailed simulation, sliced both ways: one replay of each
+    // binary's recorded trace yields both slicings. With a store tier
+    // the four results are one replay lease, so a warm evaluation reads
+    // them back and touches no trace.
+    let sims = traces
+        .replay_sliced_both_all(
+            &bin_refs,
+            &input,
+            mem,
+            &cross.boundaries,
+            interval_target,
+            pool,
+        )
         .expect("trace store usable");
-    let sims = pool.run_indexed(binaries.len(), |b| {
-        replay_sliced_both(&event_traces[b], mem, &cross.boundaries[b], interval_target)
-            .expect("recorded trace decodes")
-    });
-    drop(event_traces);
     let mut true_stats = [SimStats::default(); 4];
     let mut vli_interval_stats = Vec::with_capacity(4);
     let mut fli_interval_stats = Vec::with_capacity(4);
@@ -575,6 +581,39 @@ mod tests {
         );
         let instructions: u64 = run.eval.true_stats.iter().map(|s| s.instructions).sum();
         assert_eq!(counters.get("sim/instructions"), Some(&instructions));
+    }
+
+    /// A warm-store evaluation reads its detailed simulations back from
+    /// the replay lease: no replay, no trace loaded, same result.
+    #[test]
+    fn warm_store_evaluation_replays_nothing() {
+        let _guard = cbsp_trace::test_lock();
+        let dir = std::env::temp_dir().join(format!("cbsp-bench-lease-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ArtifactStore::open(&dir).expect("store opens");
+        let mem = MemoryConfig::table1();
+        let pool = Pool::new(2);
+        let evaluate = |store: Option<&ArtifactStore>| {
+            let traces = TraceCache::new(store);
+            evaluate_benchmark_cached("gzip", Scale::Test, 20_000, &mem, store, &traces, &pool).eval
+        };
+        let plain = evaluate(None);
+        let cold = evaluate(Some(&store));
+        cbsp_trace::enable();
+        cbsp_trace::reset();
+        let warm = evaluate(Some(&store));
+        let counters = cbsp_trace::snapshot().counters;
+        cbsp_trace::disable();
+        cbsp_trace::reset();
+        let _ = std::fs::remove_dir_all(&dir);
+
+        assert_eq!(counters.get("sim/replays").copied().unwrap_or(0), 0);
+        assert_eq!(counters.get("sim/replay_cache_hits"), Some(&1));
+        assert_eq!(counters.get("sim/trace_cache_hits"), None);
+        assert_eq!(counters.get("sim/trace_cache_misses"), None);
+        let expected = cbsp_store::content_hash(&plain);
+        assert_eq!(cbsp_store::content_hash(&cold), expected);
+        assert_eq!(cbsp_store::content_hash(&warm), expected);
     }
 
     #[test]

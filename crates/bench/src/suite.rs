@@ -84,10 +84,11 @@ pub fn run_suite_with(
 }
 
 /// [`run_suite_with`] with the trace cache and estimator lanes made
-/// explicit. When `trace_cache` is false, event traces are still
-/// recorded once and replayed within each evaluation (the engine's
-/// core mechanism) but are never persisted to — or served from — the
-/// artifact store, so a fresh run re-interprets every binary even with
+/// explicit. When `trace_cache` is false (`--no-trace-cache`), event
+/// traces are still recorded once and replayed within each evaluation
+/// (the engine's core mechanism), but neither the traces nor the replay
+/// leases are persisted to — or served from — the artifact store, so a
+/// fresh run re-interprets and re-simulates every binary even with
 /// `--cache-dir` set. Each entry of `estimators` adds a head-to-head
 /// lane to [`SuiteResults::estimators`], re-using every benchmark's
 /// detailed simulations (only clustering reruns per lane).

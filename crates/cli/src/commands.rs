@@ -570,13 +570,14 @@ pub fn estimate(opts: &Opts) -> Result<(), String> {
 /// `cbsp cache <stats|gc> [--cache-dir D]` — inspect or
 /// garbage-collect the content-addressed artifact store.
 ///
-/// The store holds three kinds of objects: pipeline stage artifacts
-/// (referenced by run manifests), recorded event traces under the
-/// `trace` namespace, and sliced-trace manifests under `trace_slice` —
-/// the latter two unreferenced by any run manifest. `stats` reports
-/// them separately; `gc` keeps manifest-referenced artifacts and
-/// evicts traces and slices — they re-record / re-slice transparently
-/// on next use.
+/// The store holds pipeline stage artifacts (referenced by run
+/// manifests) and leases ([`cbsp_store::LEASE_STAGES`]), which no run
+/// manifest references: recorded event traces under `trace`,
+/// sliced-trace manifests under `trace_slice`, and the detailed
+/// simulations of experiment evaluations under `replay`. `stats`
+/// reports each population separately; `gc` keeps manifest-referenced
+/// artifacts and evicts every lease — they re-record, re-slice or
+/// re-simulate transparently on next use.
 pub fn cache(opts: &Opts) -> Result<(), String> {
     let action = opts.positional(0, "cache action (stats|gc)")?;
     let store = ArtifactStore::open(opts.cache_dir()).map_err(|e| e.to_string())?;
@@ -590,21 +591,16 @@ pub fn cache(opts: &Opts) -> Result<(), String> {
                 stats.bytes,
                 stats.manifests
             );
-            let traces = stats
-                .per_stage
-                .get(cbsp_store::TRACE_STAGE)
-                .cloned()
-                .unwrap_or_default();
-            let slices = stats
-                .per_stage
-                .get(cbsp_store::TRACE_SLICE_STAGE)
-                .cloned()
-                .unwrap_or_default();
+            let lease = |stage: &str| stats.per_stage.get(stage).cloned().unwrap_or_default();
+            let leases = cbsp_store::LEASE_STAGES.map(lease);
             println!(
                 "  pipeline stages: {} artifacts, {} bytes",
-                stats.artifacts - traces.artifacts - slices.artifacts,
-                stats.bytes - traces.bytes - slices.bytes
+                stats.artifacts - leases.iter().map(|s| s.artifacts).sum::<u64>(),
+                stats.bytes - leases.iter().map(|s| s.bytes).sum::<u64>()
             );
+            let traces = lease(cbsp_store::TRACE_STAGE);
+            let slices = lease(cbsp_store::TRACE_SLICE_STAGE);
+            let replays = lease(cbsp_store::REPLAY_STAGE);
             println!(
                 "  trace cache:     {} artifacts, {} bytes (evicted by gc, re-recorded on use)",
                 traces.artifacts, traces.bytes
@@ -612,6 +608,10 @@ pub fn cache(opts: &Opts) -> Result<(), String> {
             println!(
                 "  sliced traces:   {} artifacts, {} bytes (evicted by gc, re-sliced on use)",
                 slices.artifacts, slices.bytes
+            );
+            println!(
+                "  replay leases:   {} artifacts, {} bytes (evicted by gc, re-simulated on use)",
+                replays.artifacts, replays.bytes
             );
             for (stage, s) in &stats.per_stage {
                 println!("  {stage:<10} {} artifacts, {} bytes", s.artifacts, s.bytes);
@@ -624,7 +624,7 @@ pub fn cache(opts: &Opts) -> Result<(), String> {
             let mut lanes: std::collections::BTreeMap<&str, cbsp_store::StageStats> =
                 std::collections::BTreeMap::new();
             for (stage, s) in &stats.per_stage {
-                if stage == cbsp_store::TRACE_STAGE || stage == cbsp_store::TRACE_SLICE_STAGE {
+                if cbsp_store::LEASE_STAGES.contains(&stage.as_str()) {
                     continue;
                 }
                 let lane = match stage.split_once('@') {
@@ -663,8 +663,8 @@ pub fn cache(opts: &Opts) -> Result<(), String> {
                 report.kept
             );
             println!(
-                "note: removal includes recorded event traces (no manifest references \
-                 them); they re-record on next use"
+                "note: removal includes every lease — recorded traces, sliced traces and \
+                 replay leases (no manifest references them); they are rebuilt on next use"
             );
             Ok(())
         }

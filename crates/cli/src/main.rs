@@ -64,9 +64,9 @@ commands:
                                  half-width)
   cache <stats|gc>             inspect or garbage-collect the artifact
       [--cache-dir DIR]          store (stats splits pipeline stages from the
-                                 trace cache; gc keeps manifest-referenced
-                                 stage artifacts and evicts recorded traces —
-                                 they re-record on next use)
+                                 leases: traces, slices, replays; gc keeps
+                                 manifest-referenced stage artifacts and
+                                 evicts every lease — rebuilt on next use)
   serve                        run the simulation-point query daemon
       [--addr HOST:PORT] [--threads N] [--max-inflight N]
       [--cache-dir DIR] [--timeout-ms N] [--shard-id N]

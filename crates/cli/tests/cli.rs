@@ -235,6 +235,46 @@ fn cross_serves_warm_run_from_cache() {
     assert!(gc.contains("removed 0 artifacts"), "{gc}");
     assert!(gc.contains("kept 8"), "{gc}");
 
+    // Add leases as an experiment evaluation leaves them: four recorded
+    // traces and one replay lease. They are reported apart from the
+    // pipeline stages and the estimator lanes, and gc evicts them.
+    let prog = cbsp_program::workloads::by_name("mcf")
+        .expect("in suite")
+        .build(cbsp_program::Scale::Test);
+    let bins: Vec<_> = cbsp_program::CompileTarget::ALL_FOUR
+        .iter()
+        .map(|&t| cbsp_program::compile(&prog, t))
+        .collect();
+    let refs: Vec<_> = bins.iter().collect();
+    let store = cbsp_store::ArtifactStore::open(dir.join("store")).expect("store opens");
+    cbsp_store::TraceCache::new(Some(&store))
+        .replay_sliced_both_all(
+            &refs,
+            &cbsp_program::Input::test(),
+            &cbsp_sim::MemoryConfig::table1(),
+            &vec![Vec::new(); refs.len()],
+            20_000,
+            &cbsp_par::Pool::new(1),
+        )
+        .expect("replays");
+    let stats = assert_ok(
+        &cbsp(&dir, &["cache", "stats", "--cache-dir", "store"]),
+        "stats with leases",
+    );
+    for line in [
+        "store: 13 artifacts",
+        "pipeline stages: 8 artifacts",
+        "trace cache:     4 artifacts",
+        "sliced traces:   0 artifacts",
+        "replay leases:   1 artifacts",
+        "bbv            8 artifacts",
+    ] {
+        assert!(stats.contains(line), "missing `{line}` in:\n{stats}");
+    }
+    let gc = assert_ok(&cbsp(&dir, &["cache", "gc", "--cache-dir", "store"]), "gc");
+    assert!(gc.contains("removed 5 artifacts"), "{gc}");
+    assert!(gc.contains("kept 8"), "{gc}");
+
     for action in ["shred", "migrate"] {
         let bad = cbsp(&dir, &["cache", action, "--cache-dir", "store"]);
         assert!(!bad.status.success(), "cache {action} must fail");

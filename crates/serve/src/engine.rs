@@ -349,28 +349,23 @@ impl Engine {
     /// Store usage, with the trace and sliced-trace namespaces split
     /// out from the pipeline stages (trace payloads dwarf stage
     /// artifacts and are evicted by `gc`, so lumping them together
-    /// hides both facts).
+    /// hides both facts). `pipeline` excludes every lease namespace
+    /// ([`cbsp_store::LEASE_STAGES`]).
     pub fn execute_store_stats(&self) -> Reply {
         let stats = self.store.stats().map_err(internal)?;
-        let traces = stats
-            .per_stage
-            .get(cbsp_store::TRACE_STAGE)
-            .cloned()
-            .unwrap_or_default();
-        let slices = stats
-            .per_stage
-            .get(cbsp_store::TRACE_SLICE_STAGE)
-            .cloned()
-            .unwrap_or_default();
+        let lease = |stage: &str| stats.per_stage.get(stage).cloned().unwrap_or_default();
+        let traces = lease(cbsp_store::TRACE_STAGE);
+        let slices = lease(cbsp_store::TRACE_SLICE_STAGE);
         let sub = |stage: &cbsp_store::StageStats| {
             obj(vec![
                 ("artifacts", Value::UInt(stage.artifacts)),
                 ("bytes", Value::UInt(stage.bytes)),
             ])
         };
+        let leases = cbsp_store::LEASE_STAGES.map(lease);
         let pipeline = cbsp_store::StageStats {
-            artifacts: stats.artifacts - traces.artifacts - slices.artifacts,
-            bytes: stats.bytes - traces.bytes - slices.bytes,
+            artifacts: stats.artifacts - leases.iter().map(|s| s.artifacts).sum::<u64>(),
+            bytes: stats.bytes - leases.iter().map(|s| s.bytes).sum::<u64>(),
         };
         Ok(obj(vec![
             ("artifacts", Value::UInt(stats.artifacts)),

@@ -67,5 +67,6 @@ pub use store::{
     RunManifest, StageKey, StageStats, StoreStats, SCHEMA_VERSION,
 };
 pub use traces::{
-    trace_key, trace_slice_key, CpiEstimate, TraceCache, TRACE_SLICE_STAGE, TRACE_STAGE,
+    trace_key, trace_slice_key, CpiEstimate, TraceCache, LEASE_STAGES, REPLAY_STAGE,
+    TRACE_SLICE_STAGE, TRACE_STAGE,
 };

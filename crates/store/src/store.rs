@@ -364,7 +364,8 @@ impl ArtifactStore {
         };
 
         let schema = match field("schema")? {
-            Value::UInt(v) => *v as u32,
+            Value::UInt(v) => u32::try_from(*v)
+                .map_err(|_| corrupt(key, format!("schema {v} is out of range")))?,
             _ => return Err(corrupt(key, "schema is not an integer")),
         };
         if schema != SCHEMA_VERSION {
@@ -550,5 +551,36 @@ impl ArtifactStore {
         cbsp_trace::add("store/evicted", report.removed);
         cbsp_trace::add("store/evicted_bytes", report.reclaimed_bytes);
         Ok(report)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn out_of_range_schema_is_corrupt_not_truncated() {
+        let dir = std::env::temp_dir().join(format!("cbsp-store-schema-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ArtifactStore::open(&dir).expect("store opens");
+        let key = stage_key("vli", &[Value::UInt(1)]);
+        store.put("vli", &key, &vec![1u64, 2, 3]).expect("writes");
+        let path = store.object_path(&key);
+        let text = std::fs::read_to_string(&path).expect("envelope exists");
+
+        // 2^32 + SCHEMA_VERSION truncates to SCHEMA_VERSION as a u32.
+        let current = format!("\"schema\":{SCHEMA_VERSION}");
+        let wrapped = (1u64 << 32) + u64::from(SCHEMA_VERSION);
+        assert!(text.contains(&current), "{text}");
+        let forged = text.replacen(&current, &format!("\"schema\":{wrapped}"), 1);
+        std::fs::write(&path, forged).expect("forges the schema");
+
+        match store.get::<Vec<u64>>("vli", &key) {
+            Err(CbspError::ArtifactCorrupt { detail, .. }) => {
+                assert!(detail.contains("out of range"), "{detail}");
+            }
+            other => panic!("expected ArtifactCorrupt, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -34,14 +34,24 @@
 //! blob lands beside the envelope, and the next `gc` evicts the
 //! envelope. Corrupt or truncated blobs follow the repair-as-miss
 //! contract: typed errors, re-record, rewrite in place.
+//!
+//! ## Replay leases
+//!
+//! The detailed simulations of one experiment evaluation — each
+//! binary's trace replayed once into its marker-bounded and its
+//! fixed-length slicing ([`TraceCache::replay_sliced_both_all`]) — are
+//! a lease too, one blob per evaluation in the [`REPLAY_STAGE`]
+//! namespace. A warm-store evaluation reads its results back and
+//! touches no trace; every field is an integer counter, so a hit is
+//! bit-identical to the replay it replaces.
 
 use cbsp_core::{weighted_cpi, weighted_cpi_with, CbspError};
 use cbsp_par::Pool;
 use cbsp_profile::ExecPoint;
 use cbsp_program::{Binary, Input};
 use cbsp_sim::{
-    record_trace, replay_slice, slice_trace, EventTrace, IntervalSim, LevelStats, MemoryConfig,
-    SimStats, SlicedTrace, TraceSlice,
+    record_trace, replay_slice, replay_sliced_both, slice_trace, BothSlicings, EventTrace,
+    IntervalSim, LevelStats, MemoryConfig, SimStats, SlicedTrace, TraceSlice,
 };
 use cbsp_simpoint::SimPoint;
 use std::collections::HashMap;
@@ -59,13 +69,30 @@ pub const TRACE_STAGE: &str = "trace";
 /// never referenced by run manifests, so `gc` always evicts them.
 pub const TRACE_SLICE_STAGE: &str = "trace_slice";
 
+/// Stage name replay leases are stored under: the detailed simulations
+/// of one evaluation, written by [`TraceCache::replay_sliced_both_all`].
+/// Like [`TRACE_STAGE`], no run manifest references them, so `gc`
+/// always evicts them.
+pub const REPLAY_STAGE: &str = "replay";
+
+/// Every lease namespace. Artifacts in these stages are never
+/// referenced by run manifests — `gc` always evicts them, and the
+/// trace cache re-materializes them on next use — while everything
+/// else in the store is a pipeline-stage artifact.
+pub const LEASE_STAGES: [&str; 3] = [TRACE_STAGE, TRACE_SLICE_STAGE, REPLAY_STAGE];
+
 /// Content key of the trace for `(binary, input)`.
 pub fn trace_key(binary: &Binary, input: &Input) -> StageKey {
+    trace_key_of(&content_hash(binary), &content_hash(input))
+}
+
+/// [`trace_key`] from the binary's and the input's content hashes.
+fn trace_key_of(binary_hash: &str, input_hash: &str) -> StageKey {
     stage_key(
         TRACE_STAGE,
         &[
-            Value::Str(content_hash(binary)),
-            Value::Str(content_hash(input)),
+            Value::Str(binary_hash.to_string()),
+            Value::Str(input_hash.to_string()),
         ],
     )
 }
@@ -95,6 +122,44 @@ pub fn trace_slice_key(
             Value::Str(content_hash(config)),
             Value::Str(content_hash(boundaries)),
             Value::Str(content_hash(selected)),
+        ],
+    )
+}
+
+/// Content key of the replay lease for binaries with content hashes
+/// `binary_hashes` on the input hashed `input_hash`, each replayed
+/// under `config` and sliced at its own `boundaries` list and at
+/// `fli_target` instructions.
+///
+/// Every input that shapes the results is keyed, by the rule
+/// [`trace_slice_key`] follows: the input (which events exist), the
+/// memory configuration (what each event costs), the FLI target, and
+/// per binary, in order, its digest and its boundary list (where its
+/// marker intervals cut).
+fn replay_key(
+    binary_hashes: &[String],
+    input_hash: &str,
+    config: &MemoryConfig,
+    boundaries: &[Vec<ExecPoint>],
+    fli_target: u64,
+) -> StageKey {
+    let per_binary = binary_hashes
+        .iter()
+        .zip(boundaries)
+        .map(|(hash, cuts)| {
+            Value::Array(vec![
+                Value::Str(hash.clone()),
+                Value::Str(content_hash(cuts)),
+            ])
+        })
+        .collect();
+    stage_key(
+        REPLAY_STAGE,
+        &[
+            Value::Str(input_hash.to_string()),
+            Value::Str(content_hash(config)),
+            Value::UInt(fli_target),
+            Value::Array(per_binary),
         ],
     )
 }
@@ -230,13 +295,15 @@ fn decode_slice_manifest(blob: Blob) -> Option<SliceManifest> {
     let n_loops = read_u32(b, &mut p)?;
     let full = read_stats(b, &mut p)?;
     let intervals = read_u64(b, &mut p)?;
-    let n_slices = read_u32(b, &mut p)?;
-    let mut slice_intervals = Vec::with_capacity(n_slices as usize);
+    let n_slices = read_u32(b, &mut p)? as usize;
+    // The count comes off disk: bound it by the bytes that remain
+    // before allocating for it.
+    if n_slices.checked_mul(8)? != b.len() - p {
+        return None;
+    }
+    let mut slice_intervals = Vec::with_capacity(n_slices);
     for _ in 0..n_slices {
         slice_intervals.push(read_u64(b, &mut p)?);
-    }
-    if p != b.len() {
-        return None;
     }
     Some(SliceManifest {
         n_procs,
@@ -294,6 +361,90 @@ fn decode_slice_blob(
             bytes: payload,
         },
     })
+}
+
+/// Bytes of one [`IntervalSim`] in a replay lease's payload.
+const INTERVAL_BYTES: usize = 5 * 8;
+
+/// Bytes of one binary's entry in a replay lease's meta: 13 whole-run
+/// statistics plus the marker and FLI interval counts.
+const REPLAY_ENTRY_BYTES: usize = 15 * 8;
+
+/// Blob parts of a replay lease. Meta: the binary count, then per
+/// binary its whole-run [`SimStats`] and its marker and FLI interval
+/// counts. Payload: every interval's five [`IntervalSim`] fields, per
+/// binary its marker intervals then its FLI intervals. All LE.
+fn replay_blob_parts(sims: &[BothSlicings]) -> (Vec<u8>, Vec<u8>) {
+    let mut meta = Vec::with_capacity(4 + REPLAY_ENTRY_BYTES * sims.len());
+    meta.extend_from_slice(&(sims.len() as u32).to_le_bytes());
+    let intervals: usize = sims.iter().map(|s| s.marker.len() + s.fli.len()).sum();
+    let mut payload = Vec::with_capacity(INTERVAL_BYTES * intervals);
+    for sim in sims {
+        for v in stats_fields(&sim.stats) {
+            meta.extend_from_slice(&v.to_le_bytes());
+        }
+        meta.extend_from_slice(&(sim.marker.len() as u64).to_le_bytes());
+        meta.extend_from_slice(&(sim.fli.len() as u64).to_le_bytes());
+        for i in sim.marker.iter().chain(&sim.fli) {
+            for v in [
+                i.instructions,
+                i.cycles,
+                i.accesses,
+                i.l1_misses,
+                i.dram_accesses,
+            ] {
+                payload.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+    }
+    (meta, payload)
+}
+
+/// Decodes a replay lease of `binaries` binaries. Every count is
+/// checked against the section it describes before anything is
+/// allocated for it, so a lease whose counts disagree with its bytes
+/// is a miss, not an allocation.
+fn decode_replay_blob(binaries: usize, blob: Blob) -> Option<Vec<BothSlicings>> {
+    let b = &blob.meta;
+    let mut p = 0;
+    let n = read_u32(b, &mut p)? as usize;
+    if n != binaries || n.checked_mul(REPLAY_ENTRY_BYTES)? != b.len() - p {
+        return None;
+    }
+    let mut entries = Vec::with_capacity(n);
+    let mut intervals = 0usize;
+    for _ in 0..n {
+        let stats = read_stats(b, &mut p)?;
+        let marker = usize::try_from(read_u64(b, &mut p)?).ok()?;
+        let fli = usize::try_from(read_u64(b, &mut p)?).ok()?;
+        intervals = intervals.checked_add(marker)?.checked_add(fli)?;
+        entries.push((stats, marker, fli));
+    }
+    if intervals.checked_mul(INTERVAL_BYTES)? != blob.payload.len() {
+        return None;
+    }
+    let mut q = 0;
+    let mut next_interval = || -> Option<IntervalSim> {
+        Some(IntervalSim {
+            instructions: read_u64(&blob.payload, &mut q)?,
+            cycles: read_u64(&blob.payload, &mut q)?,
+            accesses: read_u64(&blob.payload, &mut q)?,
+            l1_misses: read_u64(&blob.payload, &mut q)?,
+            dram_accesses: read_u64(&blob.payload, &mut q)?,
+        })
+    };
+    entries
+        .into_iter()
+        .map(|(stats, marker, fli)| {
+            Some(BothSlicings {
+                stats,
+                marker: (0..marker)
+                    .map(|_| next_interval())
+                    .collect::<Option<_>>()?,
+                fli: (0..fli).map(|_| next_interval()).collect::<Option<_>>()?,
+            })
+        })
+        .collect()
 }
 
 /// Writes a [`SlicedTrace`] to the blob tier: per-slice blobs first,
@@ -449,7 +600,17 @@ impl<'s> TraceCache<'s> {
         binary: &Binary,
         input: &Input,
     ) -> Result<Arc<EventTrace>, CbspError> {
-        let key = trace_key(binary, input);
+        self.get_or_record_at(&trace_key(binary, input), binary, input)
+    }
+
+    /// [`TraceCache::get_or_record`] under an already derived
+    /// [`trace_key`].
+    fn get_or_record_at(
+        &self,
+        key: &StageKey,
+        binary: &Binary,
+        input: &Input,
+    ) -> Result<Arc<EventTrace>, CbspError> {
         let mem_key = key.as_hex().to_string();
         if let Some(t) = self.mem.lock().expect("trace cache lock").get(&mem_key) {
             cbsp_trace::add("sim/trace_cache_hits", 1);
@@ -458,7 +619,7 @@ impl<'s> TraceCache<'s> {
 
         let mut repair = false;
         if let Some(store) = self.store() {
-            match lookup(store, TRACE_STAGE, &key, decode_trace_blob)? {
+            match lookup(store, TRACE_STAGE, key, decode_trace_blob)? {
                 Lookup::Hit(trace) => {
                     cbsp_trace::add("sim/trace_cache_hits", 1);
                     let trace = Arc::new(trace);
@@ -478,9 +639,9 @@ impl<'s> TraceCache<'s> {
         if let Some(store) = self.store() {
             let meta = trace_blob_meta(&trace);
             if repair {
-                store.put_blob_overwrite(TRACE_STAGE, &key, &meta, &trace.bytes)?;
+                store.put_blob_overwrite(TRACE_STAGE, key, &meta, &trace.bytes)?;
             } else {
-                store.put_blob(TRACE_STAGE, &key, &meta, &trace.bytes)?;
+                store.put_blob(TRACE_STAGE, key, &meta, &trace.bytes)?;
             }
         }
         self.insert(mem_key, &trace);
@@ -499,9 +660,107 @@ impl<'s> TraceCache<'s> {
         input: &Input,
         pool: &Pool,
     ) -> Result<Vec<Arc<EventTrace>>, CbspError> {
-        pool.run_indexed(binaries.len(), |i| self.get_or_record(binaries[i], input))
-            .into_iter()
-            .collect()
+        let input_hash = content_hash(input);
+        self.record_all(binaries, input, pool, |b| {
+            trace_key_of(&content_hash(binaries[b]), &input_hash)
+        })
+    }
+
+    /// [`TraceCache::get_or_record_all`] with each binary's trace key
+    /// derived by `key(b)`.
+    fn record_all(
+        &self,
+        binaries: &[&Binary],
+        input: &Input,
+        pool: &Pool,
+        key: impl Fn(usize) -> StageKey + Sync,
+    ) -> Result<Vec<Arc<EventTrace>>, CbspError> {
+        pool.run_indexed(binaries.len(), |b| {
+            self.get_or_record_at(&key(b), binaries[b], input)
+        })
+        .into_iter()
+        .collect()
+    }
+
+    /// The detailed simulations of one evaluation: each binary's trace
+    /// replayed once under `config` into both its marker slicing at
+    /// `boundaries[b]` and its fixed `fli_target`-instruction slicing
+    /// ([`cbsp_sim::replay_sliced_both`]), in input order.
+    ///
+    /// With a store tier the results are a lease, one blob for all the
+    /// binaries under [`REPLAY_STAGE`]: a hit reads it back and touches
+    /// no trace (`sim/replay_cache_hits`); a miss records or loads each
+    /// trace ([`TraceCache::get_or_record`]), replays the binaries in
+    /// parallel over `pool`, and writes the lease
+    /// (`sim/replay_cache_misses`). Without a store tier every call
+    /// replays. Each binary is hashed once per call.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CbspError::StoreIo`] on store failure. A damaged lease,
+    /// or one whose counts disagree with its payload, is treated as a
+    /// miss and repaired in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `boundaries` does not hold one list per binary, if
+    /// `fli_target` is zero, or if some boundary is never reached by
+    /// its binary's execution (same contract as
+    /// [`cbsp_sim::replay_sliced_both`]).
+    pub fn replay_sliced_both_all(
+        &self,
+        binaries: &[&Binary],
+        input: &Input,
+        config: &MemoryConfig,
+        boundaries: &[Vec<ExecPoint>],
+        fli_target: u64,
+        pool: &Pool,
+    ) -> Result<Vec<BothSlicings>, CbspError> {
+        assert_eq!(
+            binaries.len(),
+            boundaries.len(),
+            "one boundary list per binary"
+        );
+        let input_hash = content_hash(input);
+        let binary_hashes: Vec<String> = binaries.iter().map(|b| content_hash(*b)).collect();
+        let lease = self.store().map(|store| {
+            let key = replay_key(&binary_hashes, &input_hash, config, boundaries, fli_target);
+            (store, key)
+        });
+        let mut repair = false;
+        if let Some((store, key)) = &lease {
+            let decode = |blob| decode_replay_blob(binaries.len(), blob);
+            match lookup(store, REPLAY_STAGE, key, decode)? {
+                Lookup::Hit(sims) => {
+                    cbsp_trace::add("sim/replay_cache_hits", 1);
+                    return Ok(sims);
+                }
+                Lookup::Miss => {}
+                Lookup::Corrupt => {
+                    repair = true;
+                    cbsp_trace::add("store/repairs", 1);
+                }
+            }
+            cbsp_trace::add("sim/replay_cache_misses", 1);
+        }
+
+        // Record (or load) every trace, then replay each binary once.
+        let traces = self.record_all(binaries, input, pool, |b| {
+            trace_key_of(&binary_hashes[b], &input_hash)
+        })?;
+        let sims = pool.run_indexed(binaries.len(), |b| {
+            replay_sliced_both(&traces[b], config, &boundaries[b], fli_target)
+                .expect("recorded trace decodes")
+        });
+        if let Some((store, key)) = &lease {
+            let (meta, payload) = replay_blob_parts(&sims);
+            if repair {
+                store.put_blob_overwrite(REPLAY_STAGE, key, &meta, &payload)?;
+            } else {
+                store.put_blob(REPLAY_STAGE, key, &meta, &payload)?;
+            }
+        }
+        Ok(sims)
     }
 
     fn insert(&self, mem_key: String, trace: &Arc<EventTrace>) {
@@ -1108,6 +1367,240 @@ mod tests {
             .get_slices(&bin, &input, &config, &boundaries, &selected)
             .expect("repairs missing blob");
         assert_eq!(*cold, *again);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A checksum-valid manifest whose slice count exceeds its meta
+    /// bytes is a miss — decoded without allocating for the count —
+    /// and is repaired in place.
+    #[test]
+    fn slice_manifest_with_an_oversized_count_is_a_miss() {
+        let _lock = cbsp_trace::test_lock();
+        let bin = test_binary();
+        let input = Input::test();
+        let (boundaries, points) = boundaries_and_points(&bin, &input);
+        let selected: Vec<usize> = points.iter().map(|p| p.interval).collect();
+        let config = MemoryConfig::table1();
+        let (store, dir) = temp_store("slice-count");
+
+        let cold = TraceCache::new(Some(&store))
+            .get_slices(&bin, &input, &config, &boundaries, &selected)
+            .expect("materializes");
+        let key = trace_slice_key(&bin, &input, &config, &boundaries, &selected);
+        let path = store.blob_path(&key);
+        let good = std::fs::read(&path).expect("manifest blob exists");
+
+        // Claim u32::MAX slices and drop the list: 32 GiB if trusted.
+        let mut meta = slice_manifest_meta(0, 0, &cold);
+        let count_at = 8 + 13 * 8 + 8;
+        meta.truncate(count_at);
+        meta.extend_from_slice(&u32::MAX.to_le_bytes());
+        store
+            .put_blob_overwrite(TRACE_SLICE_STAGE, &key, &meta, &[])
+            .expect("forges a checksum-valid manifest");
+
+        cbsp_trace::enable();
+        cbsp_trace::reset();
+        let repaired = TraceCache::new(Some(&store))
+            .get_slices(&bin, &input, &config, &boundaries, &selected)
+            .expect("repairs");
+        let counters = cbsp_trace::snapshot().counters;
+        cbsp_trace::disable();
+        assert_eq!(*cold, *repaired);
+        assert_eq!(counters.get("store/repairs"), Some(&1));
+        assert_eq!(std::fs::read(&path).expect("rewritten"), good);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The four binaries of gzip at Test scale, each with its own
+    /// boundary list.
+    fn four_binaries() -> (Vec<Binary>, Vec<Vec<ExecPoint>>) {
+        let prog = workloads::by_name("gzip")
+            .expect("in suite")
+            .build(Scale::Test);
+        let bins: Vec<Binary> = CompileTarget::ALL_FOUR
+            .iter()
+            .map(|&t| compile(&prog, t))
+            .collect();
+        let cuts = bins
+            .iter()
+            .map(|b| boundaries_and_points(b, &Input::test()).0)
+            .collect();
+        (bins, cuts)
+    }
+
+    const FLI_TARGET: u64 = 20_000;
+
+    /// One [`TraceCache::replay_sliced_both_all`] call through a fresh
+    /// cache over `store`, with the counters it recorded.
+    fn lease_call(
+        store: Option<&ArtifactStore>,
+        bins: &[Binary],
+        config: &MemoryConfig,
+        cuts: &[Vec<ExecPoint>],
+        fli_target: u64,
+    ) -> (Vec<BothSlicings>, std::collections::BTreeMap<String, u64>) {
+        let refs: Vec<&Binary> = bins.iter().collect();
+        let cache = TraceCache::new(store);
+        cbsp_trace::enable();
+        cbsp_trace::reset();
+        let sims = cache
+            .replay_sliced_both_all(
+                &refs,
+                &Input::test(),
+                config,
+                cuts,
+                fli_target,
+                &Pool::new(2),
+            )
+            .expect("replays");
+        let counters = cbsp_trace::snapshot().counters;
+        cbsp_trace::disable();
+        cbsp_trace::reset();
+        (sims, counters)
+    }
+
+    fn lease_key(bins: &[Binary], config: &MemoryConfig, cuts: &[Vec<ExecPoint>]) -> StageKey {
+        let hashes: Vec<String> = bins.iter().map(content_hash).collect();
+        replay_key(
+            &hashes,
+            &content_hash(&Input::test()),
+            config,
+            cuts,
+            FLI_TARGET,
+        )
+    }
+
+    #[test]
+    fn replay_lease_hits_only_on_identical_inputs() {
+        let _lock = cbsp_trace::test_lock();
+        let (bins, cuts) = four_binaries();
+        let config = MemoryConfig::table1();
+        let (store, dir) = temp_store("replay-keys");
+
+        let (cold, counters) = lease_call(Some(&store), &bins, &config, &cuts, FLI_TARGET);
+        assert_eq!(counters.get("sim/replay_cache_misses"), Some(&1));
+        assert_eq!(counters.get("sim/replay_cache_hits"), None);
+        assert_eq!(counters.get("sim/replays"), Some(&4));
+        assert!(store.contains_blob(&lease_key(&bins, &config, &cuts)));
+
+        // Identical inputs hit: one blob read, no trace, no replay.
+        let (warm, counters) = lease_call(Some(&store), &bins, &config, &cuts, FLI_TARGET);
+        assert_eq!(warm, cold, "a hit is bit-identical to the replay");
+        assert_eq!(counters.get("sim/replay_cache_hits"), Some(&1));
+        assert_eq!(counters.get("sim/replay_cache_misses"), None);
+        assert_eq!(counters.get("sim/replays"), None);
+        assert_eq!(counters.get("sim/trace_cache_hits"), None);
+        assert_eq!(counters.get("sim/trace_cache_misses"), None);
+        assert_eq!(counters.get("store/blob_reads"), Some(&1));
+
+        // Without a store tier every call replays, to the same result.
+        let (plain, counters) = lease_call(None, &bins, &config, &cuts, FLI_TARGET);
+        assert_eq!(plain, cold);
+        assert_eq!(counters.get("sim/replays"), Some(&4));
+        assert_eq!(counters.get("sim/replay_cache_misses"), None);
+
+        // Every input that shapes the result re-keys the lease.
+        let prefetch = MemoryConfig {
+            next_line_prefetch: true,
+            ..config
+        };
+        let branch = MemoryConfig {
+            branch: Some(cbsp_sim::BranchConfig::default()),
+            ..config
+        };
+        let mut moved = cuts.clone();
+        moved[1].pop();
+        for (what, config, cuts, target) in [
+            ("prefetch", &prefetch, &cuts, FLI_TARGET),
+            ("branch predictor", &branch, &cuts, FLI_TARGET),
+            ("one binary's boundaries", &config, &moved, FLI_TARGET),
+            ("FLI target", &config, &cuts, FLI_TARGET / 2),
+        ] {
+            let (sims, counters) = lease_call(Some(&store), &bins, config, cuts, target);
+            assert_eq!(counters.get("sim/replay_cache_misses"), Some(&1), "{what}");
+            assert_eq!(counters.get("sim/replay_cache_hits"), None, "{what}");
+            let (plain, _) = lease_call(None, &bins, config, cuts, target);
+            assert_eq!(sims, plain, "{what}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn damaged_replay_lease_is_repaired_as_a_miss() {
+        let _lock = cbsp_trace::test_lock();
+        let (bins, cuts) = four_binaries();
+        let config = MemoryConfig::table1();
+        let (store, dir) = temp_store("replay-repair");
+        let (cold, _) = lease_call(Some(&store), &bins, &config, &cuts, FLI_TARGET);
+        let key = lease_key(&bins, &config, &cuts);
+        let path = store.blob_path(&key);
+        let good = std::fs::read(&path).expect("lease blob exists");
+
+        let check = |what: &str| {
+            let (sims, counters) = lease_call(Some(&store), &bins, &config, &cuts, FLI_TARGET);
+            assert_eq!(sims, cold, "{what}");
+            assert_eq!(counters.get("store/repairs"), Some(&1), "{what}");
+            assert_eq!(counters.get("sim/replay_cache_misses"), Some(&1), "{what}");
+            let rewritten = std::fs::read(&path).expect("lease rewritten");
+            assert!(rewritten == good, "{what}: repaired in place");
+        };
+
+        let mut flipped = good.clone();
+        let last = flipped.len() - 1;
+        flipped[last] ^= 0xFF;
+        for (what, bytes) in [
+            ("flipped byte", flipped),
+            ("truncation", good[..good.len() / 2].to_vec()),
+        ] {
+            std::fs::write(&path, bytes).expect("damages the lease");
+            check(what);
+        }
+
+        // Checksum-valid leases whose counts disagree with their bytes.
+        let (meta, payload) = replay_blob_parts(&cold);
+        let marker_count_at = 4 + 13 * 8;
+        let forged = |at: usize, value: &[u8]| {
+            let mut m = meta.clone();
+            m[at..at + value.len()].copy_from_slice(value);
+            m
+        };
+        let one_more = (cold[0].marker.len() as u64 + 1).to_le_bytes();
+        for (what, meta) in [
+            (
+                "interval count off by one",
+                forged(marker_count_at, &one_more),
+            ),
+            (
+                "interval count u64::MAX",
+                forged(marker_count_at + 8, &u64::MAX.to_le_bytes()),
+            ),
+            ("binary count u32::MAX", forged(0, &u32::MAX.to_le_bytes())),
+        ] {
+            store
+                .put_blob_overwrite(REPLAY_STAGE, &key, &meta, &payload)
+                .expect("forges a checksum-valid lease");
+            check(what);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn gc_evicts_replay_leases() {
+        let _lock = cbsp_trace::test_lock();
+        let (bins, cuts) = four_binaries();
+        let config = MemoryConfig::table1();
+        let (store, dir) = temp_store("replay-gc");
+        let (cold, _) = lease_call(Some(&store), &bins, &config, &cuts, FLI_TARGET);
+        let key = lease_key(&bins, &config, &cuts);
+        assert!(store.contains_blob(&key));
+        let report = store.gc().expect("gc runs");
+        assert!(report.removed > 0);
+        assert!(!store.contains_blob(&key), "no manifest references a lease");
+        let (again, counters) = lease_call(Some(&store), &bins, &config, &cuts, FLI_TARGET);
+        assert_eq!(again, cold);
+        assert_eq!(counters.get("sim/replay_cache_misses"), Some(&1));
+        assert_eq!(counters.get("sim/replays"), Some(&4));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
