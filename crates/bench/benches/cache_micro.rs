@@ -1,67 +1,10 @@
-//! Microbenchmarks of the CMP$im-like memory system: raw hierarchy
-//! throughput under characteristic access patterns, and full-binary
-//! simulation speed (the number that decides how fast the whole
-//! experiment harness can run).
+//! Microbenchmark of the CMP$im-like memory system's replacement
+//! policies. The end-to-end benchmark only runs the Table 1 hierarchy
+//! (LRU); this group measures FIFO and Random against it on one mixed
+//! access stream.
 
-use cbsp_program::{compile, workloads, CompileTarget, Input, Scale};
-use cbsp_sim::{simulate_full, Hierarchy, MemoryConfig, Replacement};
+use cbsp_sim::{Hierarchy, MemoryConfig, Replacement};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-
-fn bench_hierarchy_patterns(c: &mut Criterion) {
-    let mut group = c.benchmark_group("hierarchy");
-    const N: u64 = 100_000;
-    group.throughput(Throughput::Elements(N));
-
-    group.bench_function("l1_hits", |b| {
-        b.iter_batched(
-            || Hierarchy::new(&MemoryConfig::table1()),
-            |mut h| {
-                for i in 0..N {
-                    h.access(0x1000 + (i % 128) * 64, i % 4 == 0);
-                }
-                black_box(h)
-            },
-            criterion::BatchSize::SmallInput,
-        )
-    });
-
-    group.bench_function("l3_stream", |b| {
-        b.iter_batched(
-            || {
-                let mut h = Hierarchy::new(&MemoryConfig::table1());
-                for i in 0..12_288u64 {
-                    h.access(i * 64, true); // warm a 768 KB set into L3
-                }
-                h
-            },
-            |mut h| {
-                for i in 0..N {
-                    h.access((i % 12_288) * 64, false);
-                }
-                black_box(h)
-            },
-            criterion::BatchSize::SmallInput,
-        )
-    });
-
-    group.bench_function("dram_random", |b| {
-        let mut x = 0x12345u64;
-        b.iter_batched(
-            || Hierarchy::new(&MemoryConfig::table1()),
-            |mut h| {
-                for _ in 0..N {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    h.access((x % (64 * 1024 * 1024)) & !63, false);
-                }
-                black_box(h)
-            },
-            criterion::BatchSize::SmallInput,
-        )
-    });
-    group.finish();
-}
 
 fn bench_replacement_policies(c: &mut Criterion) {
     let mut group = c.benchmark_group("replacement");
@@ -91,26 +34,5 @@ fn bench_replacement_policies(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_full_simulation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("simulate_full");
-    group.sample_size(10);
-    let input = Input::test();
-    for name in ["gzip", "mcf"] {
-        let prog = workloads::by_name(name)
-            .expect("in suite")
-            .build(Scale::Test);
-        let bin = compile(&prog, CompileTarget::W32_O2);
-        group.bench_with_input(BenchmarkId::new("test_scale", name), &bin, |b, bin| {
-            b.iter(|| black_box(simulate_full(bin, &input, &MemoryConfig::table1())))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_hierarchy_patterns,
-    bench_replacement_policies,
-    bench_full_simulation
-);
+criterion_group!(benches, bench_replacement_policies);
 criterion_main!(benches);

@@ -1,13 +1,15 @@
-//! Benchmarks of each cross-binary pipeline stage (paper §3.2 steps),
-//! plus the end-to-end pipeline: where does analysis time go?
+//! Benchmarks of the pipeline's consumers that the end-to-end
+//! benchmark never runs: region simulation from a PinPoints file (the
+//! `cbsp simulate` path) and `.bb` file writing and parsing.
 
-use cbsp_core::{build_vli, find_mappable_points, run_cross_binary, CbspConfig};
-use cbsp_profile::{profile_fli, CallLoopProfile};
+use cbsp_core::{run_cross_binary, CbspConfig};
+use cbsp_profile::{parse_bb, profile_fli, write_bb};
 use cbsp_program::{compile, workloads, Binary, CompileTarget, Input, Scale};
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use cbsp_sim::{simulate_regions, MemoryConfig};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-fn setup(name: &str) -> (Vec<Binary>, Vec<CallLoopProfile>, Input) {
-    let prog = workloads::by_name(name)
+fn bench_region_sim_and_bbfile(c: &mut Criterion) {
+    let prog = workloads::by_name("swim")
         .expect("in suite")
         .build(Scale::Test);
     let input = Input::test();
@@ -15,65 +17,6 @@ fn setup(name: &str) -> (Vec<Binary>, Vec<CallLoopProfile>, Input) {
         .iter()
         .map(|&t| compile(&prog, t))
         .collect();
-    let profiles = binaries
-        .iter()
-        .map(|b| CallLoopProfile::collect(b, &input))
-        .collect();
-    (binaries, profiles, input)
-}
-
-fn bench_stages(c: &mut Criterion) {
-    let (binaries, profiles, input) = setup("gcc");
-    let bin_refs: Vec<&Binary> = binaries.iter().collect();
-    let prof_refs: Vec<&CallLoopProfile> = profiles.iter().collect();
-
-    let mut group = c.benchmark_group("stages");
-    group.sample_size(20);
-
-    group.bench_function("step1_callloop_profile", |b| {
-        b.iter(|| black_box(CallLoopProfile::collect(&binaries[0], &input)))
-    });
-
-    group.bench_function("step2_find_mappable", |b| {
-        b.iter(|| black_box(find_mappable_points(&bin_refs, &prof_refs)))
-    });
-
-    let set = find_mappable_points(&bin_refs, &prof_refs);
-    let markers = set.markers_of(0);
-    group.bench_function("step3_build_vli", |b| {
-        b.iter(|| black_box(build_vli(&binaries[0], &input, 20_000, &markers)))
-    });
-
-    group.bench_function("fli_profile_baseline", |b| {
-        b.iter(|| black_box(profile_fli(&binaries[0], &input, 20_000)))
-    });
-
-    group.finish();
-}
-
-fn bench_end_to_end(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pipeline");
-    group.sample_size(10);
-    for name in ["gzip", "gcc", "applu"] {
-        let (binaries, _, input) = setup(name);
-        let bin_refs: Vec<&Binary> = binaries.iter().collect();
-        let config = CbspConfig {
-            interval_target: 20_000,
-            ..CbspConfig::default()
-        };
-        group.bench_with_input(BenchmarkId::new("cross_binary", name), &name, |b, _| {
-            b.iter(|| black_box(run_cross_binary(&bin_refs, &input, &config).expect("runs")))
-        });
-    }
-    group.finish();
-}
-
-fn bench_region_sim_and_bbfile(c: &mut Criterion) {
-    use cbsp_core::{run_cross_binary, CbspConfig};
-    use cbsp_profile::{parse_bb, write_bb};
-    use cbsp_sim::{simulate_regions, MemoryConfig};
-
-    let (binaries, _, input) = setup("swim");
     let config = CbspConfig {
         interval_target: 20_000,
         ..CbspConfig::default()
@@ -104,24 +47,5 @@ fn bench_region_sim_and_bbfile(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_compile(c: &mut Criterion) {
-    let mut group = c.benchmark_group("compile");
-    for name in ["gcc", "swim"] {
-        let prog = workloads::by_name(name)
-            .expect("in suite")
-            .build(Scale::Test);
-        group.bench_with_input(BenchmarkId::new("w64_o2", name), &prog, |b, prog| {
-            b.iter(|| black_box(compile(prog, CompileTarget::W64_O2)))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_stages,
-    bench_end_to_end,
-    bench_region_sim_and_bbfile,
-    bench_compile
-);
+criterion_group!(benches, bench_region_sim_and_bbfile);
 criterion_main!(benches);

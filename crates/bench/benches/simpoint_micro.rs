@@ -1,13 +1,14 @@
-//! Microbenchmarks of the SimPoint engine: projection, k-means, BIC,
-//! and the full `analyze` driver at realistic interval counts.
+//! Microbenchmark of the two k-means engines head to head: Hamerly's
+//! bounds-accelerated k-means against plain Lloyd iteration, from the
+//! same initial centres. The end-to-end benchmark only runs the engine
+//! the default configuration picks.
 
-use cbsp_simpoint::{
-    analyze, bic, kmeans, kmeans_hamerly_from, Pool, Projection, SimPointConfig, VectorSet,
-};
+use cbsp_simpoint::{kmeans, kmeans_hamerly_from, Pool, Projection, VectorSet};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
-/// Synthetic BBVs: `n` intervals over `dims` blocks in `phases` phases.
-fn synthetic_bbvs(n: usize, dims: usize, phases: usize) -> (Vec<Vec<f64>>, Vec<u64>) {
+/// Synthetic BBVs over `dims` blocks in `phases` phases, projected to
+/// SimPoint's 15 dimensions, with equal weights.
+fn projected(n: usize, dims: usize, phases: usize) -> (VectorSet, Vec<f64>) {
     let mut vectors = Vec::with_capacity(n);
     for i in 0..n {
         let p = i % phases;
@@ -18,47 +19,9 @@ fn synthetic_bbvs(n: usize, dims: usize, phases: usize) -> (Vec<Vec<f64>>, Vec<u
         }
         vectors.push(v);
     }
-    (vectors, vec![100_000; n])
-}
-
-/// Synthetic BBVs projected to SimPoint's 15 dimensions.
-fn projected(n: usize, dims: usize, phases: usize) -> (VectorSet, Vec<f64>) {
-    let (vectors, counts) = synthetic_bbvs(n, dims, phases);
     let p = Projection::new(1, 15);
     let data = p.project_all(&VectorSet::from_rows(&vectors), &Pool::serial());
-    let weights: Vec<f64> = counts.iter().map(|&c| c as f64).collect();
-    (data, weights)
-}
-
-fn bench_projection(c: &mut Criterion) {
-    let mut group = c.benchmark_group("projection");
-    for &dims in &[128usize, 512, 2048] {
-        let (vectors, _) = synthetic_bbvs(64, dims, 4);
-        let p = Projection::new(42, 15);
-        group.bench_with_input(
-            BenchmarkId::new("project_64_vectors", dims),
-            &dims,
-            |b, _| {
-                b.iter(|| {
-                    for v in &vectors {
-                        black_box(p.project(v));
-                    }
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-fn bench_kmeans(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kmeans");
-    for &n in &[100usize, 400, 1600] {
-        let (data, weights) = projected(n, 240, 6);
-        group.bench_with_input(BenchmarkId::new("k8", n), &n, |b, _| {
-            b.iter(|| black_box(kmeans(&data, &weights, 8, 3, 100)))
-        });
-    }
-    group.finish();
+    (data, vec![100_000.0; n])
 }
 
 fn bench_hamerly_vs_lloyd(c: &mut Criterion) {
@@ -79,32 +42,5 @@ fn bench_hamerly_vs_lloyd(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_bic(c: &mut Criterion) {
-    let (data, weights) = projected(400, 240, 6);
-    let clustering = kmeans(&data, &weights, 6, 3, 100);
-    c.bench_function("bic/400x15", |b| {
-        b.iter(|| black_box(bic(&data, &weights, &clustering)))
-    });
-}
-
-fn bench_analyze(c: &mut Criterion) {
-    let mut group = c.benchmark_group("analyze");
-    group.sample_size(10);
-    for &n in &[100usize, 400] {
-        let (vectors, counts) = synthetic_bbvs(n, 600, 6);
-        group.bench_with_input(BenchmarkId::new("full_driver", n), &n, |b, _| {
-            b.iter(|| black_box(analyze(&vectors, &counts, &SimPointConfig::default())))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_projection,
-    bench_kmeans,
-    bench_hamerly_vs_lloyd,
-    bench_bic,
-    bench_analyze
-);
+criterion_group!(benches, bench_hamerly_vs_lloyd);
 criterion_main!(benches);

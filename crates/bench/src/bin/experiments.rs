@@ -10,13 +10,19 @@
 //! CI regression gates (exit 0 = pass, 1 = regression, 2 = usage):
 //!
 //! ```text
-//! experiments perf compare [--baseline BENCH_simpoint.json]
-//!                          [--current FILE] [--tolerance 0.25]
+//! experiments bench-gate PARENT_BIN CHANGE_BIN
 //! experiments accuracy-gate [--ref results_ref.json] [--tolerance 0.02]
 //!                           [--benchmarks a,b,c] [--cache-dir DIR]
 //!                           [--estimators bbv,bbv+mav,stratified]
 //!                           [--fuzzy[=THRESHOLD]]
 //! ```
+//!
+//! `bench-gate` runs every `BENCHMARK.json` workload with two
+//! `cbsp-benchmark` builds, a parent commit's and a change's, in 5
+//! pairs of 10 s runs seeded by the pair index, alternating which side
+//! runs first. It prints each run's result line and one row per
+//! workload × end-to-end metric, and fails as [`cbsp_bench::bench_gate`]
+//! decides.
 //!
 //! `--estimators` adds head-to-head estimator lanes: each lane
 //! re-clusters the shared detailed simulations under its own
@@ -31,18 +37,20 @@
 //! prints its table.
 
 use cbsp_bench::{
-    evaluate_benchmark_with, mpki_eval, phase_bias, render_lanes, report, run_ablations,
-    run_suite_opts, standard_archs, sweep_benchmark, Pair, PerfReport, SuiteResults,
+    bench_gate, evaluate_benchmark_with, mpki_eval, phase_bias, render_lanes, report,
+    run_ablations, run_suite_opts, standard_archs, sweep_benchmark, BenchGateReport, BenchPair,
+    BenchRun, EndToEndMetric, Pair, SuiteResults,
 };
 use cbsp_program::Scale;
 use cbsp_sim::MemoryConfig;
 use cbsp_simpoint::EstimatorConfig;
 use cbsp_store::ArtifactStore;
+use std::collections::BTreeMap;
 
 struct Options {
     artifact: String,
-    /// Second positional, e.g. the `compare` in `perf compare`.
-    sub: Option<String>,
+    /// Positionals after the artifact: `bench-gate`'s two binaries.
+    args: Vec<String>,
     scale: Scale,
     interval: u64,
     benchmarks: Vec<String>,
@@ -56,8 +64,6 @@ struct Options {
     estimators: Vec<EstimatorConfig>,
     /// Fuzzy-mapping lane acceptance threshold (`None` = lane off).
     fuzzy: Option<f64>,
-    baseline: String,
-    current: Option<String>,
     reference: String,
     tolerance: Option<f64>,
 }
@@ -65,7 +71,7 @@ struct Options {
 fn parse_args() -> Options {
     let mut opts = Options {
         artifact: "all".to_string(),
-        sub: None,
+        args: Vec::new(),
         scale: Scale::Reference,
         interval: 100_000,
         benchmarks: Vec::new(),
@@ -75,8 +81,6 @@ fn parse_args() -> Options {
         trace_cache: true,
         estimators: Vec::new(),
         fuzzy: None,
-        baseline: "BENCH_simpoint.json".to_string(),
-        current: None,
         reference: "results_ref.json".to_string(),
         tolerance: None,
     };
@@ -152,14 +156,6 @@ fn parse_args() -> Options {
                 }
                 opts.fuzzy = Some(threshold);
             }
-            "--baseline" => {
-                opts.baseline = args
-                    .next()
-                    .unwrap_or_else(|| die("--baseline needs a path"));
-            }
-            "--current" => {
-                opts.current = Some(args.next().unwrap_or_else(|| die("--current needs a path")));
-            }
             "--ref" => {
                 opts.reference = args.next().unwrap_or_else(|| die("--ref needs a path"));
             }
@@ -172,11 +168,11 @@ fn parse_args() -> Options {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: experiments [all|table1|fig1..fig5|table2|table3|mpki|ablation|archsweep|warmup|softmarkers|seeds|fuzzy|perf [compare]|accuracy-gate] \
+                    "usage: experiments [all|table1|fig1..fig5|table2|table3|mpki|ablation|archsweep|warmup|softmarkers|seeds|fuzzy|accuracy-gate|bench-gate PARENT_BIN CHANGE_BIN] \
                      [--scale test|train|ref] [--interval N] \
                      [--benchmarks a,b,c] [--threads N] [--json FILE] [--cache-dir DIR] \
-                     [--no-trace-cache] [--estimators a,b,c] [--fuzzy[=T]] [--baseline FILE] \
-                     [--current FILE] [--ref FILE] [--tolerance T]"
+                     [--no-trace-cache] [--estimators a,b,c] [--fuzzy[=T]] [--ref FILE] \
+                     [--tolerance T]"
                 );
                 std::process::exit(0);
             }
@@ -188,9 +184,14 @@ fn parse_args() -> Options {
     if let Some(artifact) = positional.next() {
         opts.artifact = artifact;
     }
-    opts.sub = positional.next();
-    if let Some(extra) = positional.next() {
-        die(&format!("unexpected argument {extra}"));
+    opts.args = positional.collect();
+    let expected = if opts.artifact == "bench-gate" { 2 } else { 0 };
+    if opts.args.len() != expected {
+        die(&format!(
+            "{} takes {expected} argument(s), got {}",
+            opts.artifact,
+            opts.args.len()
+        ));
     }
     opts
 }
@@ -206,7 +207,7 @@ fn parse_scale(name: &str) -> Scale {
         "Test" | "test" => Scale::Test,
         "Train" | "train" => Scale::Train,
         "Reference" | "ref" | "reference" => Scale::Reference,
-        other => die(&format!("unknown scale {other:?} in baseline file")),
+        other => die(&format!("unknown scale {other:?} in reference file")),
     }
 }
 
@@ -215,14 +216,102 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Seeded pairs `bench-gate` runs per workload.
+const BENCH_GATE_PAIRS: u64 = 5;
+
+/// Budget of each `bench-gate` run's measured phases, seconds.
+const BENCH_GATE_SECONDS: u64 = 10;
+
+/// The parts of `BENCHMARK.json` the bench gate reads.
+#[derive(serde::Deserialize)]
+struct BenchmarkSpec {
+    workloads: Vec<WorkloadSpec>,
+    end_to_end: Vec<EndToEndMetric>,
+}
+
+#[derive(serde::Deserialize)]
+struct WorkloadSpec {
+    name: String,
+}
+
+/// A `cbsp-benchmark` result line.
+#[derive(serde::Deserialize)]
+struct ResultLine {
+    correct: bool,
+    attempted: u64,
+    failed: u64,
+    metrics: BTreeMap<String, MetricValue>,
+}
+
+#[derive(serde::Deserialize)]
+struct MetricValue {
+    value: f64,
+}
+
+/// Runs `binary` on one workload and seed, untraced, and reads its
+/// final line.
+fn bench_run(binary: &str, label: &str, workload: &str, seed: u64) -> BenchRun {
+    let output = std::process::Command::new(binary)
+        .args(["--workload", workload, "--seed", &seed.to_string()])
+        .args(["--seconds", &BENCH_GATE_SECONDS.to_string(), "--trace", "0"])
+        .stderr(std::process::Stdio::inherit())
+        .output()
+        .unwrap_or_else(|e| die(&format!("running {binary}: {e}")));
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let line = stdout.lines().last().unwrap_or_default();
+    println!("{label} {workload} seed {seed}: {line}");
+    let exited_ok = output.status.success();
+    let Ok(r) = serde_json::from_str::<ResultLine>(line) else {
+        return BenchRun {
+            exited_ok,
+            ..BenchRun::default()
+        };
+    };
+    BenchRun {
+        exited_ok,
+        correct: r.correct,
+        attempted: r.attempted,
+        failed: r.failed,
+        metrics: r.metrics.into_iter().map(|(k, v)| (k, v.value)).collect(),
+    }
+}
+
+/// `bench-gate`: every `BENCHMARK.json` workload in
+/// [`BENCH_GATE_PAIRS`] seeded pairs, the side that runs first
+/// alternating, then the decision of [`cbsp_bench::bench_gate`].
+fn bench_gate_runs(parent: &str, change: &str) -> BenchGateReport {
+    let spec: BenchmarkSpec = read_json("BENCHMARK.json");
+    let workloads: Vec<(String, Vec<BenchPair>)> = spec
+        .workloads
+        .iter()
+        .map(|w| {
+            let pairs = (0..BENCH_GATE_PAIRS)
+                .map(|seed| {
+                    let parent_run = || bench_run(parent, "parent", &w.name, seed);
+                    let change_run = || bench_run(change, "change", &w.name, seed);
+                    if seed % 2 == 0 {
+                        let parent = parent_run();
+                        BenchPair {
+                            parent,
+                            change: change_run(),
+                        }
+                    } else {
+                        let change = change_run();
+                        BenchPair {
+                            parent: parent_run(),
+                            change,
+                        }
+                    }
+                })
+                .collect();
+            (w.name.clone(), pairs)
+        })
+        .collect();
+    bench_gate(&spec.end_to_end, &workloads)
+}
+
 fn main() {
     let opts = parse_args();
-    if opts.sub.is_some() && opts.artifact != "perf" {
-        die(&format!(
-            "unexpected argument {}",
-            opts.sub.as_deref().unwrap_or_default()
-        ));
-    }
     let mem = MemoryConfig::table1();
     let store: Option<ArtifactStore> = opts
         .cache_dir
@@ -350,61 +439,10 @@ fn main() {
             print!("{}", cbsp_bench::archsweep::render(&rows, &archs));
             return;
         }
-        "perf" if opts.sub.as_deref() == Some("compare") => {
-            // CI perf gate: current parallel wall times vs the
-            // committed baseline, within --tolerance (default 25%).
-            let baseline: PerfReport = read_json(&opts.baseline);
-            let current: PerfReport = match &opts.current {
-                Some(path) => read_json(path),
-                None => {
-                    // No --current: measure now, at the baseline's own
-                    // configuration so the comparison is apples-to-apples.
-                    eprintln!(
-                        "perf compare: measuring {} at {} scale, 1 vs {} threads...",
-                        baseline.benchmark, baseline.scale, baseline.threads
-                    );
-                    cbsp_bench::run_perf(
-                        &baseline.benchmark,
-                        parse_scale(&baseline.scale),
-                        baseline.interval_target,
-                        baseline.threads,
-                        &mem,
-                    )
-                }
-            };
-            if let Some(path) = &opts.json {
-                // Persist the measured report so CI can attach it to
-                // failed runs.
-                let json = serde_json::to_string_pretty(&current).expect("report serializes");
-                std::fs::write(path, json).unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
-            }
-            let tolerance = opts.tolerance.unwrap_or(0.25);
-            let c = cbsp_bench::compare(&baseline, &current, tolerance);
-            print!("{}", cbsp_bench::render_compare(&c));
-            std::process::exit(i32::from(c.regressed()));
-        }
-        "perf" => {
-            if let Some(sub) = &opts.sub {
-                die(&format!("unknown perf subcommand {sub}"));
-            }
-            // Performance baseline: pipeline stage wall times at 1 vs N
-            // threads, written to BENCH_simpoint.json.
-            let name = opts
-                .benchmarks
-                .first()
-                .map_or("gcc", String::as_str)
-                .to_string();
-            eprintln!(
-                "perf baseline on {name} at {:?} scale, 1 vs {} threads...",
-                opts.scale, opts.threads
-            );
-            let r = cbsp_bench::run_perf(&name, opts.scale, opts.interval, opts.threads, &mem);
-            print!("{}", cbsp_bench::perf::render(&r));
-            let path = opts.json.as_deref().unwrap_or("BENCH_simpoint.json");
-            let json = serde_json::to_string_pretty(&r).expect("report serializes");
-            std::fs::write(path, json).unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
-            eprintln!("wrote {path}");
-            return;
+        "bench-gate" => {
+            let report = bench_gate_runs(&opts.args[0], &opts.args[1]);
+            print!("{}", cbsp_bench::render_bench_gate(&report));
+            std::process::exit(i32::from(!report.passed()));
         }
         "fuzzy" => {
             // Standalone fuzzy-mapping lane: marker-destroyed binary

@@ -1,5 +1,10 @@
-//! Accuracy regression gate: the current tree's suite results vs the
-//! committed reference (`results_ref.json`).
+//! The CI regression gates: accuracy ([`accuracy_gate`]) and end-to-end
+//! performance ([`bench_gate`]).
+//!
+//! ## Accuracy
+//!
+//! The current tree's suite results vs the committed reference
+//! (`results_ref.json`).
 //!
 //! The engine is deterministic, so on an unmodified tree the current
 //! run reproduces the reference exactly and the gate is trivially
@@ -26,11 +31,23 @@
 //!   `slack` — similarity-matched windows are approximations, so the
 //!   lane gets a documented looser bound instead of silently sharing
 //!   the exact lanes' tolerance.
+//!
+//! ## Performance
+//!
+//! `cbsp-benchmark` runs of a parent commit and of a change, paired by
+//! seed (`experiments bench-gate` spawns them). A change fails when one
+//! of its runs is wrong, when more of its operations fail, or when an
+//! end-to-end metric's median is worse than the parent's by more than
+//! the metric's `BENCHMARK.json` bound *and* the change lost most
+//! pairs. Both conditions must hold: the median rule ignores small
+//! drifts, and the pair rule ignores one side landing on a slow stretch
+//! of a shared host.
 
 use crate::experiment::Pair;
 use crate::fuzzy_lane::{FUZZY_SLACK_MULTIPLIER, MAPPED_FLOOR};
 use crate::suite::SuiteResults;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// One failed check: a metric that degraded beyond the allowed slack.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -288,6 +305,233 @@ pub fn render_gate(g: &GateReport) -> String {
     out
 }
 
+/// One end-to-end metric of `BENCHMARK.json` (its `end_to_end` rows).
+#[derive(Debug, Clone, PartialEq, Deserialize)]
+pub struct EndToEndMetric {
+    /// Metric name, as the benchmark's result line reports it.
+    pub name: String,
+    /// `"lower"` or `"higher"`: which direction is better.
+    pub better: String,
+    /// How much worse than the parent's median the change's may get,
+    /// as a fraction (`0.25` = 25%).
+    pub bound: f64,
+}
+
+impl EndToEndMetric {
+    fn higher_is_better(&self) -> bool {
+        self.better == "higher"
+    }
+}
+
+/// One `cbsp-benchmark` run: how its process ended and its final JSON
+/// line. A run whose line is missing or unreadable is the default:
+/// not `correct`, no metrics.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct BenchRun {
+    /// The process exited 0.
+    pub exited_ok: bool,
+    /// The result line's `correct`.
+    pub correct: bool,
+    /// Operations attempted.
+    pub attempted: u64,
+    /// Operations that failed or returned a wrong result.
+    pub failed: u64,
+    /// Metric name → value.
+    pub metrics: BTreeMap<String, f64>,
+}
+
+/// The parent's and the change's run of one seed.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BenchPair {
+    /// The parent commit's run.
+    pub parent: BenchRun,
+    /// The change's run.
+    pub change: BenchRun,
+}
+
+/// One workload × metric row of [`BenchGateReport`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct BenchRow {
+    /// Workload name.
+    pub workload: String,
+    /// Metric name.
+    pub metric: String,
+    /// The parent's median.
+    pub parent: f64,
+    /// The change's median.
+    pub change: f64,
+    /// Pairs in which the change was better.
+    pub won: usize,
+    /// Pairs in which the change was worse.
+    pub lost: usize,
+    /// Pairs run.
+    pub pairs: usize,
+    /// The median is past the bound and the change lost most pairs.
+    pub regressed: bool,
+}
+
+impl BenchRow {
+    /// The change's median relative to the parent's, in percent.
+    pub fn change_pct(&self) -> f64 {
+        100.0 * (self.change / self.parent - 1.0)
+    }
+}
+
+/// Result of [`bench_gate`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct BenchGateReport {
+    /// One row per workload × metric both sides reported.
+    pub rows: Vec<BenchRow>,
+    /// Why the gate fails, one line each, naming the workload (and the
+    /// metric or pair).
+    pub failures: Vec<String>,
+}
+
+impl BenchGateReport {
+    /// `true` when nothing failed.
+    pub fn passed(&self) -> bool {
+        self.failures.is_empty()
+    }
+}
+
+fn median(values: &mut [f64]) -> Option<f64> {
+    values.sort_by(f64::total_cmp);
+    let n = values.len();
+    match n {
+        0 => None,
+        _ if n % 2 == 1 => Some(values[n / 2]),
+        _ => Some((values[n / 2 - 1] + values[n / 2]) / 2.0),
+    }
+}
+
+fn failed_share<'a>(runs: impl Iterator<Item = &'a BenchRun>) -> f64 {
+    let (failed, attempted) = runs.fold((0, 0), |(f, a), r| (f + r.failed, a + r.attempted));
+    if attempted == 0 {
+        0.0
+    } else {
+        failed as f64 / attempted as f64
+    }
+}
+
+/// Decides the bench gate over `workloads` (name, seeded pairs) for the
+/// `metrics` of `BENCHMARK.json`. Fails on a change run that is not
+/// `correct` or exited non-zero; on a change whose share of failed
+/// operations exceeds the parent's; and on a metric whose change median
+/// is worse than the parent's by more than its bound while the change
+/// lost more than half of the pairs (a tie counts for neither side).
+pub fn bench_gate(
+    metrics: &[EndToEndMetric],
+    workloads: &[(String, Vec<BenchPair>)],
+) -> BenchGateReport {
+    let mut report = BenchGateReport {
+        rows: Vec::new(),
+        failures: Vec::new(),
+    };
+    for (workload, pairs) in workloads {
+        for (seed, pair) in pairs.iter().enumerate() {
+            if !pair.change.exited_ok || !pair.change.correct {
+                report.failures.push(format!(
+                    "{workload} seed {seed}: the change's run was not correct"
+                ));
+            }
+        }
+        let parent_share = failed_share(pairs.iter().map(|p| &p.parent));
+        let change_share = failed_share(pairs.iter().map(|p| &p.change));
+        if change_share > parent_share {
+            report.failures.push(format!(
+                "{workload}: {:.2}% of the change's operations failed, {:.2}% of the parent's",
+                100.0 * change_share,
+                100.0 * parent_share
+            ));
+        }
+        for m in metrics {
+            let values = |side: fn(&BenchPair) -> &BenchRun| -> Vec<f64> {
+                pairs
+                    .iter()
+                    .filter_map(|p| side(p).metrics.get(&m.name).copied())
+                    .collect()
+            };
+            let Some(parent) = median(&mut values(|p| &p.parent)) else {
+                continue;
+            };
+            let Some(change) = median(&mut values(|p| &p.change)) else {
+                report
+                    .failures
+                    .push(format!("{workload} {}: no change run reported it", m.name));
+                continue;
+            };
+            let better = |a: f64, b: f64| if m.higher_is_better() { a > b } else { a < b };
+            let (mut won, mut lost) = (0, 0);
+            for p in pairs {
+                if let (Some(&c), Some(&v)) =
+                    (p.change.metrics.get(&m.name), p.parent.metrics.get(&m.name))
+                {
+                    won += usize::from(better(c, v));
+                    lost += usize::from(better(v, c));
+                }
+            }
+            let past_bound = if m.higher_is_better() {
+                change < parent * (1.0 - m.bound)
+            } else {
+                change > parent * (1.0 + m.bound)
+            };
+            let row = BenchRow {
+                workload: workload.clone(),
+                metric: m.name.clone(),
+                parent,
+                change,
+                won,
+                lost,
+                pairs: pairs.len(),
+                regressed: past_bound && 2 * lost > pairs.len(),
+            };
+            if row.regressed {
+                report.failures.push(format!(
+                    "{workload} {}: median {:+.1}% against a {:.0}% bound, lost {} of {} pairs",
+                    m.name,
+                    row.change_pct(),
+                    100.0 * m.bound,
+                    lost,
+                    row.pairs
+                ));
+            }
+            report.rows.push(row);
+        }
+    }
+    report
+}
+
+/// Renders a bench-gate report: one row per workload × metric, then the
+/// failures and a verdict.
+pub fn render_bench_gate(g: &BenchGateReport) -> String {
+    let mut out = format!(
+        "{:<12} {:<12} {:>12} {:>12} {:>8} {:>4} {:>4}  verdict\n",
+        "workload", "metric", "parent", "change", "change", "won", "lost"
+    );
+    for r in &g.rows {
+        out.push_str(&format!(
+            "{:<12} {:<12} {:>12.4} {:>12.4} {:>+7.1}% {:>4} {:>4}  {}\n",
+            r.workload,
+            r.metric,
+            r.parent,
+            r.change,
+            r.change_pct(),
+            r.won,
+            r.lost,
+            if r.regressed { "REGRESSED" } else { "ok" }
+        ));
+    }
+    for f in &g.failures {
+        out.push_str(&format!("failure: {f}\n"));
+    }
+    out.push_str(if g.passed() {
+        "bench gate: PASS\n"
+    } else {
+        "bench gate: FAIL\n"
+    });
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -498,5 +742,138 @@ mod tests {
         let mut current = suite(vec![eval("gzip", 0.02, [2_000.0; 4])]);
         current.interval_target = 50_000;
         assert!(!accuracy_gate(&current, &reference, 0.02).passed());
+    }
+
+    fn metric(name: &str, better: &str) -> EndToEndMetric {
+        EndToEndMetric {
+            name: name.to_string(),
+            better: better.to_string(),
+            bound: 0.25,
+        }
+    }
+
+    fn run(metric: &str, value: f64) -> BenchRun {
+        BenchRun {
+            exited_ok: true,
+            correct: true,
+            attempted: 100,
+            failed: 0,
+            metrics: BTreeMap::from([(metric.to_string(), value)]),
+        }
+    }
+
+    /// `serve-hot` pairs of `metric` with these parent and change values.
+    fn pairs(metric: &str, parent: &[f64], change: &[f64]) -> Vec<(String, Vec<BenchPair>)> {
+        let pairs = parent
+            .iter()
+            .zip(change)
+            .map(|(&p, &c)| BenchPair {
+                parent: run(metric, p),
+                change: run(metric, c),
+            })
+            .collect();
+        vec![("serve-hot".to_string(), pairs)]
+    }
+
+    #[test]
+    fn forty_percent_worse_losing_most_pairs_fails_naming_workload_and_metric() {
+        let w = pairs("p50_ms", &[1.0; 5], &[1.4, 1.4, 1.4, 1.4, 0.9]);
+        let g = bench_gate(&[metric("p50_ms", "lower")], &w);
+        assert!(!g.passed());
+        assert_eq!((g.rows[0].won, g.rows[0].lost), (1, 4));
+        assert!(
+            g.failures[0].starts_with("serve-hot p50_ms"),
+            "{:?}",
+            g.failures
+        );
+        let text = render_bench_gate(&g);
+        assert!(
+            text.contains("REGRESSED") && text.ends_with("bench gate: FAIL\n"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn forty_percent_worse_winning_most_pairs_passes() {
+        // Medians 1.0 and 1.4, but the change is faster in pairs 1, 2, 4.
+        let w = pairs(
+            "p50_ms",
+            &[1.0, 1.0, 1.0, 2.0, 2.0],
+            &[0.5, 0.5, 1.4, 1.5, 2.5],
+        );
+        let g = bench_gate(&[metric("p50_ms", "lower")], &w);
+        assert!((g.rows[0].change_pct() - 40.0).abs() < 1e-9);
+        assert_eq!((g.rows[0].won, g.rows[0].lost), (3, 2));
+        assert!(g.passed(), "{}", render_bench_gate(&g));
+    }
+
+    #[test]
+    fn ten_percent_worse_in_every_pair_is_within_the_bound() {
+        let w = pairs("cold_s", &[1.0; 5], &[1.1; 5]);
+        let g = bench_gate(&[metric("cold_s", "lower")], &w);
+        assert_eq!(g.rows[0].lost, 5);
+        assert!(g.passed(), "{}", render_bench_gate(&g));
+    }
+
+    #[test]
+    fn higher_is_better_metric_forty_percent_lower_fails() {
+        let w = pairs("ops_per_s", &[100.0; 5], &[60.0; 5]);
+        let g = bench_gate(&[metric("ops_per_s", "higher")], &w);
+        assert!(!g.passed());
+        assert!(g.failures[0].contains("ops_per_s"), "{:?}", g.failures);
+        // The same numbers are a gain for a lower-is-better metric.
+        let w = pairs("p50_ms", &[100.0; 5], &[60.0; 5]);
+        let g = bench_gate(&[metric("p50_ms", "lower")], &w);
+        assert!(g.passed());
+        assert_eq!(g.rows[0].won, 5);
+    }
+
+    #[test]
+    fn a_change_run_that_is_not_correct_fails() {
+        let mut w = pairs("p50_ms", &[1.0; 5], &[1.0; 5]);
+        w[0].1[2].change.correct = false;
+        let g = bench_gate(&[metric("p50_ms", "lower")], &w);
+        assert!(!g.passed());
+        assert!(
+            g.failures[0].contains("serve-hot seed 2"),
+            "{:?}",
+            g.failures
+        );
+
+        // A run that exited non-zero or printed no result line fails too.
+        let mut w = pairs("p50_ms", &[1.0; 5], &[1.0; 5]);
+        w[0].1[0].change = BenchRun::default();
+        assert!(!bench_gate(&[metric("p50_ms", "lower")], &w).passed());
+    }
+
+    #[test]
+    fn a_higher_failed_share_than_the_parent_fails() {
+        let mut w = pairs("p50_ms", &[1.0; 5], &[1.0; 5]);
+        w[0].1[1].change.failed = 1;
+        let g = bench_gate(&[metric("p50_ms", "lower")], &w);
+        assert!(!g.passed());
+        assert!(g.failures[0].contains("failed"), "{:?}", g.failures);
+        // The same share on both sides is no regression.
+        w[0].1[3].parent.failed = 1;
+        let g = bench_gate(&[metric("p50_ms", "lower")], &w);
+        assert!(
+            g.failures.iter().all(|f| !f.contains("operations failed")),
+            "{:?}",
+            g.failures
+        );
+    }
+
+    #[test]
+    fn ties_count_for_neither_side() {
+        // Medians 1.0 and 1.4 with two tied pairs: the change lost one
+        // pair, so it passes; counting ties as losses would fail it.
+        let w = pairs(
+            "p50_ms",
+            &[1.4, 1.4, 1.0, 1.0, 1.0],
+            &[1.4, 1.4, 1.4, 0.5, 0.5],
+        );
+        let g = bench_gate(&[metric("p50_ms", "lower")], &w);
+        assert_eq!((g.rows[0].won, g.rows[0].lost), (2, 1));
+        assert!(g.passed(), "{}", render_bench_gate(&g));
     }
 }

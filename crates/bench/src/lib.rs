@@ -24,22 +24,18 @@
 
 pub mod ablation;
 pub mod archsweep;
-pub mod cluster_lane;
 pub mod estimators;
 pub mod experiment;
 pub mod fuzzy_lane;
 pub mod gate;
-pub mod perf;
 pub mod report;
 pub mod seeds;
-pub mod serve_lane;
 pub mod softmark_study;
 pub mod suite;
 pub mod warmup;
 
 pub use ablation::{run_ablations, standard_variants, Variant, VariantResult};
 pub use archsweep::{standard_archs, sweep_benchmark, ArchSweepRow, ArchVariant};
-pub use cluster_lane::{run_cluster_lane, ClusterLane, ClusterPoint};
 pub use estimators::{lane_rows, render_lanes, EstimatorLane, LaneBenchmark};
 pub use experiment::{
     evaluate_benchmark, evaluate_benchmark_cached, evaluate_benchmark_pooled,
@@ -50,12 +46,11 @@ pub use fuzzy_lane::{
     destroyed_binaries, fuzzy_benchmark, render_fuzzy, run_fuzzy_lane, FuzzyBenchmark, FuzzyLane,
     FUZZY_BENCHMARKS, FUZZY_SLACK_MULTIPLIER, MAPPED_FLOOR,
 };
-pub use gate::{accuracy_gate, render_gate, GateFailure, GateReport};
-pub use perf::{
-    compare, render_compare, run_perf, CompareRow, PerfComparison, PerfReport, StageTime,
+pub use gate::{
+    accuracy_gate, bench_gate, render_bench_gate, render_gate, BenchGateReport, BenchPair,
+    BenchRow, BenchRun, EndToEndMetric, GateFailure, GateReport,
 };
 pub use seeds::{seed_stability, SeedRow};
-pub use serve_lane::{run_serve_lane, ServeLane};
 pub use softmark_study::{softmark_benchmark, SoftMarkRow};
 pub use suite::{run_suite, run_suite_opts, run_suite_with, SuiteResults};
 pub use warmup::{warmup_benchmark, WarmupRow};

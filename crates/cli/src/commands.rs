@@ -673,45 +673,20 @@ pub fn cache(opts: &Opts) -> Result<(), String> {
 }
 
 /// `cbsp serve [--addr A] [--threads N] [--max-inflight N]
-/// [--cache-dir D] [--timeout-ms N] [--shard-id N]
-/// [--cluster N] [--shard-map FILE] [--worker-threads N]
-/// [--health-interval-ms N]` — run the query daemon, alone or as a
-/// sharded cluster.
+/// [--cache-dir D] [--timeout-ms N]` — run the query daemon.
 ///
 /// Serves the pipeline from warm state (store handle, trace cache) over
 /// newline-delimited JSON on TCP, with `GET /healthz` and
 /// `GET /metrics` answered on the same port. Blocks until a client
 /// sends `server.shutdown`, then drains admitted work and exits. See
 /// `docs/PROTOCOL.md` for the wire format.
-///
-/// With `--cluster N` (or `--shard-map FILE`) the process becomes a
-/// router in front of N workers instead: each worker is a full daemon
-/// with its own store shard under `<cache-dir>/shard-i`, requests are
-/// placed by their map-stage content digest, and the router
-/// health-checks, retries, fails over, and restarts workers. With
-/// `--shard-map FILE` the workers are adopted from the file's
-/// addresses rather than spawned. `--shard-id N` tags a standalone
-/// daemon as shard N of an externally assembled fleet (surfaced in
-/// its `/healthz`).
 pub fn serve(opts: &Opts) -> Result<(), String> {
-    let cluster_workers: usize = opts.flag_or("cluster", 0usize)?;
-    if cluster_workers > 0 || opts.flag("shard-map").is_some() {
-        return serve_cluster(opts, cluster_workers);
-    }
-    let shard_id = match opts.flag("shard-id") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<u64>()
-                .map_err(|_| format!("bad value for --shard-id: {v}"))?,
-        ),
-    };
     let config = cbsp_serve::ServeConfig {
         addr: opts.flag("addr").unwrap_or("127.0.0.1:4650").to_string(),
         threads: opts.threads()?,
         max_inflight: opts.flag_or("max-inflight", 64usize)?,
         cache_dir: std::path::PathBuf::from(opts.cache_dir()),
         default_timeout_ms: opts.flag_or("timeout-ms", 30_000u64)?,
-        shard_id,
         ..cbsp_serve::ServeConfig::default()
     };
     if config.max_inflight == 0 {
@@ -722,55 +697,6 @@ pub fn serve(opts: &Opts) -> Result<(), String> {
     println!("  NDJSON protocol + GET /healthz, GET /metrics (docs/PROTOCOL.md)");
     println!("  stop with: {{\"method\":\"server.shutdown\"}}");
     server.wait()?;
-    println!("drained; bye");
-    Ok(())
-}
-
-/// The `--cluster` / `--shard-map` arm of [`serve`]: start a router
-/// and its worker fleet, print the topology, and block until drained.
-fn serve_cluster(opts: &Opts, workers: usize) -> Result<(), String> {
-    let adopt: Vec<String> = match opts.flag("shard-map") {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("reading shard map {path}: {e}"))?;
-            let map = cbsp_cluster::ShardMap::from_json(&text).map_err(|e| format!("{e}"))?;
-            if workers > 0 && workers != map.shards.len() {
-                return Err(format!(
-                    "--cluster {workers} disagrees with {} shards in {path}",
-                    map.shards.len()
-                ));
-            }
-            map.shards.into_iter().map(|s| s.addr).collect()
-        }
-        None => Vec::new(),
-    };
-    let config = cbsp_cluster::ClusterConfig {
-        addr: opts.flag("addr").unwrap_or("127.0.0.1:4650").to_string(),
-        workers: workers.max(1),
-        adopt,
-        cache_dir: std::path::PathBuf::from(opts.cache_dir()),
-        worker_threads: opts.flag_or("worker-threads", opts.threads()?)?,
-        worker_max_inflight: opts.flag_or("max-inflight", 64usize)?,
-        default_timeout_ms: opts.flag_or("timeout-ms", 30_000u64)?,
-        health_interval_ms: opts.flag_or("health-interval-ms", 250u64)?,
-        ..cbsp_cluster::ClusterConfig::default()
-    };
-    if config.worker_max_inflight == 0 {
-        return Err("--max-inflight must be > 0".into());
-    }
-    let cluster = cbsp_cluster::Cluster::start(config)?;
-    println!("cbsp-cluster routing on {}", cluster.addr());
-    for entry in cluster.shard_map().shards {
-        println!(
-            "  shard {} -> {} ({})",
-            entry.shard,
-            entry.addr,
-            if entry.spawned { "spawned" } else { "adopted" }
-        );
-    }
-    println!("  NDJSON protocol + GET /healthz, GET /metrics (docs/PROTOCOL.md)");
-    println!("  stop with: {{\"method\":\"server.shutdown\"}}");
-    cluster.wait()?;
     println!("drained; bye");
     Ok(())
 }

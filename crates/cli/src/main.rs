@@ -69,15 +69,9 @@ commands:
                                  evicts every lease — rebuilt on next use)
   serve                        run the simulation-point query daemon
       [--addr HOST:PORT] [--threads N] [--max-inflight N]
-      [--cache-dir DIR] [--timeout-ms N] [--shard-id N]
+      [--cache-dir DIR] [--timeout-ms N]
                                  (NDJSON over TCP plus GET /healthz and
                                  GET /metrics; see docs/PROTOCOL.md)
-      [--cluster N]              route across N spawned workers, each with
-                                 its own store shard (digest routing, health
-                                 checks, failover; docs/PROTOCOL.md)
-      [--shard-map FILE]         adopt externally started workers from a
-                                 shard-map JSON file instead of spawning
-      [--worker-threads N] [--health-interval-ms N]
 
 observability (any command):
   --trace-out FILE             write a Chrome trace-event JSON of the run

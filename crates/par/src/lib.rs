@@ -119,10 +119,9 @@ impl Pool {
     /// Stages with statically predictable cost (e.g. compiling a
     /// source program whose statement count is known) use this to skip
     /// pool fan-out entirely instead of paying more in spawn and queue
-    /// wait than the work itself costs — the `BENCH_simpoint.json`
-    /// compile stage regression that motivated it ran 4 jobs of ~15 µs
-    /// against ~100 µs of spawn overhead; the single-core gate fixed
-    /// the same artifact's map stage on one-vCPU CI runners.
+    /// wait than the work itself costs: a compile fan-out of 4 jobs of
+    /// ~15 µs each pays ~100 µs of spawn overhead, and on a single
+    /// hardware thread every fan-out is pure overhead.
     pub fn for_work(&self, estimated_serial_ns: u64) -> Pool {
         if estimated_serial_ns < PARALLEL_WORK_THRESHOLD_NS || available_threads() == 1 {
             Pool::serial()

@@ -8,6 +8,9 @@
 //! order; a connection thread blocks while its current request is in
 //! flight (pipelining across requests is done with multiple
 //! connections).
+//!
+//! Every line is read with a bound, [`MAX_LINE_BYTES`]: a client that
+//! never sends `\n` cannot grow the connection's buffer without limit.
 
 use crate::engine::{prepare_spec, Reply, Work};
 use crate::protocol::{
@@ -21,6 +24,49 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Longest line the daemon reads, terminator included: an NDJSON frame
+/// or an HTTP request or header line.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// What [`read_line`] found.
+enum Line {
+    /// The client closed the connection.
+    End,
+    /// A line of at most [`MAX_LINE_BYTES`], now in the buffer.
+    Read,
+    /// A longer line, discarded up to and including its `\n`.
+    TooLong,
+}
+
+/// Reads one line of at most [`MAX_LINE_BYTES`] into `line`. The rest
+/// of a longer line is skipped as it arrives, never buffered.
+fn read_line<R: BufRead>(reader: &mut R, line: &mut Vec<u8>) -> std::io::Result<Line> {
+    line.clear();
+    let n = reader
+        .by_ref()
+        .take(MAX_LINE_BYTES as u64)
+        .read_until(b'\n', line)?;
+    if n == 0 {
+        return Ok(Line::End);
+    }
+    if n < MAX_LINE_BYTES || line.ends_with(b"\n") {
+        return Ok(Line::Read);
+    }
+    line.clear();
+    loop {
+        let buf = reader.fill_buf()?;
+        if buf.is_empty() {
+            return Ok(Line::TooLong);
+        }
+        let newline = buf.iter().position(|&b| b == b'\n');
+        let n = newline.map_or(buf.len(), |i| i + 1);
+        reader.consume(n);
+        if newline.is_some() {
+            return Ok(Line::TooLong);
+        }
+    }
+}
+
 /// Serves one accepted connection to completion.
 pub(crate) fn handle(core: Arc<ServerCore>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
@@ -29,21 +75,33 @@ pub(crate) fn handle(core: Arc<ServerCore>, stream: TcpStream) {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => return,
-            Ok(_) => {}
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        if is_http_request_line(&line) {
-            serve_http(&core, line.clone(), &mut reader, &mut writer);
-            return;
-        }
-        let frame = handle_frame(&core, line.trim());
+        let frame = match read_line(&mut reader, &mut line) {
+            Ok(Line::End) | Err(_) => return,
+            Ok(Line::TooLong) => {
+                core.metrics.count_request("(invalid)");
+                core.metrics.count_error(ErrorCode::BadRequest.as_str());
+                err_frame(
+                    &Value::Null,
+                    ErrorCode::BadRequest,
+                    &format!("frame longer than {MAX_LINE_BYTES} bytes"),
+                )
+            }
+            Ok(Line::Read) => {
+                let Ok(text) = std::str::from_utf8(&line) else {
+                    return;
+                };
+                if text.trim().is_empty() {
+                    continue;
+                }
+                if is_http_request_line(text) {
+                    serve_http(&core, text, &mut reader, &mut writer);
+                    return;
+                }
+                handle_frame(&core, text.trim())
+            }
+        };
         if writer
             .write_all(frame.as_bytes())
             .and_then(|()| writer.write_all(b"\n"))
@@ -84,8 +142,8 @@ fn handle_frame(core: &Arc<ServerCore>, line: &str) -> String {
         Err((code, message)) => {
             core.metrics.count_error(code.as_str());
             if code == ErrorCode::Overloaded {
-                // Backpressure carries a backoff hint so clients (and
-                // the cluster router) wait instead of hot-retrying.
+                // Backpressure carries a backoff hint so clients wait
+                // instead of hot-retrying.
                 err_frame_retry(&request.id, code, &message, core.retry_after_ms())
             } else {
                 err_frame(&request.id, code, &message)
@@ -166,17 +224,16 @@ fn is_http_request_line(line: &str) -> bool {
 /// One-shot HTTP adapter: `GET /healthz` and `GET /metrics`.
 fn serve_http<R: Read>(
     core: &Arc<ServerCore>,
-    request_line: String,
+    request_line: &str,
     reader: &mut BufReader<R>,
     writer: &mut TcpStream,
 ) {
     // Drain headers; bodies are not accepted on these endpoints.
-    let mut header = String::new();
+    let mut header = Vec::new();
     loop {
-        header.clear();
-        match reader.read_line(&mut header) {
-            Ok(0) | Err(_) => break,
-            Ok(_) if header.trim().is_empty() => break,
+        match read_line(reader, &mut header) {
+            Ok(Line::End) | Err(_) => break,
+            Ok(Line::Read) if header.trim_ascii().is_empty() => break,
             Ok(_) => {}
         }
     }
@@ -188,12 +245,11 @@ fn serve_http<R: Read>(
             "200 OK",
             serde_json::to_string(&obj(vec![
                 ("status", Value::Str("ok".to_string())),
-                // Build version and uptime let operators (and the
-                // cluster router) detect mixed-version fleets and
-                // silent restarts from the probe they already run.
+                // Build version and uptime let operators detect
+                // mixed versions and silent restarts from the probe
+                // they already run.
                 ("version", Value::Str(env!("CARGO_PKG_VERSION").to_string())),
                 ("uptime_s", Value::UInt(core.uptime_s())),
-                ("shard", core.cfg.shard_id.map_or(Value::Null, Value::UInt)),
                 ("draining", Value::Bool(core.is_draining())),
             ]))
             .expect("healthz serializes"),

@@ -81,18 +81,43 @@ pub(crate) struct CachedRun {
 
 /// Completed runs the daemon keeps resident. Bounds memory, not
 /// correctness: an evicted run is recomputed from the store at the
-/// cost of one artifact read per stage. Public because the cluster
-/// bench sizes its working set against this capacity (a fleet of N
-/// workers holds N× as many warm runs — the capacity axis the
-/// `cluster` lane measures).
-pub const RESULT_CACHE_CAP: usize = 16;
+/// cost of one artifact read per stage. One daemon holding 64 runs
+/// served more warm requests per second than 4 workers holding 16 each
+/// (DESIGN.md, "Why the result cache holds 64 runs").
+pub(crate) const RESULT_CACHE_CAP: usize = 64;
 
 /// The result cache proper: keyed entries plus their FIFO insertion
 /// order (the eviction queue).
-#[derive(Default)]
-struct ResultCache {
+struct ResultCache<V> {
     order: VecDeque<String>,
-    entries: HashMap<String, Arc<CachedRun>>,
+    entries: HashMap<String, V>,
+}
+
+impl<V> Default for ResultCache<V> {
+    fn default() -> Self {
+        ResultCache {
+            order: VecDeque::new(),
+            entries: HashMap::new(),
+        }
+    }
+}
+
+impl<V> ResultCache<V> {
+    /// Inserts `value` under `key`, evicting the oldest keys beyond
+    /// [`RESULT_CACHE_CAP`]. A resident key keeps its place in the
+    /// eviction queue: a racing worker may insert the same key between
+    /// its lookup and here, and both values are identical.
+    fn insert(&mut self, key: String, value: V) {
+        if self.entries.insert(key.clone(), value).is_none() {
+            self.order.push_back(key);
+            while self.entries.len() > RESULT_CACHE_CAP {
+                let Some(evict) = self.order.pop_front() else {
+                    break;
+                };
+                self.entries.remove(&evict);
+            }
+        }
+    }
 }
 
 /// Warm per-process pipeline state shared by all workers.
@@ -103,7 +128,7 @@ pub(crate) struct Engine {
     pub threads: usize,
     /// Completed runs keyed by map-stage digest, FIFO-evicted at
     /// [`RESULT_CACHE_CAP`].
-    runs: Mutex<ResultCache>,
+    runs: Mutex<ResultCache<Arc<CachedRun>>>,
     /// Requests answered from the result cache (for `/metrics`).
     pub result_hits: AtomicU64,
     /// Requests that had to run the (store-backed) pipeline.
@@ -140,9 +165,7 @@ fn param_fuzzy(params: &Value) -> Result<Option<FuzzyConfig>, Fault> {
 
 /// `estimate.cpi` replays per-simpoint trace slices cut at exact
 /// marker boundaries, which the fuzzy fallback's instruction-offset
-/// windows do not follow — so the method is exact-lane only. Called by
-/// both the daemon and the cluster router so the rejection is
-/// byte-identical wherever it is produced.
+/// windows do not follow — so the method is exact-lane only.
 pub(crate) fn reject_fuzzy_estimate(spec: &PipelineSpec) -> Result<(), Fault> {
     if spec.config.fuzzy.is_some() {
         return Err(fault(
@@ -157,10 +180,7 @@ pub(crate) fn reject_fuzzy_estimate(spec: &PipelineSpec) -> Result<(), Fault> {
 /// Resolves `params` for one of the pipeline-shaped methods: compiles
 /// the benchmark's four binaries and derives the stage keys. Runs on
 /// the connection thread — costs microseconds, and produces the
-/// content digests admission needs for single-flight deduplication
-/// (and the cluster router needs for shard selection — see
-/// [`crate::route`]). A free function on purpose: routing a request
-/// must not require opening a store.
+/// content digests admission needs for single-flight deduplication.
 pub(crate) fn prepare_spec(params: &Value, detail_allowed: bool) -> Result<PipelineSpec, Fault> {
     let benchmark = param_str(params, "benchmark")?;
     let Some(workload) = workloads::by_name(&benchmark) else {
@@ -446,22 +466,10 @@ impl Engine {
             report,
         });
 
-        let mut cache = self.runs.lock().expect("result cache lock");
-        let ResultCache {
-            order,
-            entries: map,
-        } = &mut *cache;
-        // A racing worker may have inserted the same key between our
-        // lookup and here; both values are identical, last one wins.
-        if map.insert(cache_key.clone(), Arc::clone(&run)).is_none() {
-            order.push_back(cache_key);
-            while map.len() > RESULT_CACHE_CAP {
-                let Some(evict) = order.pop_front() else {
-                    break;
-                };
-                map.remove(&evict);
-            }
-        }
+        self.runs
+            .lock()
+            .expect("result cache lock")
+            .insert(cache_key, Arc::clone(&run));
         Ok(run)
     }
 }
@@ -513,4 +521,38 @@ fn summary_fields(spec: &PipelineSpec, run: &CachedRun) -> Vec<(String, Value)> 
 
 fn internal(e: impl std::fmt::Display) -> Fault {
     fault(ErrorCode::Internal, format!("{e}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{ResultCache, RESULT_CACHE_CAP};
+
+    #[test]
+    fn result_cache_holds_at_most_its_cap_and_evicts_first_in_first() {
+        let mut cache = ResultCache::default();
+        for i in 0..=RESULT_CACHE_CAP {
+            cache.insert(format!("k{i}"), i);
+        }
+        assert_eq!(cache.entries.len(), RESULT_CACHE_CAP);
+        assert_eq!(cache.order.len(), RESULT_CACHE_CAP);
+        assert!(!cache.entries.contains_key("k0"));
+        assert!(cache.entries.contains_key("k1"));
+        assert!(cache.entries.contains_key(&format!("k{RESULT_CACHE_CAP}")));
+    }
+
+    #[test]
+    fn reinserting_a_resident_key_neither_grows_nor_evicts() {
+        let mut cache = ResultCache::default();
+        for i in 0..RESULT_CACHE_CAP {
+            cache.insert(format!("k{i}"), i);
+        }
+        cache.insert("k0".to_string(), 0);
+        assert_eq!(cache.order.len(), RESULT_CACHE_CAP);
+        assert_eq!(cache.entries.len(), RESULT_CACHE_CAP);
+        assert_eq!(cache.order.front().map(String::as_str), Some("k0"));
+        // The next new key still evicts k0 first.
+        cache.insert("new".to_string(), RESULT_CACHE_CAP);
+        assert!(!cache.entries.contains_key("k0"));
+        assert!(cache.entries.contains_key("k1"));
+    }
 }

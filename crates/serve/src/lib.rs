@@ -52,8 +52,6 @@ mod conn;
 mod engine;
 pub mod metrics;
 pub mod protocol;
-pub mod route;
 mod server;
 
-pub use engine::RESULT_CACHE_CAP;
 pub use server::{ServeConfig, Server};

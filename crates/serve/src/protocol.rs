@@ -48,10 +48,6 @@ pub enum ErrorCode {
     ShuttingDown,
     /// The server failed internally; the request may not have executed.
     Internal,
-    /// No worker can take the request right now (cluster router only:
-    /// every replica-eligible shard was down, draining, or overloaded
-    /// past its retry budget). The request was not executed.
-    Unavailable,
 }
 
 impl ErrorCode {
@@ -64,7 +60,6 @@ impl ErrorCode {
             ErrorCode::Timeout => "timeout",
             ErrorCode::ShuttingDown => "shutting_down",
             ErrorCode::Internal => "internal",
-            ErrorCode::Unavailable => "unavailable",
         }
     }
 }
@@ -175,9 +170,8 @@ pub fn err_frame(id: &Value, code: ErrorCode, message: &str) -> String {
 
 /// Serializes an error response frame carrying a `retry_after_ms`
 /// backoff hint (no trailing newline). Used for `overloaded`: the
-/// server suggests how long a well-behaved client (or the cluster
-/// router) should wait before retrying this node, derived from the
-/// current queue depth.
+/// server suggests how long a well-behaved client should wait before
+/// retrying, derived from the current queue depth.
 pub fn err_frame_retry(id: &Value, code: ErrorCode, message: &str, retry_after_ms: u64) -> String {
     frame(
         id,

@@ -66,12 +66,6 @@ pub struct ServeConfig {
     /// (`store.stats`) from stalling behind a long pipeline while still
     /// letting batches form.
     pub workers: usize,
-    /// Shard identity when this daemon serves as one worker of a
-    /// `cbsp-cluster` fleet (spawned by the router, or started
-    /// standalone with `--shard-id` for adoption). Surfaced in
-    /// `GET /healthz` so the router can verify it is talking to the
-    /// worker it thinks it is; `None` for a standalone daemon.
-    pub shard_id: Option<u64>,
 }
 
 impl Default for ServeConfig {
@@ -84,7 +78,6 @@ impl Default for ServeConfig {
             default_timeout_ms: 30_000,
             batch_max: 8,
             workers: 2,
-            shard_id: None,
         }
     }
 }
@@ -135,7 +128,7 @@ impl ServerCore {
     }
 
     /// Whole seconds since [`Server::start`] — the `/healthz` uptime
-    /// field operators (and the cluster router) use to spot restarts.
+    /// field operators use to spot restarts.
     pub fn uptime_s(&self) -> u64 {
         self.started.elapsed().as_secs()
     }

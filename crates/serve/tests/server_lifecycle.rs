@@ -1,7 +1,7 @@
 //! End-to-end tests of the daemon: lifecycle, mixed queries,
 //! single-flight deduplication observed through `/metrics`, typed
-//! backpressure, deadline enforcement, graceful drain, and
-//! byte-identity of served results across thread counts.
+//! backpressure, deadline enforcement, graceful drain, bounded frame
+//! length, and byte-identity of served results across thread counts.
 
 use cbsp_serve::{ServeConfig, Server};
 use serde::Value;
@@ -249,6 +249,24 @@ fn mixed_queries_singleflight_and_metrics() {
         "timeout"
     );
 
+    server.shutdown();
+    server.wait().expect("clean drain");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn an_oversized_frame_is_a_typed_error_and_the_session_continues() {
+    let (server, addr, dir) = start("oversized", |_| {});
+    let mut client = Client::connect(addr);
+    let pad = "x".repeat(2 << 20);
+    client.send(&format!(r#"{{"id":1,"method":"ping","pad":"{pad}"}}"#));
+    let reply = client.recv();
+    assert_eq!(error_code(&reply), "bad_request");
+    assert_eq!(field(&parse(&reply), "id"), &Value::Null);
+    assert_eq!(
+        client.request(r#"{"id":2,"method":"ping"}"#),
+        r#"{"id":2,"ok":true,"v":1,"result":{"pong":true}}"#
+    );
     server.shutdown();
     server.wait().expect("clean drain");
     let _ = std::fs::remove_dir_all(dir);
