@@ -8,8 +8,7 @@
 
 use cbsp_core::{relative_error, run_cross_binary, weighted_cpi_with, CbspConfig};
 use cbsp_program::{compile, workloads, Binary, CompileTarget, Input, Scale};
-use cbsp_sim::{replay_marker_sliced, CacheLevelConfig, IntervalSim, MemoryConfig};
-use cbsp_store::TraceCache;
+use cbsp_sim::{simulate_marker_sliced, CacheLevelConfig, IntervalSim, MemoryConfig};
 use std::fmt::Write as _;
 
 /// A named architecture variant.
@@ -103,10 +102,7 @@ pub fn sweep_benchmark(
     let result = run_cross_binary(&binaries.iter().collect::<Vec<_>>(), &input, &config)
         .expect("pipeline succeeds");
 
-    // Each binary is interpreted exactly once; every (arch, binary)
-    // cell below is a replay of that recording — the trace carries the
-    // branch stream too, so predictor-equipped designs replay exactly.
-    let traces = TraceCache::in_memory();
+    // Each (arch, binary) cell is one detailed simulation of the binary.
     let mut cpi_err = Vec::with_capacity(archs.len());
     let mut true_cpi_32o = Vec::with_capacity(archs.len());
     let mut best_true = (f64::INFINITY, usize::MAX, usize::MAX);
@@ -114,11 +110,8 @@ pub fn sweep_benchmark(
     for (ai, arch) in archs.iter().enumerate() {
         let mut err = 0.0;
         for (b, bin) in binaries.iter().enumerate() {
-            let trace = traces
-                .get_or_record(bin, &input)
-                .expect("in-memory trace cache is infallible");
-            let (full, mut ivs) = replay_marker_sliced(&trace, &arch.config, &result.boundaries[b])
-                .expect("recorded trace decodes");
+            let (full, mut ivs) =
+                simulate_marker_sliced(bin, &input, &arch.config, &result.boundaries[b]);
             ivs.resize(result.interval_count(), IntervalSim::default());
             let cpis: Vec<f64> = ivs.iter().map(IntervalSim::cpi).collect();
             let est = weighted_cpi_with(&result.simpoint.points, &result.weights[b], &cpis);

@@ -4,7 +4,7 @@
 //! experiments [all|table1|fig1|fig2|fig3|fig4|fig5|table2|table3]
 //!             [--scale test|train|ref] [--interval N]
 //!             [--benchmarks a,b,c] [--threads N] [--json FILE]
-//!             [--cache-dir DIR] [--no-trace-cache]
+//!             [--cache-dir DIR]
 //! ```
 //!
 //! CI regression gates (exit 0 = pass, 1 = regression, 2 = usage):
@@ -57,9 +57,6 @@ struct Options {
     threads: usize,
     json: Option<String>,
     cache_dir: Option<String>,
-    /// `false` (`--no-trace-cache`) disables persisting/reusing event
-    /// traces and replay leases in the store.
-    trace_cache: bool,
     /// Estimator lanes to evaluate head-to-head (empty = none).
     estimators: Vec<EstimatorConfig>,
     /// Fuzzy-mapping lane acceptance threshold (`None` = lane off).
@@ -78,7 +75,6 @@ fn parse_args() -> Options {
         threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
         json: None,
         cache_dir: None,
-        trace_cache: true,
         estimators: Vec::new(),
         fuzzy: None,
         reference: "results_ref.json".to_string(),
@@ -125,9 +121,6 @@ fn parse_args() -> Options {
                         .unwrap_or_else(|| die("--cache-dir needs a path")),
                 );
             }
-            "--no-trace-cache" => {
-                opts.trace_cache = false;
-            }
             "--estimators" => {
                 opts.estimators = args
                     .next()
@@ -171,8 +164,7 @@ fn parse_args() -> Options {
                     "usage: experiments [all|table1|fig1..fig5|table2|table3|mpki|ablation|archsweep|warmup|softmarkers|seeds|fuzzy|accuracy-gate|bench-gate PARENT_BIN CHANGE_BIN] \
                      [--scale test|train|ref] [--interval N] \
                      [--benchmarks a,b,c] [--threads N] [--json FILE] [--cache-dir DIR] \
-                     [--no-trace-cache] [--estimators a,b,c] [--fuzzy[=T]] [--ref FILE] \
-                     [--tolerance T]"
+                     [--estimators a,b,c] [--fuzzy[=T]] [--ref FILE] [--tolerance T]"
                 );
                 std::process::exit(0);
             }
@@ -502,7 +494,6 @@ fn main() {
                 &mem,
                 opts.threads,
                 store,
-                opts.trace_cache,
                 &opts.estimators,
             );
             if let Some(threshold) = opts.fuzzy {
@@ -577,7 +568,6 @@ fn main() {
         &mem,
         opts.threads,
         store,
-        opts.trace_cache,
         &opts.estimators,
     );
     if !results.estimators.is_empty() {

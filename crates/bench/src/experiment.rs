@@ -213,40 +213,29 @@ pub fn evaluate_benchmark_with(
     mem: &MemoryConfig,
     store: Option<&ArtifactStore>,
 ) -> BenchmarkRun {
-    evaluate_benchmark_pooled(name, scale, interval_target, mem, store, &Pool::auto())
-}
-
-/// [`evaluate_benchmark_with`] with explicit parallelism: compilation,
-/// the cross-binary pipeline, the per-binary FLI analyses, and the
-/// detailed simulations all fan out over `pool`. Results are
-/// bit-identical at any pool size.
-///
-/// # Panics
-///
-/// Panics if `name` is not in the workload suite or the store fails.
-pub fn evaluate_benchmark_pooled(
-    name: &str,
-    scale: Scale,
-    interval_target: u64,
-    mem: &MemoryConfig,
-    store: Option<&ArtifactStore>,
-    pool: &Pool,
-) -> BenchmarkRun {
     let traces = TraceCache::new(store);
-    evaluate_benchmark_cached(name, scale, interval_target, mem, store, &traces, pool)
+    evaluate_benchmark_cached(
+        name,
+        scale,
+        interval_target,
+        mem,
+        store,
+        &traces,
+        &Pool::auto(),
+    )
 }
 
-/// [`evaluate_benchmark_pooled`] with an explicit [`TraceCache`]: each
-/// `(binary, input)` pair is interpreted (and recorded) at most once
-/// per cache, and one pool-parallel replay of each recorded trace
-/// yields both detailed slicings
-/// ([`TraceCache::replay_sliced_both_all`]). When the cache has a
-/// store tier, those simulations are a replay lease: a later
+/// [`evaluate_benchmark_with`] with an explicit [`TraceCache`] and
+/// parallelism: compilation, the cross-binary pipeline, the per-binary
+/// FLI analyses, and the detailed simulations all fan out over `pool`,
+/// and results are bit-identical at any pool size. Each binary is
+/// simulated once, straight from the interpreter, into both detailed
+/// slicings ([`TraceCache::replay_sliced_both_all`]). When the cache
+/// has a store tier, those simulations are a replay lease: a later
 /// evaluation of the same binaries, input, memory configuration,
 /// boundaries and interval target reads them back instead of
-/// replaying. Pass a cache without a persistent tier to keep
-/// pipeline-stage caching while opting out of on-disk traces and
-/// replay leases.
+/// simulating. Pass a cache without a persistent tier to keep
+/// pipeline-stage caching while opting out of replay leases.
 ///
 /// # Panics
 ///
@@ -304,10 +293,10 @@ pub fn evaluate_benchmark_cached(
         run_per_binary(&binaries[b], &input, interval_target, &fli_config)
     });
 
-    // Detailed simulation, sliced both ways: one replay of each
-    // binary's recorded trace yields both slicings. With a store tier
-    // the four results are one replay lease, so a warm evaluation reads
-    // them back and touches no trace.
+    // Detailed simulation, sliced both ways: one run of each binary
+    // yields both slicings. With a store tier the four results are one
+    // replay lease, so a warm evaluation reads them back and simulates
+    // nothing.
     let sims = traces
         .replay_sliced_both_all(
             &bin_refs,
@@ -553,11 +542,11 @@ mod tests {
         assert!(e.mappable_points > 0);
     }
 
-    /// Asserts exact counters, so every test in this crate that replays
-    /// holds `cbsp_trace::test_lock()`: a concurrent replay would land
-    /// in this count.
+    /// Asserts exact counters, so every test in this crate that
+    /// simulates holds `cbsp_trace::test_lock()`: a concurrent
+    /// simulation would land in this count.
     #[test]
-    fn evaluation_replays_each_binary_once() {
+    fn evaluation_simulates_each_binary_once() {
         let _guard = cbsp_trace::test_lock();
         let traces = TraceCache::in_memory();
         cbsp_trace::enable();
@@ -574,17 +563,19 @@ mod tests {
         let counters = cbsp_trace::snapshot().counters;
         cbsp_trace::disable();
         cbsp_trace::reset();
+        assert_eq!(counters.get("sim/replays"), None, "no trace is replayed");
         assert_eq!(
-            counters.get("sim/replays"),
-            Some(&4),
-            "one replay per binary feeds both slicings"
+            counters.get("sim/record_bytes"),
+            None,
+            "no trace is recorded"
         );
+        // One run per binary feeds both slicings.
         let instructions: u64 = run.eval.true_stats.iter().map(|s| s.instructions).sum();
         assert_eq!(counters.get("sim/instructions"), Some(&instructions));
     }
 
     /// A warm-store evaluation reads its detailed simulations back from
-    /// the replay lease: no replay, no trace loaded, same result.
+    /// the replay lease: no simulation, no trace loaded, same result.
     #[test]
     fn warm_store_evaluation_replays_nothing() {
         let _guard = cbsp_trace::test_lock();

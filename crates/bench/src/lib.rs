@@ -38,9 +38,8 @@ pub use ablation::{run_ablations, standard_variants, Variant, VariantResult};
 pub use archsweep::{standard_archs, sweep_benchmark, ArchSweepRow, ArchVariant};
 pub use estimators::{lane_rows, render_lanes, EstimatorLane, LaneBenchmark};
 pub use experiment::{
-    evaluate_benchmark, evaluate_benchmark_cached, evaluate_benchmark_pooled,
-    evaluate_benchmark_with, mpki_eval, phase_bias, BenchmarkEval, BenchmarkRun, MpkiEval, Pair,
-    PhaseBias, PhaseRow, SchemeEval,
+    evaluate_benchmark, evaluate_benchmark_cached, evaluate_benchmark_with, mpki_eval, phase_bias,
+    BenchmarkEval, BenchmarkRun, MpkiEval, Pair, PhaseBias, PhaseRow, SchemeEval,
 };
 pub use fuzzy_lane::{
     destroyed_binaries, fuzzy_benchmark, render_fuzzy, run_fuzzy_lane, FuzzyBenchmark, FuzzyLane,

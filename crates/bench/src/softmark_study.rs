@@ -9,7 +9,7 @@ use cbsp_core::{
 };
 use cbsp_profile::MarkerRef;
 use cbsp_program::{compile, workloads, CompileTarget, Input, Scale};
-use cbsp_sim::{record_trace, replay_sliced_both, IntervalSim, MemoryConfig};
+use cbsp_sim::{simulate_sliced_both, IntervalSim, MemoryConfig};
 use cbsp_simpoint::{analyze, SimPointConfig};
 use std::fmt::Write as _;
 
@@ -64,11 +64,8 @@ pub fn softmark_benchmark(name: &str, scale: Scale, interval_target: u64) -> Sof
         })
         .unwrap_or_default();
 
-    // One recording and one detailed replay of the 64o binary serve
-    // both slicings.
-    let trace = record_trace(&bin, &input);
-    let sim = replay_sliced_both(&trace, &mem, &boundaries, interval_target)
-        .expect("recorded trace decodes");
+    // One detailed simulation of the 64o binary serves both slicings.
+    let sim = simulate_sliced_both(&bin, &input, &mem, &boundaries, interval_target);
     let full = sim.stats;
 
     // FLI baseline.

@@ -71,28 +71,13 @@ pub fn run_suite_with(
     threads: usize,
     store: Option<&ArtifactStore>,
 ) -> SuiteResults {
-    run_suite_opts(
-        names,
-        scale,
-        interval_target,
-        mem,
-        threads,
-        store,
-        true,
-        &[],
-    )
+    run_suite_opts(names, scale, interval_target, mem, threads, store, &[])
 }
 
-/// [`run_suite_with`] with the trace cache and estimator lanes made
-/// explicit. When `trace_cache` is false (`--no-trace-cache`), event
-/// traces are still recorded once and replayed within each evaluation
-/// (the engine's core mechanism), but neither the traces nor the replay
-/// leases are persisted to — or served from — the artifact store, so a
-/// fresh run re-interprets and re-simulates every binary even with
-/// `--cache-dir` set. Each entry of `estimators` adds a head-to-head
-/// lane to [`SuiteResults::estimators`], re-using every benchmark's
-/// detailed simulations (only clustering reruns per lane).
-#[allow(clippy::too_many_arguments)]
+/// [`run_suite_with`] with estimator lanes: each entry of `estimators`
+/// adds a head-to-head lane to [`SuiteResults::estimators`], re-using
+/// every benchmark's detailed simulations (only clustering reruns per
+/// lane).
 pub fn run_suite_opts(
     names: &[String],
     scale: Scale,
@@ -100,7 +85,6 @@ pub fn run_suite_opts(
     mem: &MemoryConfig,
     threads: usize,
     store: Option<&ArtifactStore>,
-    trace_cache: bool,
     estimators: &[EstimatorConfig],
 ) -> SuiteResults {
     let selected: Vec<&'static str> = if names.is_empty() {
@@ -122,10 +106,9 @@ pub fn run_suite_opts(
     let budget = Pool::new(threads.max(1));
     let outer = Pool::new(budget.threads().min(selected.len().max(1)));
     let inner = budget.split(outer.threads());
-    let trace_store = if trace_cache { store } else { None };
     let done = AtomicUsize::new(0);
     let evaluated = outer.run_indexed(selected.len(), |i| {
-        let traces = TraceCache::new(trace_store);
+        let traces = TraceCache::new(store);
         let run = evaluate_benchmark_cached(
             selected[i],
             scale,

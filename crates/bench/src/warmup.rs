@@ -11,7 +11,7 @@
 use cbsp_core::{run_cross_binary, CbspConfig};
 use cbsp_program::{compile, workloads, Binary, CompileTarget, Input, Scale};
 use cbsp_sim::{
-    estimate_cpi_from_regions, record_trace, replay_full, replay_regions_with, MemoryConfig, Warmup,
+    estimate_cpi_from_regions, simulate_full, simulate_regions_with, MemoryConfig, Warmup,
 };
 use std::fmt::Write as _;
 
@@ -64,11 +64,10 @@ pub fn warmup_benchmark(name: &str, scale: Scale, interval_target: u64) -> Warmu
     let mem = MemoryConfig::table1();
     let b = 1; // the 32o binary
     let file = result.pinpoints_for(b, &binaries[b], &input);
-    // One recording serves the warm, cold, and full-run simulations.
-    let trace = record_trace(&binaries[b], &input);
-    let warm = replay_regions_with(&trace, &mem, &file, Warmup::Functional).expect("trace decodes");
-    let cold = replay_regions_with(&trace, &mem, &file, Warmup::Cold).expect("trace decodes");
-    let full = replay_full(&trace, &mem).expect("trace decodes");
+    let bin = &binaries[b];
+    let warm = simulate_regions_with(bin, &input, &mem, &file, Warmup::Functional);
+    let cold = simulate_regions_with(bin, &input, &mem, &file, Warmup::Cold);
+    let full = simulate_full(bin, &input, &mem);
     WarmupRow {
         name: name.to_string(),
         true_cpi: full.cpi(),

@@ -572,12 +572,13 @@ pub fn estimate(opts: &Opts) -> Result<(), String> {
 ///
 /// The store holds pipeline stage artifacts (referenced by run
 /// manifests) and leases ([`cbsp_store::LEASE_STAGES`]), which no run
-/// manifest references: recorded event traces under `trace`,
-/// sliced-trace manifests under `trace_slice`, and the detailed
-/// simulations of experiment evaluations under `replay`. `stats`
-/// reports each population separately; `gc` keeps manifest-referenced
-/// artifacts and evicts every lease — they re-record, re-slice or
-/// re-simulate transparently on next use.
+/// manifest references: sliced-trace manifests under `trace_slice`,
+/// the detailed simulations of experiment evaluations under `replay`,
+/// and whole recorded traces under `trace`, which only older versions
+/// and the benchmark's probes write. `stats` reports each population
+/// separately; `gc` keeps manifest-referenced artifacts and evicts
+/// every lease — slices and replay leases are rebuilt transparently on
+/// next use, and nothing reads whole traces back.
 pub fn cache(opts: &Opts) -> Result<(), String> {
     let action = opts.positional(0, "cache action (stats|gc)")?;
     let store = ArtifactStore::open(opts.cache_dir()).map_err(|e| e.to_string())?;
@@ -602,7 +603,7 @@ pub fn cache(opts: &Opts) -> Result<(), String> {
             let slices = lease(cbsp_store::TRACE_SLICE_STAGE);
             let replays = lease(cbsp_store::REPLAY_STAGE);
             println!(
-                "  trace cache:     {} artifacts, {} bytes (evicted by gc, re-recorded on use)",
+                "  trace cache:     {} artifacts, {} bytes (evicted by gc, unused by evaluations)",
                 traces.artifacts, traces.bytes
             );
             println!(
@@ -664,7 +665,8 @@ pub fn cache(opts: &Opts) -> Result<(), String> {
             );
             println!(
                 "note: removal includes every lease — recorded traces, sliced traces and \
-                 replay leases (no manifest references them); they are rebuilt on next use"
+                 replay leases (no manifest references them); slices and replay leases are \
+                 rebuilt on next use"
             );
             Ok(())
         }

@@ -235,9 +235,10 @@ fn cross_serves_warm_run_from_cache() {
     assert!(gc.contains("removed 0 artifacts"), "{gc}");
     assert!(gc.contains("kept 8"), "{gc}");
 
-    // Add leases as an experiment evaluation leaves them: four recorded
-    // traces and one replay lease. They are reported apart from the
-    // pipeline stages and the estimator lanes, and gc evicts them.
+    // Add leases: four recorded traces, as older versions left them,
+    // and the replay lease of an experiment evaluation. They are
+    // reported apart from the pipeline stages and the estimator lanes,
+    // and gc evicts them.
     let prog = cbsp_program::workloads::by_name("mcf")
         .expect("in suite")
         .build(cbsp_program::Scale::Test);
@@ -247,7 +248,13 @@ fn cross_serves_warm_run_from_cache() {
         .collect();
     let refs: Vec<_> = bins.iter().collect();
     let store = cbsp_store::ArtifactStore::open(dir.join("store")).expect("store opens");
-    cbsp_store::TraceCache::new(Some(&store))
+    let traces = cbsp_store::TraceCache::new(Some(&store));
+    for bin in &bins {
+        traces
+            .get_or_record(bin, &cbsp_program::Input::test())
+            .expect("records");
+    }
+    traces
         .replay_sliced_both_all(
             &refs,
             &cbsp_program::Input::test(),
@@ -256,7 +263,7 @@ fn cross_serves_warm_run_from_cache() {
             20_000,
             &cbsp_par::Pool::new(1),
         )
-        .expect("replays");
+        .expect("simulates");
     let stats = assert_ok(
         &cbsp(&dir, &["cache", "stats", "--cache-dir", "store"]),
         "stats with leases",

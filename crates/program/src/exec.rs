@@ -81,41 +81,6 @@ impl TraceSink for NullSink {
     fn on_block(&mut self, _: BlockId, _: u64) {}
 }
 
-/// Fans events out to two sinks.
-#[derive(Debug)]
-pub struct TeeSink<'a, A, B> {
-    /// First sink.
-    pub a: &'a mut A,
-    /// Second sink.
-    pub b: &'a mut B,
-}
-
-impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<'_, A, B> {
-    #[inline]
-    fn on_block(&mut self, block: BlockId, instrs: u64) {
-        self.a.on_block(block, instrs);
-        self.b.on_block(block, instrs);
-    }
-
-    #[inline]
-    fn on_branch(&mut self, branch: u64, taken: bool) {
-        self.a.on_branch(branch, taken);
-        self.b.on_branch(branch, taken);
-    }
-
-    #[inline]
-    fn on_access(&mut self, addr: u64, is_write: bool) {
-        self.a.on_access(addr, is_write);
-        self.b.on_access(addr, is_write);
-    }
-
-    #[inline]
-    fn on_marker(&mut self, marker: Marker) {
-        self.a.on_marker(marker);
-        self.b.on_marker(marker);
-    }
-}
-
 /// Aggregate counts of one execution.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ExecSummary {
@@ -596,48 +561,6 @@ mod tests {
         let ratio = o0.instructions as f64 / o2.instructions as f64;
         assert!(ratio > 2.0, "O0/O2 instruction ratio {ratio}");
         assert!(o0.accesses > o2.accesses, "spill traffic adds accesses");
-    }
-
-    #[test]
-    fn tee_sink_duplicates_every_event() {
-        #[derive(Default, PartialEq, Debug)]
-        struct Counter {
-            blocks: u64,
-            accesses: u64,
-            markers: u64,
-        }
-        impl TraceSink for Counter {
-            fn on_block(&mut self, _: BlockId, _: u64) {
-                self.blocks += 1;
-            }
-            fn on_access(&mut self, _: u64, _: bool) {
-                self.accesses += 1;
-            }
-            fn on_marker(&mut self, _: Marker) {
-                self.markers += 1;
-            }
-        }
-        let mut b = ProgramBuilder::new("t");
-        let arr = b.array_i32("a", 64);
-        b.proc("main", |p| {
-            p.loop_fixed(5, |body| {
-                body.compute(10, |k| {
-                    k.seq(arr, 3);
-                });
-            });
-        });
-        let bin = compile(&b.finish(), CompileTarget::W32_O0);
-        let (mut x, mut y) = (Counter::default(), Counter::default());
-        run(
-            &bin,
-            &Input::test(),
-            &mut TeeSink {
-                a: &mut x,
-                b: &mut y,
-            },
-        );
-        assert_eq!(x, y);
-        assert!(x.blocks > 0 && x.accesses > 0 && x.markers > 0);
     }
 
     #[test]

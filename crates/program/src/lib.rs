@@ -53,7 +53,7 @@ pub use builder::{BodyBuilder, KernelBuilder, ProgramBuilder};
 pub use compiler::{
     compile, compile_cost_estimate_ns, compile_with, CompileOptions, CompileTarget, OptLevel, Width,
 };
-pub use exec::{run, ExecSummary, Marker, NullSink, TeeSink, TraceSink};
+pub use exec::{run, ExecSummary, Marker, NullSink, TraceSink};
 pub use ids::{ArrayId, BinLoopId, BinProcId, BlockId, Line, LoopId, ProcId};
 pub use input::{Input, Scale};
 pub use memory::{ArrayDecl, ArrayOp, ElemKind, OpKind};

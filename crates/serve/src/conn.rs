@@ -287,10 +287,6 @@ fn metrics_body(core: &Arc<ServerCore>) -> String {
         }
     };
     let (store_hits, store_misses) = (counter("store/hits"), counter("store/misses"));
-    let (trace_hits, trace_misses) = (
-        counter("sim/trace_cache_hits"),
-        counter("sim/trace_cache_misses"),
-    );
     let singleflight = core.metrics.singleflight_hits.load(Ordering::Relaxed);
     let requests = core.metrics.requests.load(Ordering::Relaxed);
     let result_hits = core.engine.result_hits.load(Ordering::Relaxed);
@@ -301,12 +297,6 @@ fn metrics_body(core: &Arc<ServerCore>) -> String {
         (
             "store_hit_ratio",
             Value::Float(ratio(store_hits, store_misses)),
-        ),
-        ("trace_hits", Value::UInt(trace_hits)),
-        ("trace_misses", Value::UInt(trace_misses)),
-        (
-            "trace_hit_ratio",
-            Value::Float(ratio(trace_hits, trace_misses)),
         ),
         ("result_hits", Value::UInt(result_hits)),
         ("result_misses", Value::UInt(result_misses)),

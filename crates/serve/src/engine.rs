@@ -54,7 +54,7 @@ pub(crate) struct PipelineSpec {
 pub(crate) enum Work {
     /// `pipeline.run` — batchable.
     Pipeline(Box<PipelineSpec>),
-    /// `estimate.cpi` — pipeline plus trace replays.
+    /// `estimate.cpi` — pipeline plus slice replays.
     Estimate(Box<PipelineSpec>),
     /// `simpoints.get` — store lookup by derived key, never computes.
     Simpoints(Box<PipelineSpec>),
@@ -289,8 +289,8 @@ impl Engine {
 
     /// Runs the pipeline, then computes each binary's true and
     /// SimPoint-estimated CPI from its per-simpoint trace slices: warm
-    /// requests replay kilobytes of slice payload instead of the full
-    /// recorded trace (see DESIGN.md "Sliced traces").
+    /// requests replay kilobytes of slice payload instead of simulating
+    /// the whole run (see DESIGN.md "Sliced traces").
     pub fn execute_estimate(&self, spec: &PipelineSpec, deadline: Instant) -> Reply {
         let run = self.run_cross(spec, self.threads, deadline)?;
         let cross = &run.cross;

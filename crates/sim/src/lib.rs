@@ -7,16 +7,23 @@
 //!
 //! Cycles = instructions + Σ per-access latency of the servicing level.
 //!
-//! Three drivers:
+//! Every driver interprets the binary straight into a simulator sink:
 //! * [`simulate_full`] — whole-program ground truth;
 //! * [`simulate_fli_sliced`] — the same run, reported per fixed-length
 //!   interval (for per-binary SimPoint evaluation);
 //! * [`simulate_marker_sliced`] — the same run, reported per mapped
-//!   marker-bounded interval (for cross-binary SimPoint evaluation).
+//!   marker-bounded interval (for cross-binary SimPoint evaluation);
+//! * [`simulate_sliced_both`] — both slicings from one run;
+//! * [`simulate_regions`] — only the regions of a PinPoints file;
+//! * [`slice_trace`] — the marker slicing, plus one recorded
+//!   [`TraceSlice`] per selected interval, which [`replay_slice`]
+//!   simulates again from its state checkpoint alone.
 //!
-//! Each has a `replay_*` twin that simulates a recorded
-//! [`EventTrace`] instead of interpreting the binary, and
-//! [`replay_sliced_both`] reports both slicings from one replay.
+//! Slices are the only recorded event streams the pipeline reads back:
+//! decoding a whole recorded [`EventTrace`] costs about as much as
+//! interpreting the binary, so no driver records one. Whole-trace
+//! recording and [`replay_full`] stay for the end-to-end benchmark's
+//! probes.
 //!
 //! ## Example
 //!
@@ -48,19 +55,14 @@ pub use branch::{BranchConfig, Gshare};
 pub use cache::{AccessOutcome, Cache};
 pub use config::{CacheLevelConfig, MemoryConfig, Replacement};
 pub use hierarchy::{Hierarchy, ServicedBy};
-pub use record::{record_trace, record_trace_with, EventTrace, RecordSink};
+pub use record::{record_trace, EventTrace, RecordSink};
 pub use regions::{
-    estimate_cpi_from_regions, simulate_regions, simulate_regions_all, simulate_regions_with,
-    RegionStats, Warmup,
+    estimate_cpi_from_regions, simulate_regions, simulate_regions_with, RegionStats, Warmup,
 };
-pub use replay::{
-    replay, replay_bytes, replay_fli_sliced, replay_full, replay_marker_sliced, replay_regions,
-    replay_regions_with, replay_sliced_both, TraceError,
-};
+pub use replay::{replay, replay_full, TraceError};
 pub use runner::{
-    simulate_fli_sliced, simulate_fli_sliced_all, simulate_full, simulate_full_all,
-    simulate_marker_sliced, simulate_marker_sliced_all, BothSlicings, FliSlicedSim, FullSim,
-    MarkerSlicedSim,
+    simulate_fli_sliced, simulate_full, simulate_marker_sliced, simulate_sliced_both, BothSlicings,
+    FliSlicedSim, FullSim, MarkerSlicedSim,
 };
 pub use slice::{replay_slice, slice_trace, SlicedTrace, TraceSlice};
 pub use stats::{IntervalSim, LevelStats, SimStats};

@@ -1,14 +1,15 @@
-//! Event-trace capture: record one execution's event stream into a
-//! compact buffer that can be replayed into any [`TraceSink`].
+//! Event-trace capture: record an event stream into a compact buffer
+//! that can be replayed into any [`TraceSink`].
 //!
-//! This is the record half of the paper's record-once/replay-many tool
-//! chain (§4): Pin instruments the binary once, and every analysis —
-//! CMP$im with different configurations, region extraction, warmup
-//! studies — consumes the recorded stream without re-running the
-//! program. Here [`RecordSink`] captures the executor's four event
-//! kinds (block, access, marker, branch) and [`replay`](crate::replay::replay) feeds
-//! them back into a sink with none of the interpreter's control-flow,
-//! occurrence-counter, or address-generation overhead.
+//! [`RecordSink`] captures the executor's four event kinds (block,
+//! access, marker, branch) and [`replay`](crate::replay::replay) feeds
+//! them back into a sink. Every simulation driver interprets the binary
+//! directly — decoding a whole recorded trace is no faster than
+//! re-interpreting it — so the encoding's job is the per-simpoint
+//! slice (see [`crate::slice`]): a stored slice re-encodes one
+//! interval's events, and a warm CPI estimate decodes kilobytes of them
+//! instead of running the program. [`record_trace`] records a whole
+//! execution for the benchmark's decode and blob-throughput probes.
 //!
 //! # Encoding
 //!
@@ -40,7 +41,7 @@
 //! sized without the original [`Binary`]) and the event count (so
 //! truncation is detectable).
 
-use cbsp_program::{run, Binary, ExecSummary, Input, Marker, TeeSink, TraceSink};
+use cbsp_program::{run, Binary, Input, Marker, TraceSink};
 
 /// Event-kind tag stored in the low two bits of each head varint.
 pub(crate) const TAG_BLOCK: u64 = 0b00;
@@ -78,8 +79,8 @@ pub(crate) fn push_varint(buf: &mut Vec<u8>, mut v: u64) {
     buf.push(v as u8);
 }
 
-/// A recorded execution: the complete event stream of one
-/// `(binary, input)` run in the encoding described in the
+/// A recorded event stream — a whole `(binary, input)` run, or the
+/// events of one slice of it — in the encoding described in the
 /// [module docs](self).
 ///
 /// Equivalence invariant: replaying a trace through any sink produces
@@ -109,7 +110,7 @@ impl EventTrace {
 /// A [`TraceSink`] that captures every event into an [`EventTrace`].
 ///
 /// Use directly to record alongside arbitrary instrumentation, or via
-/// [`record_trace`] / [`record_trace_with`] for the common cases.
+/// [`record_trace`] for a whole execution.
 #[derive(Debug)]
 pub struct RecordSink {
     buf: Vec<u8>,
@@ -122,25 +123,19 @@ pub struct RecordSink {
 }
 
 impl RecordSink {
-    /// Creates a recorder sized for `binary`.
+    /// Creates a recorder sized for `binary`. Delta state starts at
+    /// zero, exactly as replay's decode state does, so a stream recorded
+    /// here decodes without out-of-band context — from any point of an
+    /// execution, which is what lets a slice start mid-run.
     pub fn for_binary(binary: &Binary) -> Self {
-        Self::with_dims(binary.procs.len() as u32, binary.loops.len() as u32)
-    }
-
-    /// Creates a recorder with explicit marker-vector dimensions, for
-    /// callers that re-encode a recorded stream (e.g. trace slicing)
-    /// and so have no [`Binary`] at hand. Delta state starts at zero,
-    /// exactly as replay's decode state does, so a stream recorded here
-    /// decodes without out-of-band context.
-    pub fn with_dims(n_procs: u32, n_loops: u32) -> Self {
         RecordSink {
             buf: Vec::with_capacity(64 * 1024),
             events: 0,
             prev_block: 0,
             prev_addr: 0,
             prev_branch: 0,
-            n_procs,
-            n_loops,
+            n_procs: binary.procs.len() as u32,
+            n_loops: binary.loops.len() as u32,
         }
     }
 
@@ -223,27 +218,6 @@ pub fn record_trace(binary: &Binary, input: &Input) -> EventTrace {
     let mut sink = RecordSink::for_binary(binary);
     run(binary, input, &mut sink);
     sink.finish()
-}
-
-/// Interprets `binary` on `input` once, recording the event stream
-/// *and* teeing every event into `primary` — one interpretation serves
-/// both the live analysis and all future replays.
-pub fn record_trace_with<S: TraceSink>(
-    binary: &Binary,
-    input: &Input,
-    primary: &mut S,
-) -> (EventTrace, ExecSummary) {
-    let _span = cbsp_trace::span_labeled("sim/record", || binary.label());
-    let mut rec = RecordSink::for_binary(binary);
-    let summary = run(
-        binary,
-        input,
-        &mut TeeSink {
-            a: &mut rec,
-            b: primary,
-        },
-    );
-    (rec.finish(), summary)
 }
 
 #[cfg(test)]

@@ -11,7 +11,6 @@
 use crate::config::MemoryConfig;
 use crate::hierarchy::Hierarchy;
 use crate::stats::IntervalSim;
-use cbsp_par::Pool;
 use cbsp_profile::{MarkerCounts, PinPointsFile, RegionBound, SimRegion};
 use cbsp_program::{run, Binary, BlockId, Input, Marker, TraceSink};
 use std::collections::HashMap;
@@ -65,7 +64,7 @@ struct TrackedRegion {
 /// instruction bounds, a `(marker, count)` map for marker bounds — and
 /// only the (typically zero or one) currently active regions are
 /// visited per block or access event.
-pub(crate) struct RegionSink {
+struct RegionSink {
     hierarchy: Hierarchy,
     counts: MarkerCounts,
     instrs: u64,
@@ -163,71 +162,6 @@ impl TraceSink for RegionSink {
     }
 }
 
-/// Builds a [`RegionSink`] for `file` with marker-count vectors sized
-/// `(n_procs, n_loops)`, ready to consume an event stream (regions
-/// starting at instruction 0 are already active).
-pub(crate) fn region_sink(
-    config: &MemoryConfig,
-    file: &PinPointsFile,
-    warmup: Warmup,
-    n_procs: usize,
-    n_loops: usize,
-) -> RegionSink {
-    let mut instr_pending = Vec::new();
-    let mut point_pending: HashMap<(Marker, u64), Vec<usize>> = HashMap::new();
-    for (i, region) in file.regions.iter().enumerate() {
-        match region.start {
-            RegionBound::Instr(_) => instr_pending.push(i),
-            RegionBound::Point(p) => point_pending
-                .entry((p.marker.to_marker(), p.count))
-                .or_default()
-                .push(i),
-        }
-    }
-    // Back of the vec = smallest start instruction.
-    instr_pending.sort_by_key(|&i| {
-        std::cmp::Reverse(match file.regions[i].start {
-            RegionBound::Instr(x) => x,
-            RegionBound::Point(_) => unreachable!("partitioned above"),
-        })
-    });
-    let mut sink = RegionSink {
-        hierarchy: Hierarchy::new(config),
-        counts: MarkerCounts::new(n_procs, n_loops),
-        instrs: 0,
-        warmup,
-        fresh: Hierarchy::new(config),
-        regions: file
-            .regions
-            .iter()
-            .map(|&region| TrackedRegion {
-                region,
-                state: RegionState::Pending,
-                stats: IntervalSim::default(),
-            })
-            .collect(),
-        active: Vec::new(),
-        instr_pending,
-        point_pending,
-    };
-    // Instr(0) starts active immediately.
-    sink.roll_instr();
-    sink
-}
-
-/// Extracts per-region results from a finished sink, in file order.
-pub(crate) fn region_results(sink: RegionSink) -> Vec<RegionStats> {
-    sink.regions
-        .iter()
-        .map(|t| RegionStats {
-            phase: t.region.phase,
-            weight: t.region.weight,
-            stats: t.stats,
-            reached: t.state != RegionState::Pending,
-        })
-        .collect()
-}
-
 /// Simulates only the regions of `file`, with functional warming in
 /// between. Returns one [`RegionStats`] per region, in file order.
 ///
@@ -252,24 +186,55 @@ pub fn simulate_regions_with(
     file: &PinPointsFile,
     warmup: Warmup,
 ) -> Vec<RegionStats> {
-    let mut sink = region_sink(config, file, warmup, binary.procs.len(), binary.loops.len());
+    let mut instr_pending = Vec::new();
+    let mut point_pending: HashMap<(Marker, u64), Vec<usize>> = HashMap::new();
+    for (i, region) in file.regions.iter().enumerate() {
+        match region.start {
+            RegionBound::Instr(_) => instr_pending.push(i),
+            RegionBound::Point(p) => point_pending
+                .entry((p.marker.to_marker(), p.count))
+                .or_default()
+                .push(i),
+        }
+    }
+    // Back of the vec = smallest start instruction.
+    instr_pending.sort_by_key(|&i| {
+        std::cmp::Reverse(match file.regions[i].start {
+            RegionBound::Instr(x) => x,
+            RegionBound::Point(_) => unreachable!("partitioned above"),
+        })
+    });
+    let mut sink = RegionSink {
+        hierarchy: Hierarchy::new(config),
+        counts: MarkerCounts::new(binary.procs.len(), binary.loops.len()),
+        instrs: 0,
+        warmup,
+        fresh: Hierarchy::new(config),
+        regions: file
+            .regions
+            .iter()
+            .map(|&region| TrackedRegion {
+                region,
+                state: RegionState::Pending,
+                stats: IntervalSim::default(),
+            })
+            .collect(),
+        active: Vec::new(),
+        instr_pending,
+        point_pending,
+    };
+    // Instr(0) starts active immediately.
+    sink.roll_instr();
     run(binary, input, &mut sink);
-    region_results(sink)
-}
-
-/// [`simulate_regions`] for a batch of `(binary, region file)` jobs,
-/// fanned out over `pool` — e.g. one job per binary of a cross-binary
-/// run, each replaying its own mapped region file. Results are in
-/// input order.
-pub fn simulate_regions_all(
-    jobs: &[(&Binary, &PinPointsFile)],
-    input: &Input,
-    config: &MemoryConfig,
-    pool: &Pool,
-) -> Vec<Vec<RegionStats>> {
-    pool.run_indexed(jobs.len(), |i| {
-        simulate_regions(jobs[i].0, input, config, jobs[i].1)
-    })
+    sink.regions
+        .iter()
+        .map(|t| RegionStats {
+            phase: t.region.phase,
+            weight: t.region.weight,
+            stats: t.stats,
+            reached: t.state != RegionState::Pending,
+        })
+        .collect()
 }
 
 /// Weighted whole-program CPI estimate from region measurements (the

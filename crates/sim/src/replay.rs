@@ -1,22 +1,20 @@
 //! Event-trace replay: feed a recorded [`EventTrace`] into any
 //! [`TraceSink`] without re-running the interpreter.
 //!
-//! Replay is the hot path of record-once/replay-many: a tight decode
-//! loop over the flat byte buffer, with none of the executor's
-//! statement-tree walking, occurrence counters, RNG, or address
-//! arithmetic. The callback sequence is exactly the one the original
+//! Replay is a tight decode loop over the flat byte buffer. The
+//! callback sequence is exactly the one the original
 //! [`cbsp_program::run`] produced, so any sink computes byte-identical
-//! results from a replay (see `tests/replay_equivalence.rs`).
+//! results from a replay (see `tests/replay_equivalence.rs`). Its
+//! product caller is [`crate::replay_slice`]: per-simpoint slices are
+//! the only recorded streams the pipeline reads back.
 //!
 //! Decoding is total: corrupted or truncated buffers yield a typed
 //! [`TraceError`], never a panic.
 
 use crate::config::MemoryConfig;
 use crate::record::{unzigzag, EventTrace, TAG_ACCESS, TAG_BLOCK, TAG_MARKER};
-use crate::regions::{RegionStats, Warmup};
-use crate::runner::{BothSlicedSim, BothSlicings, FliSlicedSim, FullSim, MarkerSlicedSim};
-use crate::stats::{IntervalSim, SimStats};
-use cbsp_profile::{ExecPoint, PinPointsFile};
+use crate::runner::FullSim;
+use crate::stats::SimStats;
 use cbsp_program::{BinLoopId, BinProcId, BlockId, Marker, TraceSink};
 use std::fmt;
 
@@ -126,31 +124,12 @@ fn read_varint_tail(bytes: &[u8], start: usize, mut v: u64) -> Result<(u64, usiz
 /// corrupt, or disagrees with the trace's declared event count. Events
 /// already decoded will have reached the sink.
 pub fn replay<S: TraceSink>(trace: &EventTrace, sink: &mut S) -> Result<(), TraceError> {
-    replay_bytes(&trace.bytes, trace.events, sink)
-}
-
-/// [`replay`] from a borrowed byte buffer: decodes `events` events out
-/// of `bytes` into `sink` without requiring an owning [`EventTrace`].
-/// This is the zero-copy entry point for callers holding trace bytes
-/// in some other allocation — a store read buffer, a slice of a larger
-/// file — who should not have to move or copy them into an
-/// [`EventTrace`] just to replay.
-///
-/// # Errors
-///
-/// Returns a [`TraceError`] if the buffer is truncated, structurally
-/// corrupt, or disagrees with the declared event count. Events already
-/// decoded will have reached the sink.
-pub fn replay_bytes<S: TraceSink>(
-    bytes: &[u8],
-    events: u64,
-    sink: &mut S,
-) -> Result<(), TraceError> {
+    let bytes = trace.bytes.as_slice();
     let mut pos = 0usize;
     let mut prev_block = 0u64;
     let mut prev_addr = 0u64;
     let mut prev_branch = 0u64;
-    for _ in 0..events {
+    for _ in 0..trace.events {
         let head_at = pos;
         let (head, p) = read_varint(bytes, pos)?;
         pos = p;
@@ -206,11 +185,14 @@ pub fn replay_bytes<S: TraceSink>(
         return Err(TraceError::TrailingBytes { offset: pos });
     }
     cbsp_trace::add("sim/replays", 1);
-    cbsp_trace::add("sim/replay_events", events);
+    cbsp_trace::add("sim/replay_events", trace.events);
     Ok(())
 }
 
-/// [`crate::simulate_full`] from a recorded trace.
+/// [`crate::simulate_full`] from a recorded trace. Nothing in the
+/// pipeline calls it — every simulation interprets its binary directly —
+/// but the benchmark's `sim.replay_mevents_s` probe times it until that
+/// probe is re-pointed.
 ///
 /// # Errors
 ///
@@ -222,139 +204,6 @@ pub fn replay_full(trace: &EventTrace, config: &MemoryConfig) -> Result<SimStats
     let stats = sink.finish();
     cbsp_trace::add("sim/instructions", stats.instructions);
     Ok(stats)
-}
-
-/// [`crate::simulate_fli_sliced`] from a recorded trace.
-///
-/// # Errors
-///
-/// Returns a [`TraceError`] if the trace fails to decode.
-pub fn replay_fli_sliced(
-    trace: &EventTrace,
-    config: &MemoryConfig,
-    target: u64,
-) -> Result<(SimStats, Vec<IntervalSim>), TraceError> {
-    let _span = cbsp_trace::span_labeled("sim/replay_fli_sliced", || {
-        format!("{} events", trace.events)
-    });
-    let mut sink = FliSlicedSim::new(config, target);
-    replay(trace, &mut sink)?;
-    let (stats, intervals) = sink.finish();
-    cbsp_trace::add("sim/instructions", stats.instructions);
-    Ok((stats, intervals))
-}
-
-/// [`crate::simulate_marker_sliced`] from a recorded trace.
-///
-/// # Errors
-///
-/// Returns a [`TraceError`] if the trace fails to decode.
-///
-/// # Panics
-///
-/// Panics if some boundary was never reached — that means the
-/// boundaries do not belong to the recorded `(binary, input)` pair
-/// (same contract as [`crate::simulate_marker_sliced`]).
-pub fn replay_marker_sliced(
-    trace: &EventTrace,
-    config: &MemoryConfig,
-    boundaries: &[ExecPoint],
-) -> Result<(SimStats, Vec<IntervalSim>), TraceError> {
-    let _span = cbsp_trace::span_labeled("sim/replay_marker_sliced", || {
-        format!("{} events", trace.events)
-    });
-    let mut sink = MarkerSlicedSim::with_dims(
-        config,
-        trace.n_procs as usize,
-        trace.n_loops as usize,
-        boundaries.to_vec(),
-    );
-    replay(trace, &mut sink)?;
-    assert_eq!(
-        sink.unreached_boundaries(),
-        0,
-        "marker boundaries must all occur in this binary's execution"
-    );
-    let (stats, intervals) = sink.finish();
-    cbsp_trace::add("sim/instructions", stats.instructions);
-    Ok((stats, intervals))
-}
-
-/// [`replay_marker_sliced`] and [`replay_fli_sliced`] in one pass: one
-/// cache hierarchy (and predictor) simulates the trace once, and each
-/// charge lands in both slicings. The result equals the two separate
-/// replays field for field at half the simulation work.
-///
-/// # Errors
-///
-/// Returns a [`TraceError`] if the trace fails to decode.
-///
-/// # Panics
-///
-/// Panics if `fli_target` is zero, or if some boundary was never
-/// reached (same contract as [`replay_marker_sliced`]).
-pub fn replay_sliced_both(
-    trace: &EventTrace,
-    config: &MemoryConfig,
-    boundaries: &[ExecPoint],
-    fli_target: u64,
-) -> Result<BothSlicings, TraceError> {
-    let _span = cbsp_trace::span_labeled("sim/replay_sliced_both", || {
-        format!("{} events", trace.events)
-    });
-    let marker = MarkerSlicedSim::with_dims(
-        config,
-        trace.n_procs as usize,
-        trace.n_loops as usize,
-        boundaries.to_vec(),
-    );
-    let mut sink = BothSlicedSim::new(marker, fli_target);
-    replay(trace, &mut sink)?;
-    assert_eq!(
-        sink.unreached_boundaries(),
-        0,
-        "marker boundaries must all occur in this binary's execution"
-    );
-    let both = sink.finish();
-    cbsp_trace::add("sim/instructions", both.stats.instructions);
-    Ok(both)
-}
-
-/// [`crate::simulate_regions`] from a recorded trace.
-///
-/// # Errors
-///
-/// Returns a [`TraceError`] if the trace fails to decode.
-pub fn replay_regions(
-    trace: &EventTrace,
-    config: &MemoryConfig,
-    file: &PinPointsFile,
-) -> Result<Vec<RegionStats>, TraceError> {
-    replay_regions_with(trace, config, file, Warmup::Functional)
-}
-
-/// [`crate::simulate_regions_with`] from a recorded trace.
-///
-/// # Errors
-///
-/// Returns a [`TraceError`] if the trace fails to decode.
-pub fn replay_regions_with(
-    trace: &EventTrace,
-    config: &MemoryConfig,
-    file: &PinPointsFile,
-    warmup: Warmup,
-) -> Result<Vec<RegionStats>, TraceError> {
-    let _span =
-        cbsp_trace::span_labeled("sim/replay_regions", || format!("{} events", trace.events));
-    let mut sink = crate::regions::region_sink(
-        config,
-        file,
-        warmup,
-        trace.n_procs as usize,
-        trace.n_loops as usize,
-    );
-    replay(trace, &mut sink)?;
-    Ok(crate::regions::region_results(sink))
 }
 
 #[cfg(test)]

@@ -18,7 +18,6 @@ use crate::branch::Gshare;
 use crate::config::MemoryConfig;
 use crate::hierarchy::{Hierarchy, ServicedBy};
 use crate::stats::{IntervalSim, SimStats};
-use cbsp_par::Pool;
 use cbsp_profile::{ExecPoint, MarkerCounts};
 use cbsp_program::{run, Binary, BlockId, Input, Marker, TraceSink};
 
@@ -244,23 +243,11 @@ impl MarkerSlicedSim {
     /// Creates a sink cutting at each of `boundaries`, which must be in
     /// execution order for the binary being simulated.
     pub fn new(config: &MemoryConfig, binary: &Binary, boundaries: Vec<ExecPoint>) -> Self {
-        Self::with_dims(config, binary.procs.len(), binary.loops.len(), boundaries)
-    }
-
-    /// [`MarkerSlicedSim::new`] with explicit marker-vector dimensions,
-    /// for callers that consume a recorded [`crate::EventTrace`] and so
-    /// have no [`Binary`] at hand.
-    pub fn with_dims(
-        config: &MemoryConfig,
-        n_procs: usize,
-        n_loops: usize,
-        boundaries: Vec<ExecPoint>,
-    ) -> Self {
         MarkerSlicedSim {
             engine: Engine::new(config),
             boundaries,
             next: 0,
-            counts: MarkerCounts::new(n_procs, n_loops),
+            counts: MarkerCounts::new(binary.procs.len(), binary.loops.len()),
         }
     }
 
@@ -278,7 +265,7 @@ impl MarkerSlicedSim {
 
     /// Number of intervals closed so far — equivalently, the index of
     /// the interval the next event will be charged to. Trace slicing
-    /// uses this to attribute each replayed event to an interval.
+    /// uses this to attribute each event to an interval.
     pub fn intervals_closed(&self) -> usize {
         self.next
     }
@@ -321,7 +308,7 @@ impl TraceSink for MarkerSlicedSim {
 }
 
 /// Whole-run statistics of one simulation and its two slicings, from
-/// [`crate::replay_sliced_both`].
+/// [`simulate_sliced_both`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct BothSlicings {
     /// Whole-program statistics, which slicing does not change.
@@ -339,7 +326,7 @@ pub struct BothSlicings {
 /// interval, which closes by [`FliSlicedSim`]'s rule. One hierarchy and
 /// one predictor serve both slicings.
 #[derive(Debug)]
-pub(crate) struct BothSlicedSim {
+struct BothSlicedSim {
     marker: MarkerSlicedSim,
     target: u64,
     fli_cur: IntervalSim,
@@ -350,7 +337,7 @@ impl BothSlicedSim {
     /// # Panics
     ///
     /// Panics if `target` is zero.
-    pub(crate) fn new(marker: MarkerSlicedSim, target: u64) -> Self {
+    fn new(marker: MarkerSlicedSim, target: u64) -> Self {
         assert!(target > 0, "interval target must be positive");
         BothSlicedSim {
             marker,
@@ -360,11 +347,11 @@ impl BothSlicedSim {
         }
     }
 
-    pub(crate) fn unreached_boundaries(&self) -> usize {
+    fn unreached_boundaries(&self) -> usize {
         self.marker.unreached_boundaries()
     }
 
-    pub(crate) fn finish(mut self) -> BothSlicings {
+    fn finish(mut self) -> BothSlicings {
         // The tail rule of `Engine::finish`.
         if self.fli_cur.instructions > 0 {
             self.fli.push(self.fli_cur);
@@ -456,58 +443,34 @@ pub fn simulate_marker_sliced(
     (stats, intervals)
 }
 
-/// [`simulate_full`] for a batch of binaries, one job per binary fanned
-/// out over `pool`. Each job is a complete detailed simulation of one
-/// binary — the dominant cost of a cross-binary evaluation — and the
-/// jobs share nothing, so this scales with `min(threads, binaries)`.
-pub fn simulate_full_all(
-    binaries: &[&Binary],
-    input: &Input,
-    config: &MemoryConfig,
-    pool: &Pool,
-) -> Vec<SimStats> {
-    pool.run_indexed(binaries.len(), |i| {
-        simulate_full(binaries[i], input, config)
-    })
-}
-
-/// [`simulate_fli_sliced`] for a batch of binaries, fanned out over
-/// `pool`. Results are in input order.
-pub fn simulate_fli_sliced_all(
-    binaries: &[&Binary],
-    input: &Input,
-    config: &MemoryConfig,
-    target: u64,
-    pool: &Pool,
-) -> Vec<(SimStats, Vec<IntervalSim>)> {
-    pool.run_indexed(binaries.len(), |i| {
-        simulate_fli_sliced(binaries[i], input, config, target)
-    })
-}
-
-/// [`simulate_marker_sliced`] for a batch of binaries, each with its
-/// own boundary list, fanned out over `pool`.
+/// [`simulate_marker_sliced`] and [`simulate_fli_sliced`] in one run:
+/// one cache hierarchy (and predictor) simulates the binary once, and
+/// each charge lands in both slicings. The result equals the two
+/// separate runs field for field at half the simulation work.
 ///
 /// # Panics
 ///
-/// Panics if `boundaries.len() != binaries.len()`, or if any binary
-/// fails to reach one of its boundaries (see
-/// [`simulate_marker_sliced`]).
-pub fn simulate_marker_sliced_all(
-    binaries: &[&Binary],
+/// Panics if `fli_target` is zero, or if some boundary was never
+/// reached (same contract as [`simulate_marker_sliced`]).
+pub fn simulate_sliced_both(
+    binary: &Binary,
     input: &Input,
     config: &MemoryConfig,
-    boundaries: &[Vec<ExecPoint>],
-    pool: &Pool,
-) -> Vec<(SimStats, Vec<IntervalSim>)> {
+    boundaries: &[ExecPoint],
+    fli_target: u64,
+) -> BothSlicings {
+    let _span = cbsp_trace::span_labeled("sim/sliced_both", || binary.label());
+    let marker = MarkerSlicedSim::new(config, binary, boundaries.to_vec());
+    let mut sink = BothSlicedSim::new(marker, fli_target);
+    run(binary, input, &mut sink);
     assert_eq!(
-        binaries.len(),
-        boundaries.len(),
-        "one boundary list per binary"
+        sink.unreached_boundaries(),
+        0,
+        "marker boundaries must all occur in this binary's execution"
     );
-    pool.run_indexed(binaries.len(), |i| {
-        simulate_marker_sliced(binaries[i], input, config, &boundaries[i])
-    })
+    let both = sink.finish();
+    cbsp_trace::add("sim/instructions", both.stats.instructions);
+    both
 }
 
 #[cfg(test)]

@@ -1,46 +1,42 @@
-//! Per-simpoint *sliced* traces: cut a recorded [`EventTrace`] into
-//! the byte ranges of selected intervals so a warm CPI estimate decodes
-//! kilobytes instead of the full multi-megabyte stream.
+//! Per-simpoint *sliced* traces: record the events of selected
+//! intervals so a warm CPI estimate decodes kilobytes instead of
+//! re-running the whole program.
 //!
-//! A full event trace covers the whole execution, but a SimPoint
-//! estimate only ever charges a handful of selected intervals — exactly
-//! the waste region-based sampling tool chains (PinPoints-style) avoid
-//! by materializing per-region artifacts. [`slice_trace`] replays the
-//! full trace **once**, producing both the whole-program ground-truth
-//! statistics and one small re-based [`TraceSlice`] per selected
-//! interval; [`replay_slice`] then reconstructs an interval's
-//! statistics from its slice alone.
+//! A SimPoint estimate only ever charges a handful of selected
+//! intervals — exactly the waste region-based sampling tool chains
+//! (PinPoints-style "regional pinballs") avoid by materializing
+//! per-region artifacts. [`slice_trace`] simulates the binary **once**,
+//! producing both the whole-program ground-truth statistics and one
+//! small [`TraceSlice`] per selected interval; [`replay_slice`] then
+//! reconstructs an interval's statistics from its slice alone.
 //!
 //! # Slice layout: re-based events plus a state checkpoint
 //!
-//! The varint event encoding is self-delimiting, but operands are
-//! delta-coded against running state, so a slice cannot be a raw byte
-//! range of the parent buffer: its leading deltas would refer to
-//! operands outside the slice. Each slice is therefore *re-based* —
-//! the region's events are re-encoded through a fresh [`RecordSink`]
+//! Operands in the event encoding are delta-coded against running
+//! state, so each slice is recorded through a fresh [`RecordSink`]
 //! whose delta state starts at zero, exactly matching replay's decode
-//! state, so the slice is a complete, independently decodable
-//! [`EventTrace`].
+//! state: the slice is a complete, independently decodable
+//! [`EventTrace`] of the interval's events.
 //!
 //! Cache and branch-predictor state at an interval's start also comes
-//! from outside the region, and — unlike the event stream — it cannot
-//! be approximated cheaply: a warmup prefix long enough to warm a
-//! megabyte-scale last-level cache would be most of the trace, and a
-//! short one charges cold misses at DRAM latency. Slices instead carry
-//! an exact checkpoint: while the cutting replay runs, the simulator's
-//! microarchitectural state (all three cache levels plus the optional
-//! branch predictor) is packed into [`TraceSlice::state`] at the moment
-//! the selected interval begins. [`replay_slice`] restores the
-//! checkpoint into a fresh engine and replays only the interval's own
-//! events, so the result is **bit-identical** to the interval's
-//! in-context statistics from a full replay — sliced estimates equal
-//! full-replay estimates exactly, cold or warm.
+//! from outside the region, and it cannot be approximated cheaply: a
+//! warmup prefix long enough to warm a megabyte-scale last-level cache
+//! would be most of the run, and a short one charges cold misses at
+//! DRAM latency. Slices instead carry an exact checkpoint: while the
+//! cutting run simulates, the simulator's microarchitectural state (all
+//! three cache levels plus the optional branch predictor) is packed
+//! into [`TraceSlice::state`] at the moment the selected interval
+//! begins. [`replay_slice`] restores the checkpoint into a fresh engine
+//! and replays only the interval's own events, so the result is
+//! **bit-identical** to the interval's in-context statistics from
+//! [`crate::simulate_marker_sliced`] — sliced estimates equal full-run
+//! estimates exactly, cold or warm.
 //!
-//! The checkpoint is compact relative to the trace: it stores one
-//! entry per *resident cache line* (bounded by total cache capacity,
-//! with LRU stamps compressed to per-set ranks), while the trace
-//! stores one event per *executed access* — and a trace worth slicing
-//! has vastly more accesses than the caches have lines.
+//! The checkpoint is compact: it stores one entry per *resident cache
+//! line* (bounded by total cache capacity, with LRU stamps compressed to
+//! per-set ranks), while the events store one entry per *executed
+//! access* — and an interval worth slicing has vastly more accesses
+//! than the caches have lines.
 
 use crate::config::MemoryConfig;
 use crate::record::{EventTrace, RecordSink};
@@ -48,15 +44,15 @@ use crate::replay::{replay, TraceError};
 use crate::runner::{Engine, MarkerSlicedSim};
 use crate::stats::{IntervalSim, SimStats};
 use cbsp_profile::ExecPoint;
-use cbsp_program::{BlockId, Marker, TraceSink};
+use cbsp_program::{run, Binary, BlockId, Input, Marker, TraceSink};
 
-/// One selected interval's re-based slice of a recorded trace.
+/// One selected interval's re-based slice of an execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSlice {
     /// Index of the interval this slice charges.
     pub interval: usize,
     /// Packed simulator state (caches + optional predictor) at the
-    /// interval's start, captured during the cutting replay. For
+    /// interval's start, captured during the cutting run. For
     /// interval 0 — and for selected indices past the last interval —
     /// this is the initial (empty) state.
     pub state: Vec<u8>,
@@ -73,15 +69,15 @@ impl TraceSlice {
     }
 }
 
-/// The product of slicing one full trace: whole-program ground truth
+/// The product of slicing one execution: whole-program ground truth
 /// plus one slice per selected interval.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlicedTrace {
-    /// Whole-program statistics of the full replay (ground truth for
+    /// Whole-program statistics of the cutting run (ground truth for
     /// `true_cpi`), byte-identical to
-    /// [`replay_marker_sliced`](crate::replay_marker_sliced).
+    /// [`simulate_marker_sliced`](crate::simulate_marker_sliced).
     pub full: SimStats,
-    /// Number of intervals the full replay closed (boundaries reached
+    /// Number of intervals the cutting run closed (boundaries reached
     /// plus a tail interval if it executed instructions).
     pub intervals: usize,
     /// Slices in ascending interval order, one per selected interval.
@@ -181,38 +177,31 @@ impl TraceSink for SliceCutter {
     }
 }
 
-/// Replays `trace` once, computing whole-program statistics and
-/// cutting one re-based, state-checkpointed [`TraceSlice`] per
-/// interval in `selected` (indices into the marker-bounded interval
-/// sequence; deduplicated and sorted internally).
-///
-/// # Errors
-///
-/// Returns a [`TraceError`] if the trace fails to decode.
+/// Simulates `binary` on `input` once, computing whole-program
+/// statistics and cutting one re-based, state-checkpointed
+/// [`TraceSlice`] per interval in `selected` (indices into the
+/// marker-bounded interval sequence; deduplicated and sorted
+/// internally).
 ///
 /// # Panics
 ///
 /// Panics if some boundary was never reached — that means the
-/// boundaries do not belong to the recorded `(binary, input)` pair
-/// (same contract as [`crate::replay_marker_sliced`]).
+/// boundaries do not belong to this `(binary, input)` pair (same
+/// contract as [`crate::simulate_marker_sliced`]).
 pub fn slice_trace(
-    trace: &EventTrace,
+    binary: &Binary,
+    input: &Input,
     config: &MemoryConfig,
     boundaries: &[ExecPoint],
     selected: &[usize],
-) -> Result<SlicedTrace, TraceError> {
+) -> SlicedTrace {
     let _span = cbsp_trace::span_labeled("sim/slice_trace", || {
-        format!("{} events, {} slices", trace.events, selected.len())
+        format!("{}, {} slices", binary.label(), selected.len())
     });
     let mut wanted: Vec<usize> = selected.to_vec();
     wanted.sort_unstable();
     wanted.dedup();
-    let sim = MarkerSlicedSim::with_dims(
-        config,
-        trace.n_procs as usize,
-        trace.n_loops as usize,
-        boundaries.to_vec(),
-    );
+    let sim = MarkerSlicedSim::new(config, binary, boundaries.to_vec());
     // The empty-engine checkpoint: interval 0's start state, and the
     // stand-in for selections past the last interval (whose slices
     // carry no events, so any valid state yields the correct default
@@ -224,13 +213,13 @@ pub fn slice_trace(
             .into_iter()
             .map(|interval| SliceBuilder {
                 interval,
-                sink: RecordSink::with_dims(trace.n_procs, trace.n_loops),
+                sink: RecordSink::for_binary(binary),
                 state: (interval == 0).then(|| initial_state.clone()),
             })
             .collect(),
         lo: 0,
     };
-    replay(trace, &mut cutter)?;
+    run(binary, input, &mut cutter);
     assert_eq!(
         cutter.sim.unreached_boundaries(),
         0,
@@ -247,11 +236,11 @@ pub fn slice_trace(
             trace: b.sink.finish(),
         })
         .collect();
-    Ok(SlicedTrace {
+    SlicedTrace {
         full,
         intervals: intervals.len(),
         slices,
-    })
+    }
 }
 
 /// Sink for replaying one slice into a state-restored engine; markers
@@ -282,7 +271,7 @@ impl TraceSink for SliceSim {
 /// The slice's state checkpoint is restored into a fresh engine and
 /// only the interval's own events are replayed, so the result is
 /// bit-identical to the interval's in-context statistics from a full
-/// replay — for every interval, not just interval 0.
+/// run — for every interval, not just interval 0.
 ///
 /// # Errors
 ///
@@ -306,10 +295,9 @@ pub fn replay_slice(slice: &TraceSlice, config: &MemoryConfig) -> Result<Interva
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::RecordSink;
-    use crate::replay::replay_marker_sliced;
+    use crate::runner::simulate_marker_sliced;
     use cbsp_profile::MarkerRef;
-    use cbsp_program::{compile, run, CompileTarget, Input, ProgramBuilder, Scale};
+    use cbsp_program::{compile, CompileTarget, ProgramBuilder, Scale};
 
     fn phased_binary() -> cbsp_program::Binary {
         let mut b = ProgramBuilder::new("t");
@@ -330,10 +318,8 @@ mod tests {
         compile(&b.finish(), CompileTarget::W32_O2)
     }
 
-    fn record(bin: &cbsp_program::Binary) -> EventTrace {
-        let mut sink = RecordSink::for_binary(bin);
-        run(bin, &Input::new("t", 5, Scale::Test), &mut sink);
-        sink.finish()
+    fn input() -> Input {
+        Input::new("t", 5, Scale::Test)
     }
 
     fn boundaries() -> Vec<ExecPoint> {
@@ -360,11 +346,10 @@ mod tests {
     #[test]
     fn slicing_preserves_full_statistics_and_interval_count() {
         let bin = phased_binary();
-        let trace = record(&bin);
         let cfg = MemoryConfig::table1();
         let bounds = boundaries();
-        let (full, intervals) = replay_marker_sliced(&trace, &cfg, &bounds).expect("valid");
-        let sliced = slice_trace(&trace, &cfg, &bounds, &[0, 2, 4]).expect("valid");
+        let (full, intervals) = simulate_marker_sliced(&bin, &input(), &cfg, &bounds);
+        let sliced = slice_trace(&bin, &input(), &cfg, &bounds, &[0, 2, 4]);
         assert_eq!(sliced.full, full, "ground truth must be byte-identical");
         assert_eq!(sliced.intervals, intervals.len());
         assert_eq!(sliced.slices.len(), 3);
@@ -373,11 +358,10 @@ mod tests {
     #[test]
     fn interval_zero_slice_matches_in_context_statistics_exactly() {
         let bin = phased_binary();
-        let trace = record(&bin);
         let cfg = MemoryConfig::table1();
         let bounds = boundaries();
-        let (_, intervals) = replay_marker_sliced(&trace, &cfg, &bounds).expect("valid");
-        let sliced = slice_trace(&trace, &cfg, &bounds, &[0]).expect("valid");
+        let (_, intervals) = simulate_marker_sliced(&bin, &input(), &cfg, &bounds);
+        let sliced = slice_trace(&bin, &input(), &cfg, &bounds, &[0]);
         let replayed = replay_slice(&sliced.slices[0], &cfg).expect("valid slice");
         assert_eq!(replayed, intervals[0], "cold start == in-context");
     }
@@ -385,12 +369,11 @@ mod tests {
     #[test]
     fn every_slice_reproduces_in_context_statistics_exactly() {
         let bin = phased_binary();
-        let trace = record(&bin);
         let cfg = MemoryConfig::table1();
         let bounds = boundaries();
-        let (_, intervals) = replay_marker_sliced(&trace, &cfg, &bounds).expect("valid");
+        let (_, intervals) = simulate_marker_sliced(&bin, &input(), &cfg, &bounds);
         let all: Vec<usize> = (0..intervals.len()).collect();
-        let sliced = slice_trace(&trace, &cfg, &bounds, &all).expect("valid");
+        let sliced = slice_trace(&bin, &input(), &cfg, &bounds, &all);
         for s in &sliced.slices {
             let replayed = replay_slice(s, &cfg).expect("valid slice");
             assert_eq!(
@@ -415,9 +398,7 @@ mod tests {
             });
         });
         let bin = compile(&b.finish(), CompileTarget::W32_O2);
-        let mut sink = RecordSink::for_binary(&bin);
-        run(&bin, &Input::new("t", 9, Scale::Test), &mut sink);
-        let trace = sink.finish();
+        let input = Input::new("t", 9, Scale::Test);
         let mut cfg = MemoryConfig::table1();
         cfg.branch = Some(crate::branch::BranchConfig::default());
         let bounds = vec![
@@ -430,8 +411,8 @@ mod tests {
                 count: 150,
             },
         ];
-        let (_, intervals) = replay_marker_sliced(&trace, &cfg, &bounds).expect("valid");
-        let sliced = slice_trace(&trace, &cfg, &bounds, &[1, 2]).expect("valid");
+        let (_, intervals) = simulate_marker_sliced(&bin, &input, &cfg, &bounds);
+        let sliced = slice_trace(&bin, &input, &cfg, &bounds, &[1, 2]);
         for s in &sliced.slices {
             let replayed = replay_slice(s, &cfg).expect("valid slice");
             assert_eq!(
@@ -445,9 +426,9 @@ mod tests {
     #[test]
     fn slices_are_small_relative_to_the_full_trace() {
         let bin = phased_binary();
-        let trace = record(&bin);
+        let trace = crate::record::record_trace(&bin, &input());
         let cfg = MemoryConfig::table1();
-        let sliced = slice_trace(&trace, &cfg, &boundaries(), &[2]).expect("valid");
+        let sliced = slice_trace(&bin, &input(), &cfg, &boundaries(), &[2]);
         assert!(
             sliced.encoded_len() * 2 < trace.encoded_len(),
             "one of five intervals (plus checkpoint) must be well under half the trace: {} vs {}",
@@ -459,9 +440,8 @@ mod tests {
     #[test]
     fn selected_past_the_last_interval_yields_an_uncharged_slice() {
         let bin = phased_binary();
-        let trace = record(&bin);
         let cfg = MemoryConfig::table1();
-        let sliced = slice_trace(&trace, &cfg, &boundaries(), &[99]).expect("valid");
+        let sliced = slice_trace(&bin, &input(), &cfg, &boundaries(), &[99]);
         let s = &sliced.slices[0];
         assert_eq!(s.trace.events, 0, "no events charged");
         let replayed = replay_slice(s, &cfg).expect("valid slice");
@@ -471,9 +451,8 @@ mod tests {
     #[test]
     fn corrupt_slice_replay_reports_typed_errors() {
         let bin = phased_binary();
-        let trace = record(&bin);
         let cfg = MemoryConfig::table1();
-        let sliced = slice_trace(&trace, &cfg, &boundaries(), &[1]).expect("valid");
+        let sliced = slice_trace(&bin, &input(), &cfg, &boundaries(), &[1]);
         let mut s = sliced.slices[0].clone();
         s.trace.bytes.truncate(s.trace.bytes.len() / 2);
         let err = replay_slice(&s, &cfg).expect_err("truncated");
@@ -483,9 +462,8 @@ mod tests {
     #[test]
     fn corrupt_state_checkpoint_reports_typed_errors() {
         let bin = phased_binary();
-        let trace = record(&bin);
         let cfg = MemoryConfig::table1();
-        let sliced = slice_trace(&trace, &cfg, &boundaries(), &[2]).expect("valid");
+        let sliced = slice_trace(&bin, &input(), &cfg, &boundaries(), &[2]);
         let good = &sliced.slices[0];
         assert!(!good.state.is_empty(), "a mid-run checkpoint has content");
 

@@ -1,19 +1,18 @@
-//! Interpret-vs-replay equivalence: the record-once replay engine must
-//! reproduce direct interpretation byte-for-byte for every sink type at
-//! any thread count, the fused two-way replay must equal the two
-//! single-slicing replays, and damaged trace buffers must come back as
-//! typed errors — never panics.
+//! Interpret-vs-replay equivalence: a replayed trace must reproduce
+//! direct interpretation byte-for-byte at any thread count, the fused
+//! two-way simulation must equal the two single-slicing simulations,
+//! every slice replay must equal its interval of a full run, and
+//! damaged trace buffers must come back as typed errors — never panics.
 
 use cbsp_par::Pool;
-use cbsp_profile::{ExecPoint, MarkerRef, PinPointsFile, RegionBound, SimRegion};
+use cbsp_profile::{ExecPoint, MarkerRef};
 use cbsp_program::{
     compile, run, workloads, Binary, CompileTarget, Input, Marker, Scale, TraceSink,
 };
 use cbsp_sim::{
-    record_trace, replay, replay_fli_sliced, replay_full, replay_marker_sliced,
-    replay_regions_with, replay_slice, replay_sliced_both, simulate_fli_sliced, simulate_full,
-    simulate_marker_sliced, simulate_regions_with, slice_trace, BothSlicings, EventTrace,
-    MemoryConfig, TraceError, Warmup,
+    record_trace, replay, replay_full, replay_slice, simulate_fli_sliced, simulate_full,
+    simulate_marker_sliced, simulate_sliced_both, slice_trace, BothSlicings, EventTrace,
+    MemoryConfig, TraceError,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -71,71 +70,17 @@ fn marker_boundaries(bin: &Binary, input: &Input, cuts: u64) -> Vec<ExecPoint> {
         .collect()
 }
 
-/// A small region file mixing instruction and marker bounds.
-fn region_file(bin: &Binary, input: &Input, total_instrs: u64) -> PinPointsFile {
-    let boundaries = marker_boundaries(bin, input, 4);
-    PinPointsFile {
-        program: "equivalence".to_string(),
-        binary: "test".to_string(),
-        input: "test".to_string(),
-        interval_target: FLI_TARGET,
-        regions: vec![
-            SimRegion {
-                phase: 0,
-                weight: 0.5,
-                start: RegionBound::Instr(0),
-                end: RegionBound::Instr(total_instrs / 3),
-            },
-            SimRegion {
-                phase: 1,
-                weight: 0.3,
-                start: RegionBound::Instr(total_instrs / 2),
-                end: RegionBound::Point(boundaries[boundaries.len() - 1]),
-            },
-            SimRegion {
-                phase: 2,
-                weight: 0.2,
-                start: RegionBound::Point(boundaries[0]),
-                end: RegionBound::Instr(2 * total_instrs / 3),
-            },
-        ],
-    }
-}
-
-/// Every sink type, interpret vs replay, across all four binaries of
-/// two benchmarks: results must be byte-identical.
+/// A replayed trace simulates exactly as direct interpretation does,
+/// across all four binaries of two benchmarks.
 #[test]
-fn replay_matches_interpretation_for_every_sink() {
+fn replay_full_matches_simulate_full() {
     for name in ["gzip", "swim"] {
         let (binaries, input) = test_binaries(name);
         for bin in &binaries {
             let trace = record_trace(bin, &input);
             let mem = MemoryConfig::table1();
-
             let full = simulate_full(bin, &input, &mem);
             assert_eq!(full, replay_full(&trace, &mem).expect("decodes"));
-
-            let fli = simulate_fli_sliced(bin, &input, &mem, FLI_TARGET);
-            assert_eq!(
-                fli,
-                replay_fli_sliced(&trace, &mem, FLI_TARGET).expect("decodes")
-            );
-
-            let boundaries = marker_boundaries(bin, &input, 4);
-            let marker = simulate_marker_sliced(bin, &input, &mem, &boundaries);
-            assert_eq!(
-                marker,
-                replay_marker_sliced(&trace, &mem, &boundaries).expect("decodes")
-            );
-
-            let file = region_file(bin, &input, full.instructions);
-            for warmup in [Warmup::Functional, Warmup::Cold] {
-                let direct = simulate_regions_with(bin, &input, &mem, &file, warmup);
-                assert_eq!(
-                    direct,
-                    replay_regions_with(&trace, &mem, &file, warmup).expect("decodes")
-                );
-            }
         }
     }
 }
@@ -156,7 +101,7 @@ fn replay_matches_interpretation_with_branch_predictor() {
 }
 
 /// Replaying the same trace from many pool workers at once — at 1 and
-/// at 8 threads — yields the same results as direct interpretation:
+/// at 8 threads — yields the same result as direct interpretation:
 /// replay shares nothing mutable, so thread count cannot matter.
 #[test]
 fn replay_is_deterministic_across_thread_counts() {
@@ -164,58 +109,40 @@ fn replay_is_deterministic_across_thread_counts() {
     let bin = &binaries[1];
     let trace = record_trace(bin, &input);
     let mem = MemoryConfig::table1();
-    let boundaries = marker_boundaries(bin, &input, 4);
-
     let full = simulate_full(bin, &input, &mem);
-    let fli = simulate_fli_sliced(bin, &input, &mem, FLI_TARGET);
-    let marker = simulate_marker_sliced(bin, &input, &mem, &boundaries);
-    let file = region_file(bin, &input, full.instructions);
-    let regions = simulate_regions_with(bin, &input, &mem, &file, Warmup::Functional);
-
     for threads in [1usize, 8] {
         let pool = Pool::new(threads);
         let outcomes = pool.run_indexed(2 * threads.max(2), |_| {
-            (
-                replay_full(&trace, &mem).expect("decodes"),
-                replay_fli_sliced(&trace, &mem, FLI_TARGET).expect("decodes"),
-                replay_marker_sliced(&trace, &mem, &boundaries).expect("decodes"),
-                replay_regions_with(&trace, &mem, &file, Warmup::Functional).expect("decodes"),
-            )
+            replay_full(&trace, &mem).expect("decodes")
         });
-        for (got_full, got_fli, got_marker, got_regions) in outcomes {
-            assert_eq!(full, got_full, "{threads} threads");
-            assert_eq!(fli, got_fli, "{threads} threads");
-            assert_eq!(marker, got_marker, "{threads} threads");
-            assert_eq!(regions, got_regions, "{threads} threads");
+        for got in outcomes {
+            assert_eq!(full, got, "{threads} threads");
         }
     }
 }
 
-/// One fused replay reports both slicings exactly as the two separate
-/// replays do — whole-run totals and every interval of both, field for
-/// field — for every binary of two benchmarks, with and without the
-/// branch predictor, from pools of 1 and 8 threads.
+/// One fused simulation reports both slicings exactly as the two
+/// separate simulations do — whole-run totals and every interval of
+/// both, field for field — for every binary of two benchmarks, with and
+/// without the branch predictor, from pools of 1 and 8 threads.
 #[test]
-fn fused_replay_matches_both_separate_replays() {
+fn fused_simulation_matches_both_separate_simulations() {
     let mut predicted = MemoryConfig::table1();
     predicted.branch = Some(cbsp_sim::BranchConfig::default());
     let pools = [Pool::new(1), Pool::new(8)];
     for name in ["gzip", "swim"] {
         let (binaries, input) = test_binaries(name);
         for bin in &binaries {
-            let trace = record_trace(bin, &input);
             let boundaries = marker_boundaries(bin, &input, 4);
             for mem in [MemoryConfig::table1(), predicted] {
-                let (stats, marker) =
-                    replay_marker_sliced(&trace, &mem, &boundaries).expect("decodes");
-                let (fli_stats, fli) =
-                    replay_fli_sliced(&trace, &mem, FLI_TARGET).expect("decodes");
+                let (stats, marker) = simulate_marker_sliced(bin, &input, &mem, &boundaries);
+                let (fli_stats, fli) = simulate_fli_sliced(bin, &input, &mem, FLI_TARGET);
                 assert_eq!(stats, fli_stats, "slicing must not change the simulation");
                 assert_eq!(mem.branch.is_some(), stats.branches > 0);
                 let expected = BothSlicings { stats, marker, fli };
                 for pool in &pools {
                     let outcomes = pool.run_indexed(pool.threads(), |_| {
-                        replay_sliced_both(&trace, &mem, &boundaries, FLI_TARGET).expect("decodes")
+                        simulate_sliced_both(bin, &input, &mem, &boundaries, FLI_TARGET)
                     });
                     for got in outcomes {
                         assert_eq!(
@@ -233,22 +160,23 @@ fn fused_replay_matches_both_separate_replays() {
     }
 }
 
-/// Per-simpoint trace slices are byte-identical to a full-trace replay
+/// Per-simpoint trace slices are byte-identical to a full run
 /// restricted to their interval: every slice carries an exact state
 /// checkpoint, so its replay reproduces the in-context interval
-/// statistics bit-for-bit — all fields, every interval — and slice
-/// replay is deterministic across pool thread counts.
+/// statistics of [`simulate_marker_sliced`] bit-for-bit — all fields,
+/// every interval — and slice replay is deterministic across pool
+/// thread counts.
 #[test]
-fn slice_replay_matches_full_replay_restricted_to_the_interval() {
+fn slice_replay_matches_the_full_run_restricted_to_the_interval() {
     let (binaries, input) = test_binaries("gzip");
     let bin = &binaries[1];
-    let trace = record_trace(bin, &input);
     let mem = MemoryConfig::table1();
     let boundaries = marker_boundaries(bin, &input, 4);
     let selected: Vec<usize> = (0..=boundaries.len()).collect();
 
-    let (_, in_context) = replay_marker_sliced(&trace, &mem, &boundaries).expect("decodes");
-    let sliced = slice_trace(&trace, &mem, &boundaries, &selected).expect("slices");
+    let (full, in_context) = simulate_marker_sliced(bin, &input, &mem, &boundaries);
+    let sliced = slice_trace(bin, &input, &mem, &boundaries, &selected);
+    assert_eq!(sliced.full, full);
     assert_eq!(sliced.slices.len(), selected.len());
 
     let baseline: Vec<_> = sliced
@@ -277,20 +205,17 @@ fn slice_replay_matches_full_replay_restricted_to_the_interval() {
     }
 }
 
-/// The gzip 32o trace with 32 candidate boundaries, shared by the
-/// fused-replay property.
-fn fused_fixture() -> &'static (EventTrace, Vec<ExecPoint>) {
-    static FIXTURE: OnceLock<(EventTrace, Vec<ExecPoint>)> = OnceLock::new();
+/// The gzip 32o binary with 32 candidate boundaries, shared by the
+/// fused-simulation property.
+fn fused_fixture() -> &'static (Binary, Vec<ExecPoint>) {
+    static FIXTURE: OnceLock<(Binary, Vec<ExecPoint>)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let prog = workloads::by_name("gzip")
             .expect("in suite")
             .build(Scale::Test);
         let bin = compile(&prog, CompileTarget::W32_O2);
-        let input = Input::test();
-        (
-            record_trace(&bin, &input),
-            marker_boundaries(&bin, &input, 32),
-        )
+        let boundaries = marker_boundaries(&bin, &Input::test(), 32);
+        (bin, boundaries)
     })
 }
 
@@ -344,12 +269,11 @@ proptest! {
     /// inherit its corruption contract.
     #[test]
     fn damaged_slices_return_typed_errors(frac in 0.0f64..1.0, flip in 1u8..=255) {
-        let trace = recorded_trace();
         let mem = MemoryConfig::table1();
         let prog = workloads::by_name("gzip").expect("in suite").build(Scale::Test);
         let bin = compile(&prog, CompileTarget::W32_O2);
         let boundaries = marker_boundaries(&bin, &Input::test(), 4);
-        let sliced = slice_trace(&trace, &mem, &boundaries, &[1]).expect("slices");
+        let sliced = slice_trace(&bin, &Input::test(), &mem, &boundaries, &[1]);
         let base = &sliced.slices[0];
 
         let mut truncated = base.clone();
@@ -387,17 +311,18 @@ proptest! {
         let _ = replay_slice(&flipped_state, &mem);
     }
 
-    /// The fused replay equals the two separate replays for any FLI
-    /// target — down to 1, which no block is smaller than, so every
-    /// block closes an interval — and any in-order subset of the
+    /// The fused simulation equals the two separate simulations for
+    /// any FLI target — down to 1, which no block is smaller than, so
+    /// every block closes an interval — and any in-order subset of the
     /// candidate boundaries, with or without the branch predictor.
     #[test]
-    fn fused_replay_matches_for_any_target_and_boundaries(
+    fn fused_simulation_matches_for_any_target_and_boundaries(
         target in prop_oneof![Just(1u64), 2u64..1_000, 1_000u64..200_000],
         mask in any::<u64>(),
         predict in any::<bool>(),
     ) {
-        let (trace, candidates) = fused_fixture();
+        let (bin, candidates) = fused_fixture();
+        let input = Input::test();
         let boundaries: Vec<ExecPoint> = candidates
             .iter()
             .enumerate()
@@ -408,10 +333,10 @@ proptest! {
         if predict {
             mem.branch = Some(cbsp_sim::BranchConfig::default());
         }
-        let (stats, marker) = replay_marker_sliced(trace, &mem, &boundaries).expect("decodes");
-        let (fli_stats, fli) = replay_fli_sliced(trace, &mem, target).expect("decodes");
+        let (stats, marker) = simulate_marker_sliced(bin, &input, &mem, &boundaries);
+        let (fli_stats, fli) = simulate_fli_sliced(bin, &input, &mem, target);
         prop_assert_eq!(stats, fli_stats);
-        let got = replay_sliced_both(trace, &mem, &boundaries, target).expect("decodes");
+        let got = simulate_sliced_both(bin, &input, &mem, &boundaries, target);
         prop_assert_eq!(got, BothSlicings { stats, marker, fli });
     }
 

@@ -448,7 +448,7 @@ mod tests {
     /// A fixed blob's 100-byte header. Its key and checksum are
     /// SHA-256 digests, so a hash that drifted would orphan every
     /// existing store, and quietly: each warm read would turn into a
-    /// repair and a re-record.
+    /// repair and a recomputation.
     const GOLDEN_HEADER: &str = concat!(
         // magic, version, stage
         "434253420100000005747261636500000000000000000000",

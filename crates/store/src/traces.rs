@@ -1,56 +1,54 @@
-//! Content-addressed event-trace cache: record each `(binary, input)`
-//! execution once per process — and once per store, across processes —
-//! and serve every later detailed simulation from the recorded
-//! [`EventTrace`].
+//! Content-addressed simulation cache: per-simpoint slice manifests
+//! and replay leases, in memory and optionally in the
+//! [`ArtifactStore`].
 //!
-//! Two cache tiers:
+//! Every simulation interprets its binary straight into the simulator
+//! sink; nothing here records a whole [`EventTrace`] for later replay,
+//! because decoding one costs about as much as interpreting the binary
+//! again. What is worth keeping is smaller:
 //!
-//! * an in-memory map of [`Arc<EventTrace>`], shared by every consumer
-//!   holding the same [`TraceCache`] (one interpretation per
-//!   experiment run);
-//! * optionally, the [`ArtifactStore`], where traces persist keyed on
-//!   `(binary digest, input digest)` — the same content-addressing the
-//!   pipeline stages use — so repeat experiment runs skip
-//!   interpretation entirely.
+//! * a **sliced trace** ([`TraceCache::get_slices`]): for one binary,
+//!   its whole-run statistics plus one exact state checkpoint and the
+//!   events of each selected interval, cut from one direct run; a warm
+//!   CPI estimate replays kilobytes of slices instead of simulating;
+//! * a **replay lease** ([`TraceCache::replay_sliced_both_all`]): the
+//!   detailed simulations of one experiment evaluation, each binary
+//!   simulated once into its marker-bounded and its fixed-length
+//!   slicing. A warm-store evaluation reads the results back and
+//!   simulates nothing; every field is an integer counter, so a hit is
+//!   bit-identical to the simulation it replaces.
 //!
 //! ## The binary blob tier
 //!
-//! Trace payloads are megabytes of varint event bytes, so persistent
-//! trace and slice artifacts are written to the store's **blob tier**
-//! (see [`crate::blob`]): raw checksummed binary files under the
-//! content digests, with the event bytes stored verbatim. Blobs
-//! replaced base64-in-JSON envelopes because cold trace loads were
-//! ~2.6× faster. The read path is zero-copy — the payload buffer that
-//! comes off disk *becomes* [`EventTrace::bytes`], with no re-encode or
-//! intermediate copy — and a sliced-trace manifest's per-slice blobs
-//! are prefetched in parallel over a [`cbsp_par::Pool`] (independent
-//! files; the index-ordered merge keeps results byte-identical at any
-//! thread count).
+//! Persistent artifacts are written to the store's **blob tier** (see
+//! [`crate::blob`]): raw checksummed binary files under the content
+//! digests, with event bytes stored verbatim. A sliced-trace manifest's
+//! per-slice blobs are prefetched in parallel over a
+//! [`cbsp_par::Pool`] (independent files; the index-ordered merge keeps
+//! results byte-identical at any thread count).
 //!
-//! The blob is the only encoding this cache reads or writes. Trace and
-//! slice artifacts are leases — no run manifest references them, so
+//! The blob is the only encoding this cache reads or writes. Slice and
+//! replay artifacts are leases — no run manifest references them, so
 //! `gc` always evicts them — and a JSON envelope left by an older
-//! version is therefore a plain miss: the artifact is re-recorded, its
-//! blob lands beside the envelope, and the next `gc` evicts the
+//! version is therefore a plain miss: the artifact is re-materialized,
+//! its blob lands beside the envelope, and the next `gc` evicts the
 //! envelope. Corrupt or truncated blobs follow the repair-as-miss
-//! contract: typed errors, re-record, rewrite in place.
+//! contract: typed errors, re-materialize, rewrite in place.
 //!
-//! ## Replay leases
+//! ## Whole traces
 //!
-//! The detailed simulations of one experiment evaluation — each
-//! binary's trace replayed once into its marker-bounded and its
-//! fixed-length slicing ([`TraceCache::replay_sliced_both_all`]) — are
-//! a lease too, one blob per evaluation in the [`REPLAY_STAGE`]
-//! namespace. A warm-store evaluation reads its results back and
-//! touches no trace; every field is an integer counter, so a hit is
-//! bit-identical to the replay it replaces.
+//! The [`TRACE_STAGE`] namespace and [`TraceCache::get_or_record`]
+//! remain only for the benchmark's blob-throughput probes, which
+//! record a trace, write it and read it back. Stores written by older
+//! versions hold a `trace` blob per binary; nothing reads them, and
+//! `gc` evicts them like every other lease.
 
 use cbsp_core::{weighted_cpi, weighted_cpi_with, CbspError};
 use cbsp_par::Pool;
 use cbsp_profile::ExecPoint;
 use cbsp_program::{Binary, Input};
 use cbsp_sim::{
-    record_trace, replay_slice, replay_sliced_both, slice_trace, BothSlicings, EventTrace,
+    record_trace, replay_slice, simulate_sliced_both, slice_trace, BothSlicings, EventTrace,
     IntervalSim, LevelStats, MemoryConfig, SimStats, SlicedTrace, TraceSlice,
 };
 use cbsp_simpoint::SimPoint;
@@ -61,7 +59,8 @@ use crate::blob::{derived_key, Blob};
 use crate::store::{content_hash, stage_key, ArtifactStore, StageKey};
 use serde::Value;
 
-/// Stage name traces are stored under.
+/// Stage name whole recorded traces are stored under, by
+/// [`TraceCache::get_or_record`] alone.
 pub const TRACE_STAGE: &str = "trace";
 
 /// Stage name sliced-trace manifests (and their per-slice blobs) are
@@ -71,28 +70,23 @@ pub const TRACE_SLICE_STAGE: &str = "trace_slice";
 
 /// Stage name replay leases are stored under: the detailed simulations
 /// of one evaluation, written by [`TraceCache::replay_sliced_both_all`].
-/// Like [`TRACE_STAGE`], no run manifest references them, so `gc`
+/// Like [`TRACE_SLICE_STAGE`], no run manifest references them, so `gc`
 /// always evicts them.
 pub const REPLAY_STAGE: &str = "replay";
 
 /// Every lease namespace. Artifacts in these stages are never
 /// referenced by run manifests — `gc` always evicts them, and the
-/// trace cache re-materializes them on next use — while everything
-/// else in the store is a pipeline-stage artifact.
+/// trace cache re-materializes slices and replay leases on next use —
+/// while everything else in the store is a pipeline-stage artifact.
 pub const LEASE_STAGES: [&str; 3] = [TRACE_STAGE, TRACE_SLICE_STAGE, REPLAY_STAGE];
 
 /// Content key of the trace for `(binary, input)`.
 pub fn trace_key(binary: &Binary, input: &Input) -> StageKey {
-    trace_key_of(&content_hash(binary), &content_hash(input))
-}
-
-/// [`trace_key`] from the binary's and the input's content hashes.
-fn trace_key_of(binary_hash: &str, input_hash: &str) -> StageKey {
     stage_key(
         TRACE_STAGE,
         &[
-            Value::Str(binary_hash.to_string()),
-            Value::Str(input_hash.to_string()),
+            Value::Str(content_hash(binary)),
+            Value::Str(content_hash(input)),
         ],
     )
 }
@@ -126,10 +120,9 @@ pub fn trace_slice_key(
     )
 }
 
-/// Content key of the replay lease for binaries with content hashes
-/// `binary_hashes` on the input hashed `input_hash`, each replayed
-/// under `config` and sliced at its own `boundaries` list and at
-/// `fli_target` instructions.
+/// Content key of the replay lease for `binaries` on `input`, each
+/// simulated under `config` and sliced at its own `boundaries` list and
+/// at `fli_target` instructions.
 ///
 /// Every input that shapes the results is keyed, by the rule
 /// [`trace_slice_key`] follows: the input (which events exist), the
@@ -137,18 +130,18 @@ pub fn trace_slice_key(
 /// per binary, in order, its digest and its boundary list (where its
 /// marker intervals cut).
 fn replay_key(
-    binary_hashes: &[String],
-    input_hash: &str,
+    binaries: &[&Binary],
+    input: &Input,
     config: &MemoryConfig,
     boundaries: &[Vec<ExecPoint>],
     fli_target: u64,
 ) -> StageKey {
-    let per_binary = binary_hashes
+    let per_binary = binaries
         .iter()
         .zip(boundaries)
-        .map(|(hash, cuts)| {
+        .map(|(binary, cuts)| {
             Value::Array(vec![
-                Value::Str(hash.clone()),
+                Value::Str(content_hash(*binary)),
                 Value::Str(content_hash(cuts)),
             ])
         })
@@ -156,7 +149,7 @@ fn replay_key(
     stage_key(
         REPLAY_STAGE,
         &[
-            Value::Str(input_hash.to_string()),
+            Value::Str(content_hash(input)),
             Value::Str(content_hash(config)),
             Value::UInt(fli_target),
             Value::Array(per_binary),
@@ -453,8 +446,7 @@ fn decode_replay_blob(binaries: usize, blob: Blob) -> Option<Vec<BothSlicings>> 
 fn put_slice_blobs(
     store: &ArtifactStore,
     key: &StageKey,
-    n_procs: u32,
-    n_loops: u32,
+    binary: &Binary,
     sliced: &SlicedTrace,
     overwrite: bool,
 ) -> Result<(), CbspError> {
@@ -467,7 +459,7 @@ fn put_slice_blobs(
             store.put_blob(TRACE_SLICE_STAGE, &skey, &meta, &payload)?;
         }
     }
-    let meta = slice_manifest_meta(n_procs, n_loops, sliced);
+    let meta = slice_manifest_meta(binary.procs.len() as u32, binary.loops.len() as u32, sliced);
     if overwrite {
         store.put_blob_overwrite(TRACE_SLICE_STAGE, key, &meta, &[])?;
     } else {
@@ -519,7 +511,8 @@ enum StoreTier<'s> {
     Shared(Arc<ArtifactStore>),
 }
 
-/// A two-tier (memory + optional store) cache of recorded event traces.
+/// A two-tier (memory + optional store) cache of sliced traces, plus
+/// the store's replay leases.
 ///
 /// Cheap to construct; scope one per experiment so its in-memory tier
 /// holds only the handful of binaries that experiment touches — or
@@ -528,7 +521,6 @@ enum StoreTier<'s> {
 #[derive(Debug)]
 pub struct TraceCache<'s> {
     store: StoreTier<'s>,
-    mem: Mutex<HashMap<String, Arc<EventTrace>>>,
     /// In-memory tier of the sliced-trace path: per-simpoint slice
     /// manifests keyed like the `trace_slice` store namespace.
     slices: Mutex<HashMap<String, Arc<SlicedTrace>>>,
@@ -537,8 +529,9 @@ pub struct TraceCache<'s> {
 }
 
 impl<'s> TraceCache<'s> {
-    /// Creates a cache backed by `store` (pass `None` for purely
-    /// in-memory record-once behaviour).
+    /// Creates a cache backed by `store` (pass `None` to keep slices in
+    /// memory only and to simulate on every
+    /// [`TraceCache::replay_sliced_both_all`] call).
     pub fn new(store: Option<&'s ArtifactStore>) -> Self {
         TraceCache::with_tier(store.map_or(StoreTier::None, StoreTier::Borrowed))
     }
@@ -550,8 +543,8 @@ impl<'s> TraceCache<'s> {
 
     /// Creates a cache that co-owns its backing store, freeing the
     /// holder from the borrow scope [`TraceCache::new`] imposes. A
-    /// long-lived server keeps one of these so both the in-memory tier
-    /// and the on-disk tier stay warm across requests.
+    /// long-lived server keeps one of these so both the in-memory slice
+    /// tier and the on-disk tier stay warm across requests.
     pub fn shared(store: Arc<ArtifactStore>) -> TraceCache<'static> {
         TraceCache::with_tier(StoreTier::Shared(store))
     }
@@ -559,7 +552,6 @@ impl<'s> TraceCache<'s> {
     fn with_tier(store: StoreTier<'s>) -> Self {
         TraceCache {
             store,
-            mem: Mutex::new(HashMap::new()),
             slices: Mutex::new(HashMap::new()),
             prefetch: Pool::auto(),
         }
@@ -583,47 +575,26 @@ impl<'s> TraceCache<'s> {
         }
     }
 
-    /// Returns the recorded trace for `(binary, input)`, interpreting
-    /// the binary only if neither cache tier has it. Safe to call from
-    /// pool workers; concurrent misses on the same key settle on one
-    /// entry.
+    /// Returns the recorded trace for `(binary, input)`: one store round
+    /// trip. A hit decodes the stored blob (`sim/trace_cache_hits`); a
+    /// miss — or a corrupt blob, repaired in place — records the trace
+    /// and writes it (`sim/trace_cache_misses`). Without a store tier
+    /// every call records. Nothing keeps the trace in memory.
     ///
-    /// Store hits read the blob tier zero-copy (the read buffer is
-    /// handed out as [`EventTrace::bytes`]).
+    /// Nothing in the pipeline calls this: it stays only because the
+    /// benchmark's `store.blob_*_mb_s` probes do, each time through a
+    /// fresh cache.
     ///
     /// # Errors
     ///
-    /// Returns [`CbspError::StoreIo`] on store failure. A corrupt
-    /// stored trace is treated as a miss and repaired in place.
-    pub fn get_or_record(
-        &self,
-        binary: &Binary,
-        input: &Input,
-    ) -> Result<Arc<EventTrace>, CbspError> {
-        self.get_or_record_at(&trace_key(binary, input), binary, input)
-    }
-
-    /// [`TraceCache::get_or_record`] under an already derived
-    /// [`trace_key`].
-    fn get_or_record_at(
-        &self,
-        key: &StageKey,
-        binary: &Binary,
-        input: &Input,
-    ) -> Result<Arc<EventTrace>, CbspError> {
-        let mem_key = key.as_hex().to_string();
-        if let Some(t) = self.mem.lock().expect("trace cache lock").get(&mem_key) {
-            cbsp_trace::add("sim/trace_cache_hits", 1);
-            return Ok(Arc::clone(t));
-        }
-
+    /// Returns [`CbspError::StoreIo`] on store failure.
+    pub fn get_or_record(&self, binary: &Binary, input: &Input) -> Result<EventTrace, CbspError> {
+        let key = trace_key(binary, input);
         let mut repair = false;
         if let Some(store) = self.store() {
-            match lookup(store, TRACE_STAGE, key, decode_trace_blob)? {
+            match lookup(store, TRACE_STAGE, &key, decode_trace_blob)? {
                 Lookup::Hit(trace) => {
                     cbsp_trace::add("sim/trace_cache_hits", 1);
-                    let trace = Arc::new(trace);
-                    self.insert(mem_key, &trace);
                     return Ok(trace);
                 }
                 Lookup::Miss => {}
@@ -635,65 +606,30 @@ impl<'s> TraceCache<'s> {
         }
 
         cbsp_trace::add("sim/trace_cache_misses", 1);
-        let trace = Arc::new(record_trace(binary, input));
+        let trace = record_trace(binary, input);
         if let Some(store) = self.store() {
             let meta = trace_blob_meta(&trace);
             if repair {
-                store.put_blob_overwrite(TRACE_STAGE, key, &meta, &trace.bytes)?;
+                store.put_blob_overwrite(TRACE_STAGE, &key, &meta, &trace.bytes)?;
             } else {
-                store.put_blob(TRACE_STAGE, key, &meta, &trace.bytes)?;
+                store.put_blob(TRACE_STAGE, &key, &meta, &trace.bytes)?;
             }
         }
-        self.insert(mem_key, &trace);
         Ok(trace)
     }
 
-    /// [`TraceCache::get_or_record`] for a batch of binaries sharing
-    /// one input, fanned out over `pool`. Results are in input order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first store error encountered, in input order.
-    pub fn get_or_record_all(
-        &self,
-        binaries: &[&Binary],
-        input: &Input,
-        pool: &Pool,
-    ) -> Result<Vec<Arc<EventTrace>>, CbspError> {
-        let input_hash = content_hash(input);
-        self.record_all(binaries, input, pool, |b| {
-            trace_key_of(&content_hash(binaries[b]), &input_hash)
-        })
-    }
-
-    /// [`TraceCache::get_or_record_all`] with each binary's trace key
-    /// derived by `key(b)`.
-    fn record_all(
-        &self,
-        binaries: &[&Binary],
-        input: &Input,
-        pool: &Pool,
-        key: impl Fn(usize) -> StageKey + Sync,
-    ) -> Result<Vec<Arc<EventTrace>>, CbspError> {
-        pool.run_indexed(binaries.len(), |b| {
-            self.get_or_record_at(&key(b), binaries[b], input)
-        })
-        .into_iter()
-        .collect()
-    }
-
-    /// The detailed simulations of one evaluation: each binary's trace
-    /// replayed once under `config` into both its marker slicing at
+    /// The detailed simulations of one evaluation: each binary simulated
+    /// once under `config` into both its marker slicing at
     /// `boundaries[b]` and its fixed `fli_target`-instruction slicing
-    /// ([`cbsp_sim::replay_sliced_both`]), in input order.
+    /// ([`cbsp_sim::simulate_sliced_both`]), in input order.
     ///
     /// With a store tier the results are a lease, one blob for all the
-    /// binaries under [`REPLAY_STAGE`]: a hit reads it back and touches
-    /// no trace (`sim/replay_cache_hits`); a miss records or loads each
-    /// trace ([`TraceCache::get_or_record`]), replays the binaries in
-    /// parallel over `pool`, and writes the lease
+    /// binaries under [`REPLAY_STAGE`]: a hit reads it back and
+    /// simulates nothing (`sim/replay_cache_hits`); a miss simulates the
+    /// binaries in parallel over `pool` and writes the lease
     /// (`sim/replay_cache_misses`). Without a store tier every call
-    /// replays. Each binary is hashed once per call.
+    /// simulates. Each binary is hashed once per call, and only when
+    /// there is a store tier.
     ///
     /// # Errors
     ///
@@ -706,7 +642,7 @@ impl<'s> TraceCache<'s> {
     /// Panics if `boundaries` does not hold one list per binary, if
     /// `fli_target` is zero, or if some boundary is never reached by
     /// its binary's execution (same contract as
-    /// [`cbsp_sim::replay_sliced_both`]).
+    /// [`cbsp_sim::simulate_sliced_both`]).
     pub fn replay_sliced_both_all(
         &self,
         binaries: &[&Binary],
@@ -721,10 +657,8 @@ impl<'s> TraceCache<'s> {
             boundaries.len(),
             "one boundary list per binary"
         );
-        let input_hash = content_hash(input);
-        let binary_hashes: Vec<String> = binaries.iter().map(|b| content_hash(*b)).collect();
         let lease = self.store().map(|store| {
-            let key = replay_key(&binary_hashes, &input_hash, config, boundaries, fli_target);
+            let key = replay_key(binaries, input, config, boundaries, fli_target);
             (store, key)
         });
         let mut repair = false;
@@ -744,13 +678,8 @@ impl<'s> TraceCache<'s> {
             cbsp_trace::add("sim/replay_cache_misses", 1);
         }
 
-        // Record (or load) every trace, then replay each binary once.
-        let traces = self.record_all(binaries, input, pool, |b| {
-            trace_key_of(&binary_hashes[b], &input_hash)
-        })?;
         let sims = pool.run_indexed(binaries.len(), |b| {
-            replay_sliced_both(&traces[b], config, &boundaries[b], fli_target)
-                .expect("recorded trace decodes")
+            simulate_sliced_both(binaries[b], input, config, &boundaries[b], fli_target)
         });
         if let Some((store, key)) = &lease {
             let (meta, payload) = replay_blob_parts(&sims);
@@ -763,18 +692,12 @@ impl<'s> TraceCache<'s> {
         Ok(sims)
     }
 
-    fn insert(&self, mem_key: String, trace: &Arc<EventTrace>) {
-        self.mem
-            .lock()
-            .expect("trace cache lock")
-            .insert(mem_key, Arc::clone(trace));
-    }
-
     /// Returns the per-simpoint slice manifest for `(binary, input)`
-    /// cut at `boundaries` covering `selected` intervals, materializing
-    /// it with one full replay only if neither cache tier has it. Warm
-    /// calls touch kilobytes of slice payload instead of the full
-    /// multi-megabyte trace (`sim/full_replay_avoided` counts them).
+    /// cut at `boundaries` covering `selected` intervals, cutting it
+    /// from one direct run ([`cbsp_sim::slice_trace`]) only if neither
+    /// cache tier has it. Warm calls touch kilobytes of slice payload
+    /// instead of simulating the whole run (`sim/full_replay_avoided`
+    /// counts them).
     ///
     /// Store hits read the manifest blob, then prefetch its per-slice
     /// blobs in parallel (`store/prefetch_fanouts` counts multi-slice
@@ -784,15 +707,13 @@ impl<'s> TraceCache<'s> {
     /// # Errors
     ///
     /// Returns [`CbspError::StoreIo`] on store failure. Corrupt stored
-    /// manifests or slice blobs — damaged framing, undecodable
-    /// payloads, or slice streams that fail to re-slice — are treated
-    /// as misses and repaired in place.
+    /// manifests or slice blobs — damaged framing or undecodable
+    /// payloads — are treated as misses and repaired in place.
     ///
     /// # Panics
     ///
-    /// Panics if some boundary is never reached by the recorded
-    /// execution (same contract as
-    /// [`cbsp_sim::replay_marker_sliced`]).
+    /// Panics if some boundary is never reached by the binary's
+    /// execution (same contract as [`cbsp_sim::slice_trace`]).
     pub fn get_slices(
         &self,
         binary: &Binary,
@@ -834,25 +755,28 @@ impl<'s> TraceCache<'s> {
                 cbsp_trace::add("store/repairs", 1);
             }
         }
+        self.cut_slices(binary, input, config, boundaries, &wanted, key, repair)
+    }
 
-        // Materialize: one full replay cuts every requested slice. A
-        // full trace that fails to decode can only be a corrupt stored
-        // artifact — re-record it (repair-as-miss) and re-slice.
-        let full = self.get_or_record(binary, input)?;
-        let sliced = match slice_trace(&full, config, boundaries, &wanted) {
-            Ok(s) => s,
-            Err(_) => {
-                cbsp_trace::add("store/repairs", 1);
-                let fresh = self.rerecord(binary, input)?;
-                slice_trace(&fresh, config, boundaries, &wanted)
-                    .expect("freshly recorded trace decodes")
-            }
-        };
-        let sliced = Arc::new(sliced);
+    /// Cuts the slice manifest under `key` from one direct run, writes
+    /// it to the store tier (overwriting a damaged one when `repair`)
+    /// and keeps it in memory.
+    #[allow(clippy::too_many_arguments)]
+    fn cut_slices(
+        &self,
+        binary: &Binary,
+        input: &Input,
+        config: &MemoryConfig,
+        boundaries: &[ExecPoint],
+        wanted: &[usize],
+        key: StageKey,
+        repair: bool,
+    ) -> Result<Arc<SlicedTrace>, CbspError> {
+        let sliced = Arc::new(slice_trace(binary, input, config, boundaries, wanted));
         if let Some(store) = self.store() {
-            put_slice_blobs(store, &key, full.n_procs, full.n_loops, &sliced, repair)?;
+            put_slice_blobs(store, &key, binary, &sliced, repair)?;
         }
-        self.insert_slices(mem_key, &sliced);
+        self.insert_slices(key.as_hex().to_string(), &sliced);
         Ok(sliced)
     }
 
@@ -886,19 +810,6 @@ impl<'s> TraceCache<'s> {
         Ok(fetched?.into_iter().collect::<Option<Vec<_>>>())
     }
 
-    /// Records `(binary, input)` afresh, replacing both cache tiers'
-    /// entries (the stored artifact decoded but its event stream was
-    /// corrupt).
-    fn rerecord(&self, binary: &Binary, input: &Input) -> Result<Arc<EventTrace>, CbspError> {
-        let key = trace_key(binary, input);
-        let trace = Arc::new(record_trace(binary, input));
-        if let Some(store) = self.store() {
-            store.put_blob_overwrite(TRACE_STAGE, &key, &trace_blob_meta(&trace), &trace.bytes)?;
-        }
-        self.insert(key.as_hex().to_string(), &trace);
-        Ok(trace)
-    }
-
     fn insert_slices(&self, mem_key: String, sliced: &Arc<SlicedTrace>) {
         self.slices
             .lock()
@@ -912,10 +823,9 @@ impl<'s> TraceCache<'s> {
     /// interval's own events), and the whole-program truth comes from
     /// the slice manifest — so a warm call decodes only kilobytes.
     /// Slice replays are bit-identical to the in-context interval
-    /// statistics of a full replay, so the result is byte-identical
-    /// across cache temperature and thread count, *and* to the same
-    /// estimate computed over the full trace with
-    /// [`cbsp_sim::replay_marker_sliced`].
+    /// statistics of a full run, so the result is byte-identical across
+    /// cache temperature and thread count, *and* to the same estimate
+    /// computed from [`cbsp_sim::simulate_marker_sliced`].
     ///
     /// `phase_weights` follows [`weighted_cpi_with`] (the cross-binary
     /// scheme); pass `None` to use each point's own weight.
@@ -926,7 +836,7 @@ impl<'s> TraceCache<'s> {
     ///
     /// # Panics
     ///
-    /// Panics if some boundary is never reached by the recorded
+    /// Panics if some boundary is never reached by the binary's
     /// execution.
     #[allow(clippy::too_many_arguments)]
     pub fn estimate_cpi_sliced(
@@ -944,30 +854,21 @@ impl<'s> TraceCache<'s> {
         let sliced = self.get_slices(binary, input, config, boundaries, &selected)?;
         let n = interval_count.max(sliced.intervals);
         let mut interval_cpis = vec![0.0f64; n];
-        let mut replayed: Option<Vec<(usize, IntervalSim)>> = replay_all_slices(&sliced, config);
-        if replayed.is_none() {
-            // A slice stream that fails to decode is a corrupt cached
-            // manifest: drop it from both tiers and re-materialize.
-            cbsp_trace::add("store/repairs", 1);
-            let mut wanted = selected.clone();
-            wanted.sort_unstable();
-            wanted.dedup();
-            let key = trace_slice_key(binary, input, config, boundaries, &wanted);
-            self.slices
-                .lock()
-                .expect("slice cache lock")
-                .remove(key.as_hex());
-            if let Some(store) = self.store() {
-                let full = self.get_or_record(binary, input)?;
-                let fresh = slice_trace(&full, config, boundaries, &wanted)
-                    .expect("freshly sliced trace decodes");
-                let fresh = Arc::new(fresh);
-                put_slice_blobs(store, &key, full.n_procs, full.n_loops, &fresh, true)?;
-                self.insert_slices(key.as_hex().to_string(), &fresh);
-                replayed = replay_all_slices(&fresh, config);
+        let replayed = match replay_all_slices(&sliced, config) {
+            Some(replayed) => replayed,
+            None => {
+                // A slice stream that fails to decode is a corrupt
+                // stored manifest: re-cut it and overwrite it.
+                cbsp_trace::add("store/repairs", 1);
+                let mut wanted = selected;
+                wanted.sort_unstable();
+                wanted.dedup();
+                let key = trace_slice_key(binary, input, config, boundaries, &wanted);
+                let fresh =
+                    self.cut_slices(binary, input, config, boundaries, &wanted, key, true)?;
+                replay_all_slices(&fresh, config).expect("freshly cut slices decode")
             }
-        }
-        let replayed = replayed.expect("re-materialized slices decode");
+        };
         for (interval, stats) in replayed {
             if interval < n {
                 interval_cpis[interval] = stats.cpi();
@@ -989,7 +890,7 @@ impl<'s> TraceCache<'s> {
 /// Result of a sliced CPI estimate for one binary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CpiEstimate {
-    /// Whole-program CPI (full-replay ground truth).
+    /// Whole-program CPI (full-run ground truth).
     pub true_cpi: f64,
     /// Whole-program instruction count.
     pub instructions: u64,
@@ -1099,24 +1000,6 @@ mod tests {
     }
 
     #[test]
-    fn memory_tier_records_once() {
-        let _lock = cbsp_trace::test_lock();
-        let bin = test_binary();
-        let input = Input::test();
-        let cache = TraceCache::in_memory();
-        cbsp_trace::enable();
-        cbsp_trace::reset();
-        let t1 = cache.get_or_record(&bin, &input).expect("records");
-        let t2 = cache.get_or_record(&bin, &input).expect("hits");
-        assert!(Arc::ptr_eq(&t1, &t2), "second call serves the same trace");
-        let counters = cbsp_trace::snapshot().counters;
-        cbsp_trace::disable();
-        assert_eq!(counters.get("sim/trace_cache_misses"), Some(&1));
-        assert_eq!(counters.get("sim/trace_cache_hits"), Some(&1));
-        assert!(counters.get("sim/record_bytes").copied().unwrap_or(0) > 0);
-    }
-
-    #[test]
     fn store_tier_serves_blob_hits_zero_decode() {
         let _lock = cbsp_trace::test_lock();
         let bin = test_binary();
@@ -1137,7 +1020,7 @@ mod tests {
         let t2 = second.get_or_record(&bin, &input).expect("store hit");
         let counters = cbsp_trace::snapshot().counters;
         cbsp_trace::disable();
-        assert_eq!(*t1, *t2, "stored trace round-trips exactly");
+        assert_eq!(t1, t2, "stored trace round-trips exactly");
         assert_eq!(counters.get("sim/trace_cache_hits"), Some(&1));
         assert_eq!(counters.get("sim/trace_cache_misses"), None);
         assert_eq!(counters.get("store/blob_reads"), Some(&1));
@@ -1167,37 +1050,12 @@ mod tests {
 
         let fresh = TraceCache::new(Some(&store));
         let t2 = fresh.get_or_record(&bin, &input).expect("repairs");
-        assert_eq!(*t1, *t2);
+        assert_eq!(t1, t2);
         // Repaired in place: a third cache now hits cleanly.
         let third = TraceCache::new(Some(&store));
         let t3 = third.get_or_record(&bin, &input).expect("hits");
-        assert_eq!(*t1, *t3);
+        assert_eq!(t1, t3);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn pool_fanout_records_each_binary_once() {
-        let _lock = cbsp_trace::test_lock();
-        let prog = workloads::by_name("gzip")
-            .expect("in suite")
-            .build(Scale::Test);
-        let bins: Vec<Binary> = CompileTarget::ALL_FOUR
-            .iter()
-            .map(|&t| compile(&prog, t))
-            .collect();
-        let refs: Vec<&Binary> = bins.iter().collect();
-        let input = Input::test();
-        let cache = TraceCache::in_memory();
-        let pool = Pool::new(8);
-        let traces = cache
-            .get_or_record_all(&refs, &input, &pool)
-            .expect("records");
-        assert_eq!(traces.len(), 4);
-        // Same batch again: all four come back as the same allocations.
-        let again = cache.get_or_record_all(&refs, &input, &pool).expect("hits");
-        for (a, b) in traces.iter().zip(&again) {
-            assert!(Arc::ptr_eq(a, b));
-        }
     }
 
     #[test]
@@ -1226,7 +1084,7 @@ mod tests {
         assert_eq!(cold_counters.get("sim/full_replay_avoided"), None);
         assert_eq!(warm_counters.get("sim/full_replay_avoided"), Some(&1));
         // The manifest is a small fraction of the full trace.
-        let full = cache.get_or_record(&bin, &input).expect("cached");
+        let full = cbsp_sim::record_trace(&bin, &input);
         assert!(
             cold.encoded_len() < full.bytes.len(),
             "slices {} vs full trace {}",
@@ -1370,6 +1228,56 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A checksum-valid slice blob whose event stream fails to decode is
+    /// re-cut from one direct run and rewritten in place: the estimate
+    /// is unchanged, the repair is counted, and no trace is recorded.
+    #[test]
+    fn undecodable_slice_stream_is_re_cut_in_place() {
+        let _lock = cbsp_trace::test_lock();
+        let bin = test_binary();
+        let input = Input::test();
+        let (boundaries, points) = boundaries_and_points(&bin, &input);
+        let selected: Vec<usize> = points.iter().map(|p| p.interval).collect();
+        let config = MemoryConfig::table1();
+        let n = boundaries.len() + 1;
+        let (store, dir) = temp_store("slice-stream");
+        let estimate = || {
+            TraceCache::new(Some(&store))
+                .estimate_cpi_sliced(&bin, &input, &config, &boundaries, &points, None, n)
+                .expect("estimates")
+        };
+        let cold = estimate();
+
+        // Claim one event more than the slice holds: the framing is
+        // valid, the replay runs out of bytes.
+        let key = trace_slice_key(&bin, &input, &config, &boundaries, &selected);
+        let sliced = TraceCache::new(Some(&store))
+            .get_slices(&bin, &input, &config, &boundaries, &selected)
+            .expect("store hit");
+        let mut forged = sliced.slices[1].clone();
+        let skey = derived_key(&key, "slice", forged.interval as u64);
+        let good = std::fs::read(store.blob_path(&skey)).expect("slice blob exists");
+        forged.trace.events += 1;
+        let (meta, payload) = slice_blob_parts(&forged);
+        store
+            .put_blob_overwrite(TRACE_SLICE_STAGE, &skey, &meta, &payload)
+            .expect("forges a checksum-valid slice");
+
+        cbsp_trace::enable();
+        cbsp_trace::reset();
+        let repaired = estimate();
+        let counters = cbsp_trace::snapshot().counters;
+        cbsp_trace::disable();
+        cbsp_trace::reset();
+        assert_eq!(repaired, cold);
+        assert_eq!(counters.get("store/repairs"), Some(&1));
+        assert_eq!(counters.get("sim/trace_cache_misses"), None);
+        assert!(!store.contains_blob(&trace_key(&bin, &input)), "no trace");
+        let rewritten = std::fs::read(store.blob_path(&skey)).expect("slice rewritten");
+        assert!(rewritten == good, "repaired in place");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// A checksum-valid manifest whose slice count exceeds its meta
     /// bytes is a miss — decoded without allocating for the count —
     /// and is repaired in place.
@@ -1460,15 +1368,22 @@ mod tests {
         (sims, counters)
     }
 
+    /// Asserts that a lease miss simulated each binary directly, exactly
+    /// once: no trace was recorded or replayed, and the simulated
+    /// instructions are one run of every binary.
+    fn assert_simulated_once(
+        sims: &[BothSlicings],
+        counters: &std::collections::BTreeMap<String, u64>,
+    ) {
+        assert_eq!(counters.get("sim/replays"), None);
+        assert_eq!(counters.get("sim/record_bytes"), None);
+        let instructions: u64 = sims.iter().map(|s| s.stats.instructions).sum();
+        assert_eq!(counters.get("sim/instructions"), Some(&instructions));
+    }
+
     fn lease_key(bins: &[Binary], config: &MemoryConfig, cuts: &[Vec<ExecPoint>]) -> StageKey {
-        let hashes: Vec<String> = bins.iter().map(content_hash).collect();
-        replay_key(
-            &hashes,
-            &content_hash(&Input::test()),
-            config,
-            cuts,
-            FLI_TARGET,
-        )
+        let refs: Vec<&Binary> = bins.iter().collect();
+        replay_key(&refs, &Input::test(), config, cuts, FLI_TARGET)
     }
 
     #[test]
@@ -1481,12 +1396,12 @@ mod tests {
         let (cold, counters) = lease_call(Some(&store), &bins, &config, &cuts, FLI_TARGET);
         assert_eq!(counters.get("sim/replay_cache_misses"), Some(&1));
         assert_eq!(counters.get("sim/replay_cache_hits"), None);
-        assert_eq!(counters.get("sim/replays"), Some(&4));
+        assert_simulated_once(&cold, &counters);
         assert!(store.contains_blob(&lease_key(&bins, &config, &cuts)));
 
-        // Identical inputs hit: one blob read, no trace, no replay.
+        // Identical inputs hit: one blob read, no trace, no simulation.
         let (warm, counters) = lease_call(Some(&store), &bins, &config, &cuts, FLI_TARGET);
-        assert_eq!(warm, cold, "a hit is bit-identical to the replay");
+        assert_eq!(warm, cold, "a hit is bit-identical to the simulation");
         assert_eq!(counters.get("sim/replay_cache_hits"), Some(&1));
         assert_eq!(counters.get("sim/replay_cache_misses"), None);
         assert_eq!(counters.get("sim/replays"), None);
@@ -1494,10 +1409,10 @@ mod tests {
         assert_eq!(counters.get("sim/trace_cache_misses"), None);
         assert_eq!(counters.get("store/blob_reads"), Some(&1));
 
-        // Without a store tier every call replays, to the same result.
+        // Without a store tier every call simulates, to the same result.
         let (plain, counters) = lease_call(None, &bins, &config, &cuts, FLI_TARGET);
         assert_eq!(plain, cold);
-        assert_eq!(counters.get("sim/replays"), Some(&4));
+        assert_simulated_once(&plain, &counters);
         assert_eq!(counters.get("sim/replay_cache_misses"), None);
 
         // Every input that shapes the result re-keys the lease.
@@ -1600,7 +1515,7 @@ mod tests {
         let (again, counters) = lease_call(Some(&store), &bins, &config, &cuts, FLI_TARGET);
         assert_eq!(again, cold);
         assert_eq!(counters.get("sim/replay_cache_misses"), Some(&1));
-        assert_eq!(counters.get("sim/replays"), Some(&4));
+        assert_simulated_once(&again, &counters);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

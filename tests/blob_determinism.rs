@@ -2,8 +2,8 @@
 //! must come back bit-identical from a blob store and from a store an
 //! older version left holding JSON envelopes, whether slice prefetch
 //! fans out over 1 thread or 8, and must equal the same estimate
-//! computed over the full recorded trace — slicing and the blob tier
-//! change the bytes read, never the answer.
+//! computed from a full marker-sliced simulation — slicing and the blob
+//! tier change the bytes read, never the answer.
 //!
 //! Every test holds [`cbsp_trace::test_lock`]: one of them asserts
 //! exact counters, and the collector is process-global.
@@ -17,7 +17,7 @@ use cross_binary_simpoints::core::weighted_cpi_with;
 use cross_binary_simpoints::prelude::*;
 use cross_binary_simpoints::profile::{ExecPoint, MarkerRef};
 use cross_binary_simpoints::program::{BlockId, Marker};
-use cross_binary_simpoints::sim::{record_trace, replay_marker_sliced, IntervalSim, MemoryConfig};
+use cross_binary_simpoints::sim::{simulate_marker_sliced, IntervalSim, MemoryConfig};
 use cross_binary_simpoints::simpoint::SimPoint;
 use serde_json::Value;
 use std::collections::BTreeMap;
@@ -199,7 +199,9 @@ fn estimates_are_identical_across_formats_and_thread_counts() {
 /// A store an older version left holding JSON envelopes behaves exactly
 /// like an empty store: every entry point serves the same value and
 /// bumps the same counters — a miss, no repair — and writes its blob
-/// beside the untouched envelope, which the next `gc` evicts.
+/// beside the untouched envelope, which the next `gc` evicts. Only
+/// `get_or_record` records a trace: the slice paths cut their slices
+/// from a direct run and leave the `trace` namespace alone.
 #[test]
 fn old_store_envelopes_are_plain_misses() {
     let _lock = cbsp_trace::test_lock();
@@ -215,11 +217,17 @@ fn old_store_envelopes_are_plain_misses() {
     let tkey = trace_key(&bin, &input);
     let skey = trace_slice_key(&bin, &input, &config, &boundaries, &selected);
 
+    /// Runs `call` against an empty store and against one holding old
+    /// envelopes under both keys. `written` are the blobs the call must
+    /// write; `records` says whether it records the trace (one trace
+    /// miss, trace blob written) or leaves traces alone (no trace
+    /// counter moves, no trace blob).
     fn check<T: PartialEq + std::fmt::Debug>(
         entry: &str,
         tkey: &StageKey,
         skey: &StageKey,
-        blobs: &[&StageKey],
+        written: &[&StageKey],
+        records: bool,
         call: impl Fn(&TraceCache) -> T,
     ) {
         let (empty, empty_dir) = temp_store(&format!("empty-{entry}"));
@@ -233,7 +241,18 @@ fn old_store_envelopes_are_plain_misses() {
             "{entry}: old store serves what an empty one does"
         );
         assert_eq!(got_counters, want_counters, "{entry}: same counters");
-        assert_eq!(got_counters.get("sim/trace_cache_misses"), Some(&1));
+        if records {
+            assert_eq!(got_counters.get("sim/trace_cache_misses"), Some(&1));
+        } else {
+            assert_eq!(
+                got_counters.get("sim/trace_cache_misses"),
+                None,
+                "{entry}: no trace recorded"
+            );
+            for store in [&empty, &old] {
+                assert!(!store.contains_blob(tkey), "{entry}: no trace blob");
+            }
+        }
         assert_eq!(got_counters.get("sim/trace_cache_hits"), None);
         assert_eq!(got_counters.get("sim/full_replay_avoided"), None);
         assert_eq!(
@@ -241,7 +260,7 @@ fn old_store_envelopes_are_plain_misses() {
             None,
             "{entry}: no repair"
         );
-        for key in blobs {
+        for key in written {
             assert!(old.contains_blob(key), "{entry}: blob written");
         }
         assert!(
@@ -258,10 +277,10 @@ fn old_store_envelopes_are_plain_misses() {
         let _ = std::fs::remove_dir_all(&old_dir);
     }
 
-    check("get_or_record", &tkey, &skey, &[&tkey], |cache| {
+    check("get_or_record", &tkey, &skey, &[&tkey], true, |cache| {
         cache.get_or_record(&bin, &input).expect("records")
     });
-    check("get_slices", &tkey, &skey, &[&tkey, &skey], |cache| {
+    check("get_slices", &tkey, &skey, &[&skey], false, |cache| {
         cache
             .get_slices(&bin, &input, &config, &boundaries, &selected)
             .expect("materializes")
@@ -270,7 +289,8 @@ fn old_store_envelopes_are_plain_misses() {
         "estimate_cpi_sliced",
         &tkey,
         &skey,
-        &[&tkey, &skey],
+        &[&skey],
+        false,
         |cache| {
             let est = cache
                 .estimate_cpi_sliced(&bin, &input, &config, &boundaries, &points, None, n)
@@ -289,8 +309,8 @@ fn old_store_envelopes_are_plain_misses() {
     );
 }
 
-/// The sliced estimate equals the same estimate computed over the full
-/// recorded trace — one in-context `replay_marker_sliced` pass, then
+/// The sliced estimate equals the same estimate computed from a full
+/// run — one in-context `simulate_marker_sliced` pass, then
 /// `weighted_cpi_with` — bit for bit, for every binary of a workload,
 /// with the pipeline's own boundaries, simulation points, and
 /// per-binary phase weights.
@@ -324,9 +344,7 @@ fn sliced_estimates_match_a_full_trace_replay() {
             .estimate_cpi_sliced(bin, &input, &config, boundaries, points, Some(weights), n)
             .expect("sliced estimate");
 
-        let trace = record_trace(bin, &input);
-        let (full, mut intervals) =
-            replay_marker_sliced(&trace, &config, boundaries).expect("trace decodes");
+        let (full, mut intervals) = simulate_marker_sliced(bin, &input, &config, boundaries);
         intervals.resize(n.max(intervals.len()), IntervalSim::default());
         let interval_cpis: Vec<f64> = intervals.iter().map(IntervalSim::cpi).collect();
         let estimated = weighted_cpi_with(points, weights, &interval_cpis);
