@@ -85,11 +85,7 @@ pub fn sweep_benchmark(
     let prog = workloads::by_name(name)
         .unwrap_or_else(|| panic!("unknown benchmark {name}"))
         .build(scale);
-    let input = match scale {
-        Scale::Test => Input::test(),
-        Scale::Train => Input::train(),
-        Scale::Reference => Input::reference(),
-    };
+    let input = Input::for_scale(scale);
     let binaries: Vec<Binary> = CompileTarget::ALL_FOUR
         .iter()
         .map(|&t| compile(&prog, t))

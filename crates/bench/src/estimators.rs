@@ -101,11 +101,7 @@ pub fn lane_rows(
     pool: &Pool,
     estimators: &[EstimatorConfig],
 ) -> Vec<LaneBenchmark> {
-    let input = match scale {
-        Scale::Test => Input::test(),
-        Scale::Train => Input::train(),
-        Scale::Reference => Input::reference(),
-    };
+    let input = Input::for_scale(scale);
     let bin_refs: Vec<&Binary> = run.binaries.iter().collect();
     estimators
         .iter()

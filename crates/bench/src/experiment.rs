@@ -251,11 +251,7 @@ pub fn evaluate_benchmark_cached(
 ) -> BenchmarkRun {
     let workload = workloads::by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
     let prog = workload.build(scale);
-    let input = match scale {
-        Scale::Test => Input::test(),
-        Scale::Train => Input::train(),
-        Scale::Reference => Input::reference(),
-    };
+    let input = Input::for_scale(scale);
     let binaries: Vec<Binary> = pool.run_indexed(CompileTarget::ALL_FOUR.len(), |i| {
         compile(&prog, CompileTarget::ALL_FOUR[i])
     });
@@ -548,7 +544,7 @@ mod tests {
     #[test]
     fn evaluation_simulates_each_binary_once() {
         let _guard = cbsp_trace::test_lock();
-        let traces = TraceCache::in_memory();
+        let traces = TraceCache::new(None);
         cbsp_trace::enable();
         cbsp_trace::reset();
         let run = evaluate_benchmark_cached(

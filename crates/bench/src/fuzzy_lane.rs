@@ -124,11 +124,7 @@ pub fn fuzzy_benchmark(
     mem: &MemoryConfig,
     pool: &Pool,
 ) -> FuzzyBenchmark {
-    let input = match scale {
-        Scale::Test => Input::test(),
-        Scale::Train => Input::train(),
-        Scale::Reference => Input::reference(),
-    };
+    let input = Input::for_scale(scale);
     let binaries = destroyed_binaries(name, scale);
     let config = CbspConfig {
         interval_target,

@@ -35,11 +35,7 @@ pub fn softmark_benchmark(name: &str, scale: Scale, interval_target: u64) -> Sof
     let prog = workloads::by_name(name)
         .unwrap_or_else(|| panic!("unknown benchmark {name}"))
         .build(scale);
-    let input = match scale {
-        Scale::Test => Input::test(),
-        Scale::Train => Input::train(),
-        Scale::Reference => Input::reference(),
-    };
+    let input = Input::for_scale(scale);
     let bin = compile(&prog, CompileTarget::W64_O2);
     let mem = MemoryConfig::table1();
     let sp_config = SimPointConfig::default();

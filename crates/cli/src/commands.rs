@@ -2,16 +2,17 @@
 
 use crate::opts::{read_json, write_json, Opts};
 use cbsp_core::{
-    mapping_stats, marker_period_stats, run_per_binary, select_phase_markers, CbspConfig, PointKind,
+    mapping_stats, marker_period_stats, run_per_binary, select_phase_markers, CbspConfig,
+    CrossBinaryResult, PointKind,
 };
 use cbsp_par::Pool;
 use cbsp_profile::{parse_bb, write_bb, PinPointsFile, ProcHotness};
 use cbsp_program::{
-    compile, compile_cost_estimate_ns, workloads, Binary, CompileTarget, OptLevel, Width,
+    compile, compile_cost_estimate_ns, workloads, Binary, CompileTarget, Input, OptLevel, Width,
 };
 use cbsp_sim::{estimate_cpi_from_regions, simulate_full, simulate_regions, MemoryConfig};
 use cbsp_simpoint::{analyze, EstimatorConfig, SimPointConfig};
-use cbsp_store::{ArtifactStore, CachePolicy, Orchestrator, TraceCache};
+use cbsp_store::{ArtifactStore, Orchestrator, RunReport, TraceCache};
 
 /// `cbsp list` — the benchmark suite.
 pub fn list(_opts: &Opts) -> Result<(), String> {
@@ -178,6 +179,32 @@ pub fn simpoint(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
+/// The pipeline run `cross` and `estimate` share: through the artifact
+/// store at `--cache-dir` (every stage recomputed and written over
+/// under `--refresh 1`), returning the store and the run's cache report
+/// beside the result. Under `--no-cache 1` it runs
+/// [`cbsp_core::run_cross_binary`] and never opens, or creates, the
+/// store.
+fn run_pipeline(
+    opts: &Opts,
+    binaries: &[Binary],
+    input: &Input,
+    config: &CbspConfig,
+    description: &str,
+) -> Result<(CrossBinaryResult, Option<(ArtifactStore, RunReport)>), String> {
+    let refs: Vec<&Binary> = binaries.iter().collect();
+    let Some(policy) = opts.cache_policy()? else {
+        let result =
+            cbsp_core::run_cross_binary(&refs, input, config).map_err(|e| e.to_string())?;
+        return Ok((result, None));
+    };
+    let store = ArtifactStore::open(opts.cache_dir()).map_err(|e| e.to_string())?;
+    let (result, report) = Orchestrator::new(&store, policy)
+        .run_cross_binary(&refs, input, config, description)
+        .map_err(|e| e.to_string())?;
+    Ok((result, Some((store, report))))
+}
+
 /// `cbsp cross <benchmark> [--interval N] [--scale S] [--threads N]
 /// [--estimator bbv|bbv+mav|early|stratified] [--fuzzy-map[=T]]
 /// [--out-dir D] [--cache-dir D] [--no-cache 1] [--refresh 1]` — the
@@ -220,9 +247,6 @@ pub fn cross(opts: &Opts) -> Result<(), String> {
                 compile(&program, CompileTarget::ALL_FOUR[i])
             })
     };
-    let policy = opts.cache_policy()?;
-    let store = ArtifactStore::open(opts.cache_dir()).map_err(|e| e.to_string())?;
-    let orchestrator = Orchestrator::new(&store, policy);
     let mut description = if config.estimator.is_default() {
         format!(
             "cross {name} scale={scale:?} interval={}",
@@ -238,29 +262,23 @@ pub fn cross(opts: &Opts) -> Result<(), String> {
     if let Some(fuzzy) = &config.fuzzy {
         description.push_str(&format!(" fuzzy-map={}", fuzzy.threshold));
     }
-    let (result, report) = orchestrator
-        .run_cross_binary(
-            &binaries.iter().collect::<Vec<_>>(),
-            &input,
-            &config,
-            &description,
-        )
-        .map_err(|e| e.to_string())?;
-    if policy == CachePolicy::Bypass {
-        println!("cache: bypassed (--no-cache)");
-    } else {
-        let summary: Vec<String> = report
-            .stage_summary()
-            .iter()
-            .map(|(stage, hits, total)| format!("{stage} {hits}/{total}"))
-            .collect();
-        println!(
-            "cache: {} of {} stage executions served from {} ({})",
-            report.hits(),
-            report.outcomes.len(),
-            opts.cache_dir(),
-            summary.join(", ")
-        );
+    let (result, cached) = run_pipeline(opts, &binaries, &input, &config, &description)?;
+    match cached {
+        None => println!("cache: bypassed (--no-cache)"),
+        Some((_, report)) => {
+            let summary: Vec<String> = report
+                .stage_summary()
+                .iter()
+                .map(|(stage, hits, total)| format!("{stage} {hits}/{total}"))
+                .collect();
+            println!(
+                "cache: {} of {} stage executions served from {} ({})",
+                report.hits(),
+                report.outcomes.len(),
+                opts.cache_dir(),
+                summary.join(", ")
+            );
+        }
     }
 
     println!(
@@ -497,25 +515,10 @@ pub fn estimate(opts: &Opts) -> Result<(), String> {
         .iter()
         .map(|&t| compile(&program, t))
         .collect();
-    let policy = opts.cache_policy()?;
-    let store = ArtifactStore::open(opts.cache_dir()).map_err(|e| e.to_string())?;
-    let orchestrator = Orchestrator::new(&store, policy);
-    let (result, _) = orchestrator
-        .run_cross_binary(
-            &binaries.iter().collect::<Vec<_>>(),
-            &input,
-            &config,
-            &format!("estimate {name} scale={scale:?}"),
-        )
-        .map_err(|e| e.to_string())?;
-
-    // Bypass policy means "recompute everything", so skip the
-    // persistent slice tier too and materialize in memory.
-    let traces = if policy == CachePolicy::Bypass {
-        TraceCache::in_memory()
-    } else {
-        TraceCache::new(Some(&store))
-    };
+    let description = format!("estimate {name} scale={scale:?}");
+    let (result, cached) = run_pipeline(opts, &binaries, &input, &config, &description)?;
+    // Under `--no-cache 1` the slices are cut in memory too.
+    let traces = TraceCache::new(cached.as_ref().map(|(store, _)| store));
     let mem = MemoryConfig::default();
     let pool = Pool::new(config.simpoint.threads);
     let n = result.interval_count();
@@ -592,16 +595,14 @@ pub fn cache(opts: &Opts) -> Result<(), String> {
                 stats.bytes,
                 stats.manifests
             );
-            let lease = |stage: &str| stats.per_stage.get(stage).cloned().unwrap_or_default();
-            let leases = cbsp_store::LEASE_STAGES.map(lease);
+            let pipeline = stats.pipeline();
             println!(
                 "  pipeline stages: {} artifacts, {} bytes",
-                stats.artifacts - leases.iter().map(|s| s.artifacts).sum::<u64>(),
-                stats.bytes - leases.iter().map(|s| s.bytes).sum::<u64>()
+                pipeline.artifacts, pipeline.bytes
             );
-            let traces = lease(cbsp_store::TRACE_STAGE);
-            let slices = lease(cbsp_store::TRACE_SLICE_STAGE);
-            let replays = lease(cbsp_store::REPLAY_STAGE);
+            let traces = stats.stage(cbsp_store::TRACE_STAGE);
+            let slices = stats.stage(cbsp_store::TRACE_SLICE_STAGE);
+            let replays = stats.stage(cbsp_store::REPLAY_STAGE);
             println!(
                 "  trace cache:     {} artifacts, {} bytes (evicted by gc, unused by evaluations)",
                 traces.artifacts, traces.bytes

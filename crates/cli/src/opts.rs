@@ -64,11 +64,7 @@ impl Opts {
 
     /// The standard input for the chosen scale.
     pub fn input(&self) -> Result<Input, String> {
-        Ok(match self.scale()? {
-            Scale::Test => Input::test(),
-            Scale::Train => Input::train(),
-            Scale::Reference => Input::reference(),
-        })
+        Ok(Input::for_scale(self.scale()?))
     }
 
     /// Worker-thread count from `--threads N` (default 0 = one per
@@ -102,15 +98,16 @@ impl Opts {
         self.flag("cache-dir").unwrap_or(".cbsp-cache")
     }
 
-    /// The cache policy from `--no-cache 1` / `--refresh 1`.
-    pub fn cache_policy(&self) -> Result<cbsp_store::CachePolicy, String> {
+    /// The cache policy from `--no-cache 1` / `--refresh 1`; `None`
+    /// under `--no-cache 1`, which runs without a store.
+    pub fn cache_policy(&self) -> Result<Option<cbsp_store::CachePolicy>, String> {
         let no_cache = self.flag_or("no-cache", 0u8)? != 0;
         let refresh = self.flag_or("refresh", 0u8)? != 0;
         match (no_cache, refresh) {
             (true, true) => Err("--no-cache and --refresh are mutually exclusive".into()),
-            (true, false) => Ok(cbsp_store::CachePolicy::Bypass),
-            (false, true) => Ok(cbsp_store::CachePolicy::Refresh),
-            (false, false) => Ok(cbsp_store::CachePolicy::ReadWrite),
+            (true, false) => Ok(None),
+            (false, true) => Ok(Some(cbsp_store::CachePolicy::Refresh)),
+            (false, false) => Ok(Some(cbsp_store::CachePolicy::ReadWrite)),
         }
     }
 

@@ -208,6 +208,10 @@ fn cross_serves_warm_run_from_cache() {
         "uncached cross",
     );
     assert!(nocache.contains("cache: bypassed"));
+    assert!(
+        !dir.join(".cbsp-cache").exists(),
+        "an uncached run creates no store"
+    );
     for label in ["mcf-32u", "mcf-32o", "mcf-64u", "mcf-64o"] {
         let cached = std::fs::read(dir.join(format!("out/{label}.pinpoints.json")))
             .expect("cached pinpoints");

@@ -14,6 +14,9 @@
 //!   by mappable points (§3.2.3);
 //! * [`run_cross_binary`] — the end-to-end six-step pipeline (§3.2),
 //!   producing mapped simulation points and per-binary weights;
+//!   [`run_stages`] is its driver, the one copy of the stage sequence,
+//!   which runs every [`Stage`] through a [`StageHook`] (`cbsp-store`'s
+//!   adds caching and cancellation);
 //! * [`run_per_binary`] — the classic per-binary SimPoint baseline
 //!   (§2) the paper compares against;
 //! * [`estimate`] — CPI extrapolation, speedup, and the paper's error
@@ -71,8 +74,9 @@ pub use fuzzy::{
 pub use mappable::{find_mappable_points, MappablePoint, MappableSet, PointKind};
 pub use perbinary::{run_per_binary, PerBinaryResult};
 pub use pipeline::{
-    map_stage, mappable_stage, profile_stage, profile_stage_all, run_cross_binary, simpoint_stage,
-    validate_binaries, vli_stage, CbspConfig, CrossBinaryResult, MappableStage, MappedSlicing,
+    map_stage, mappable_stage, profile_stage, profile_stage_all, run_cross_binary, run_stages,
+    simpoint_stage, validate_binaries, vli_stage, CbspConfig, CrossBinaryResult, MappableStage,
+    MappedSlicing, Stage, StageHook,
 };
 pub use softmarkers::{
     marker_period_stats, marker_period_stats_all, select_phase_markers, slice_at_marker,

@@ -513,38 +513,115 @@ fn map_cost_estimate_ns(total_instrs: u64, n_boundaries: usize, n_binaries: usiz
         .saturating_add((n_boundaries * n_binaries) as u64 * 100)
 }
 
-/// Runs the full cross-binary pipeline over `binaries`.
+/// One stage execution of the pipeline, as [`run_stages`] hands it to
+/// its [`StageHook`]. The derived order is the pipeline order —
+/// profiles in binary order, then the four whole-set stages — so
+/// sorting recorded stages restores it however the profiles
+/// interleaved.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Stage {
+    /// Step 1 for binary `b`: its call/loop profile
+    /// ([`CallLoopProfile`]).
+    Profile(usize),
+    /// Step 2: the mappable points ([`MappableStage`]).
+    Mappable,
+    /// Step 3: the primary binary's intervals ([`VliProfile`]).
+    Vli,
+    /// Step 4: the clustering ([`SimPointResult`]).
+    Simpoint,
+    /// Steps 5–6: the slicing mapped to every binary
+    /// ([`MappedSlicing`]).
+    Map,
+}
+
+impl Stage {
+    /// The logical stage name: `profile`, `mappable`, `vli`,
+    /// `simpoint` or `map`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Stage::Profile(_) => "profile",
+            Stage::Mappable => "mappable",
+            Stage::Vli => "vli",
+            Stage::Simpoint => "simpoint",
+            Stage::Map => "map",
+        }
+    }
+}
+
+/// What happens around each stage [`run_stages`] executes. The library
+/// driver's hook only computes; `cbsp-store`'s polls a cancellation
+/// check and serves the stage from a content-addressed artifact store.
+pub trait StageHook: Sync {
+    /// Produces `stage`'s output, calling `compute` if it has to.
+    ///
+    /// # Errors
+    ///
+    /// Returns `compute`'s error, or the hook's own (cancellation,
+    /// store failure).
+    fn run<T, F>(&self, stage: Stage, compute: F) -> Result<T, CbspError>
+    where
+        T: Serialize + Deserialize,
+        F: FnOnce() -> Result<T, CbspError>;
+}
+
+/// The hook of [`run_cross_binary`]: every stage is computed.
+struct Compute;
+
+impl StageHook for Compute {
+    fn run<T, F>(&self, _stage: Stage, compute: F) -> Result<T, CbspError>
+    where
+        T: Serialize + Deserialize,
+        F: FnOnce() -> Result<T, CbspError>,
+    {
+        compute()
+    }
+}
+
+/// Runs the full cross-binary pipeline over `binaries`, each stage
+/// through `hook`.
 ///
-/// This is the uncached composition of the stage functions
-/// ([`profile_stage`] → [`mappable_stage`] → [`vli_stage`] →
-/// [`simpoint_stage`] → [`map_stage`]); the `cbsp-store` crate wraps
-/// the same stages with a content-addressed artifact cache.
+/// This is the one copy of the stage sequence ([`profile_stage`] per
+/// binary → [`mappable_stage`] → [`vli_stage`] → [`simpoint_stage`] →
+/// [`map_stage`], or [`map_stage_fuzzy`] when `config.fuzzy` is set).
+/// The profiles run in parallel over one pool sized by
+/// `config.simpoint.threads`, which the map stage reuses.
 ///
 /// # Errors
 ///
 /// Returns an error when the binary set is empty, mixes programs, or
-/// the primary index is out of range.
-pub fn run_cross_binary(
+/// the primary index is out of range, and otherwise the first error a
+/// stage or the hook returns.
+pub fn run_stages<H: StageHook>(
     binaries: &[&Binary],
     input: &Input,
     config: &CbspConfig,
+    hook: &H,
 ) -> Result<CrossBinaryResult, CbspError> {
     validate_binaries(binaries, config)?;
     let pool = Pool::new(config.simpoint.threads);
 
     // Steps 1-2: profiles and mappable points.
-    let profiles = profile_stage_all(binaries, input, &pool);
+    let profiles = pool
+        .run_indexed(binaries.len(), |b| {
+            hook.run(Stage::Profile(b), || Ok(profile_stage(binaries[b], input)))
+        })
+        .into_iter()
+        .collect::<Result<Vec<CallLoopProfile>, CbspError>>()?;
     let MappableStage {
         set: mappable,
         recovered_procs,
-    } = mappable_stage(binaries, &profiles);
+    } = hook.run(Stage::Mappable, || Ok(mappable_stage(binaries, &profiles)))?;
 
     // Step 3: VLIs on the primary binary.
     let primary = config.primary;
-    let vli = vli_stage(binaries, input, config, &mappable, &profiles);
+    let vli = hook.run(Stage::Vli, || {
+        Ok(vli_stage(binaries, input, config, &mappable, &profiles))
+    })?;
 
     // Step 4: SimPoint on the primary's interval features.
-    let simpoint = simpoint_stage(&vli, &config.simpoint, &config.estimator);
+    let simpoint = hook.run(Stage::Simpoint, || {
+        Ok(simpoint_stage(&vli, &config.simpoint, &config.estimator))
+    })?;
 
     // Steps 5-6: boundary translation and weight recalculation —
     // exact-only, or with the similarity fallback when fuzzy mapping
@@ -554,11 +631,15 @@ pub fn run_cross_binary(
         interval_instrs,
         weights,
         mappings,
-    } = if config.fuzzy.is_some() {
-        map_stage_fuzzy(binaries, input, &profiles, &vli, &simpoint, config, &pool)
-    } else {
-        map_stage(binaries, input, primary, &mappable, &vli, &simpoint, &pool)?
-    };
+    } = hook.run(Stage::Map, || {
+        if config.fuzzy.is_some() {
+            Ok(map_stage_fuzzy(
+                binaries, input, &profiles, &vli, &simpoint, config, &pool,
+            ))
+        } else {
+            map_stage(binaries, input, primary, &mappable, &vli, &simpoint, &pool)
+        }
+    })?;
 
     Ok(CrossBinaryResult {
         mappable,
@@ -571,6 +652,23 @@ pub fn run_cross_binary(
         weights,
         mappings,
     })
+}
+
+/// Runs the full cross-binary pipeline over `binaries`, computing every
+/// stage ([`run_stages`] with a hook that only computes). The
+/// `cbsp-store` crate runs the same driver with a hook that serves
+/// stages from a content-addressed artifact store.
+///
+/// # Errors
+///
+/// Returns an error when the binary set is empty, mixes programs, or
+/// the primary index is out of range.
+pub fn run_cross_binary(
+    binaries: &[&Binary],
+    input: &Input,
+    config: &CbspConfig,
+) -> Result<CrossBinaryResult, CbspError> {
+    run_stages(binaries, input, config, &Compute)
 }
 
 #[cfg(test)]

@@ -98,17 +98,6 @@ pub struct ExecSummary {
     pub loop_backs: Vec<u64>,
 }
 
-impl ExecSummary {
-    /// Count of the given marker.
-    pub fn marker_count(&self, m: Marker) -> u64 {
-        match m {
-            Marker::ProcEntry(p) => self.proc_entries[p.index()],
-            Marker::LoopEntry(l) => self.loop_entries[l.index()],
-            Marker::LoopBack(l) => self.loop_backs[l.index()],
-        }
-    }
-}
-
 /// Runs `binary` on `input`, streaming events into `sink`.
 ///
 /// Returns aggregate counts. The run is fully deterministic: the same

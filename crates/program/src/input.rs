@@ -77,6 +77,16 @@ impl Input {
     pub fn test() -> Self {
         Input::new("test", 0xC0FF_EE00_2007, Scale::Test)
     }
+
+    /// The standard input of `scale`: [`Input::test`], [`Input::train`]
+    /// or [`Input::reference`].
+    pub fn for_scale(scale: Scale) -> Self {
+        match scale {
+            Scale::Test => Input::test(),
+            Scale::Train => Input::train(),
+            Scale::Reference => Input::reference(),
+        }
+    }
 }
 
 impl Default for Input {

@@ -223,11 +223,6 @@ pub struct SourceProgram {
 }
 
 impl SourceProgram {
-    /// Looks up a procedure by name.
-    pub fn procedure_by_name(&self, name: &str) -> Option<&Procedure> {
-        self.procedures.iter().find(|p| p.name == name)
-    }
-
     /// Returns the entry procedure (`main`).
     ///
     /// # Panics

@@ -373,27 +373,22 @@ impl Engine {
     /// ([`cbsp_store::LEASE_STAGES`]).
     pub fn execute_store_stats(&self) -> Reply {
         let stats = self.store.stats().map_err(internal)?;
-        let lease = |stage: &str| stats.per_stage.get(stage).cloned().unwrap_or_default();
-        let traces = lease(cbsp_store::TRACE_STAGE);
-        let slices = lease(cbsp_store::TRACE_SLICE_STAGE);
         let sub = |stage: &cbsp_store::StageStats| {
             obj(vec![
                 ("artifacts", Value::UInt(stage.artifacts)),
                 ("bytes", Value::UInt(stage.bytes)),
             ])
         };
-        let leases = cbsp_store::LEASE_STAGES.map(lease);
-        let pipeline = cbsp_store::StageStats {
-            artifacts: stats.artifacts - leases.iter().map(|s| s.artifacts).sum::<u64>(),
-            bytes: stats.bytes - leases.iter().map(|s| s.bytes).sum::<u64>(),
-        };
         Ok(obj(vec![
             ("artifacts", Value::UInt(stats.artifacts)),
             ("bytes", Value::UInt(stats.bytes)),
             ("manifests", Value::UInt(stats.manifests)),
-            ("pipeline", sub(&pipeline)),
-            ("traces", sub(&traces)),
-            ("trace_slices", sub(&slices)),
+            ("pipeline", sub(&stats.pipeline())),
+            ("traces", sub(&stats.stage(cbsp_store::TRACE_STAGE))),
+            (
+                "trace_slices",
+                sub(&stats.stage(cbsp_store::TRACE_SLICE_STAGE)),
+            ),
             (
                 "per_stage",
                 Value::Object(

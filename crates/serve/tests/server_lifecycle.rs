@@ -351,9 +351,7 @@ fn results_are_byte_identical_across_thread_counts() {
     assert_eq!(frames[0], frames[1]);
 
     // And the served result matches what the library computes directly
-    // (the CLI path): same content hash.
-    let dir = temp_dir("local");
-    let store = cbsp_store::ArtifactStore::open(&dir).expect("store opens");
+    // (the CLI's `--no-cache 1` path): same content hash.
     let program = cbsp_program::workloads::by_name("equake")
         .expect("in suite")
         .build(cbsp_program::Scale::Test);
@@ -365,18 +363,15 @@ fn results_are_byte_identical_across_thread_counts() {
         interval_target: 20_000,
         ..cbsp_core::CbspConfig::default()
     };
-    let (cross, _report) = cbsp_store::Orchestrator::new(&store, cbsp_store::CachePolicy::Bypass)
-        .run_cross_binary(
-            &binaries.iter().collect::<Vec<_>>(),
-            &cbsp_program::Input::test(),
-            &config,
-            "test: local reference",
-        )
-        .expect("pipeline runs");
+    let cross = cbsp_core::run_cross_binary(
+        &binaries.iter().collect::<Vec<_>>(),
+        &cbsp_program::Input::test(),
+        &config,
+    )
+    .expect("pipeline runs");
     let served = assert_ok(&frames[0]);
     assert_eq!(
         field(&served, "result.result_hash"),
         &Value::Str(cbsp_store::content_hash(&cross)),
     );
-    let _ = std::fs::remove_dir_all(dir);
 }

@@ -55,7 +55,7 @@ use std::io::Read;
 use std::path::PathBuf;
 
 use crate::sha256::{to_hex, Sha256};
-use crate::store::{ArtifactStore, StageKey};
+use crate::store::{corrupt, io_err, write_then_rename, ArtifactStore, StageKey};
 
 /// First four bytes of every blob file.
 pub const BLOB_MAGIC: [u8; 4] = *b"CBSB";
@@ -79,20 +79,6 @@ pub struct Blob {
     pub meta: Vec<u8>,
     /// The raw payload bytes, verbatim as written.
     pub payload: Vec<u8>,
-}
-
-fn corrupt(key: &StageKey, detail: impl Into<String>) -> CbspError {
-    CbspError::ArtifactCorrupt {
-        key: key.as_hex().to_string(),
-        detail: detail.into(),
-    }
-}
-
-fn io_err(path: &std::path::Path, e: impl std::fmt::Display) -> CbspError {
-    CbspError::StoreIo {
-        path: path.display().to_string(),
-        detail: e.to_string(),
-    }
 }
 
 /// Decodes a 64-hex-digit key into its raw 32 bytes.
@@ -163,10 +149,11 @@ impl ArtifactStore {
         self.blob_path(key).is_file()
     }
 
-    /// Stores (`meta`, `payload`) as the blob of (`stage`, `key`).
-    /// Returns `true` if newly written, `false` if a blob already
-    /// existed (like [`ArtifactStore::put`], content-addressed blobs
-    /// only need overwriting to repair corruption).
+    /// Stores (`meta`, `payload`) as the blob of (`stage`, `key`),
+    /// replacing any file already there. Write-then-rename like the
+    /// envelope tier's [`ArtifactStore::put`], so readers never observe
+    /// a torn file, and a key names one value, so replacing a present
+    /// blob rewrites the same bytes or repairs a damaged one.
     ///
     /// # Errors
     ///
@@ -177,44 +164,10 @@ impl ArtifactStore {
         key: &StageKey,
         meta: &[u8],
         payload: &[u8],
-    ) -> Result<bool, CbspError> {
-        if self.contains_blob(key) {
-            return Ok(false);
-        }
-        self.put_blob_overwrite(stage, key, meta, payload)?;
-        Ok(true)
-    }
-
-    /// Stores the blob unconditionally, replacing any existing file
-    /// (used to refresh or to repair a corrupt blob). Write-then-rename
-    /// like the envelope tier, so readers never observe a torn file.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CbspError::StoreIo`] on filesystem failure.
-    pub fn put_blob_overwrite(
-        &self,
-        stage: &str,
-        key: &StageKey,
-        meta: &[u8],
-        payload: &[u8],
     ) -> Result<(), CbspError> {
         let _span = cbsp_trace::span_labeled("store/put_blob", || stage.to_string());
         let header = encode_header(stage, key, meta, payload);
-        let path = self.blob_path(key);
-        let dir = path.parent().expect("blob path has a parent");
-        std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
-        let tmp = path.with_extension(crate::store::tmp_suffix());
-        let write = |tmp: &std::path::Path| -> std::io::Result<()> {
-            use std::io::Write;
-            let mut f = std::io::BufWriter::new(std::fs::File::create(tmp)?);
-            f.write_all(&header)?;
-            f.write_all(meta)?;
-            f.write_all(payload)?;
-            f.flush()
-        };
-        write(&tmp).map_err(|e| io_err(&tmp, e))?;
-        std::fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
+        write_then_rename(&self.blob_path(key), &[&header, meta, payload])?;
         cbsp_trace::add(
             "store/blob_bytes_written",
             (BLOB_HEADER_LEN + meta.len() + payload.len()) as u64,
@@ -353,15 +306,15 @@ mod tests {
         let key = a_key(1);
         let meta = [1u8, 2, 3];
         let payload: Vec<u8> = (0..=255u8).cycle().take(10_000).collect();
-        assert!(store
+        store
             .put_blob("trace", &key, &meta, &payload)
-            .expect("puts"));
-        assert!(
-            !store
-                .put_blob("trace", &key, &meta, &payload)
-                .expect("noop"),
-            "second put of the same key is a no-op"
-        );
+            .expect("puts");
+        let first = std::fs::read(store.blob_path(&key)).expect("blob exists");
+        store
+            .put_blob("trace", &key, &meta, &payload)
+            .expect("puts again");
+        let second = std::fs::read(store.blob_path(&key)).expect("blob exists");
+        assert!(first == second, "a second put leaves the same bytes");
         let blob = store.get_blob("trace", &key).expect("reads").expect("hit");
         assert_eq!(blob.meta, meta);
         assert_eq!(blob.payload, payload);

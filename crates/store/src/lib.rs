@@ -5,18 +5,29 @@
 //! their outputs can be cached on disk and shared across CLI runs,
 //! benchmark sweeps, and figure regeneration.
 //!
-//! Two layers:
+//! Layers:
 //!
 //! * [`ArtifactStore`] — a content-addressed on-disk store. Artifacts
 //!   are keyed by the SHA-256 of a canonical description of their
-//!   inputs, written as checksummed, schema-versioned JSON envelopes,
-//!   and described by human-readable run manifests. Corruption is
-//!   detected on read and reported as a typed
-//!   [`CbspError`](cbsp_core::CbspError) — never a panic.
-//! * [`Orchestrator`] — the `cbsp-core` pipeline as a five-stage graph
+//!   inputs, written as checksummed, schema-versioned JSON envelopes
+//!   ([`ArtifactStore::put`]) or binary blobs
+//!   ([`ArtifactStore::put_blob`]), and described by human-readable run
+//!   manifests. Each tier has one write, which always replaces the file
+//!   through write-then-rename. Corruption is detected on read and
+//!   reported as a typed [`CbspError`](cbsp_core::CbspError) — never a
+//!   panic.
+//! * [`Orchestrator`] — `cbsp-core`'s stage driver
+//!   ([`cbsp_core::run_stages`]) with a store hook: the five-stage graph
 //!   (`profile → mappable → vli → simpoint → map`) with per-stage cache
-//!   lookup, key-chained invalidation, and parallel profile collection
-//!   across binaries.
+//!   lookup, key-chained invalidation, cancellation between stages, and
+//!   parallel profile collection across binaries. Without a store the
+//!   same driver is [`cbsp_core::run_cross_binary`].
+//! * [`TraceCache`] — slice manifests and replay leases for the
+//!   simulation side.
+//!
+//! Every cached lookup in the crate, stage or lease, follows one
+//! repair-as-miss contract: a damaged artifact counts as a miss, is
+//! recomputed, and is written over.
 //!
 //! ## Example
 //!

@@ -1,5 +1,6 @@
-//! The stage-graph orchestrator: the cross-binary pipeline of
-//! `cbsp-core` expressed as named, individually cached stages.
+//! The stage-graph orchestrator: `cbsp-core`'s stage driver
+//! ([`cbsp_core::run_stages`]) run with a store hook, so each stage is
+//! individually cached and the run can be cancelled between stages.
 //!
 //! ```text
 //! profile(b0) ─┐
@@ -12,23 +13,21 @@
 //! configuration, and the keys of upstream stages — so editing any
 //! input invalidates exactly the downstream stages and nothing else.
 //! Profile collection, the only per-binary stage, runs its binaries in
-//! parallel on scoped threads.
+//! parallel; the hook records every outcome and sorts them by [`Stage`],
+//! so run keys and manifests list stages in pipeline order.
 
 use cbsp_core::{
-    map_stage, map_stage_fuzzy, mappable_stage, profile_stage, simpoint_stage, validate_binaries,
-    vli_stage, CbspConfig, CbspError, CrossBinaryResult, MappableStage, MappedSlicing,
+    run_stages, validate_binaries, CbspConfig, CbspError, CrossBinaryResult, Stage, StageHook,
 };
-use cbsp_par::Pool;
-use cbsp_profile::CallLoopProfile;
 use cbsp_program::{Binary, Input};
-use cbsp_simpoint::{EstimatorConfig, SimPointConfig, SimPointResult};
+use cbsp_simpoint::{EstimatorConfig, SimPointConfig};
 use serde::Value;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::sha256::hex_digest;
 use crate::store::{
-    canonical_json, content_hash, key_part, stage_key, ArtifactStore, ManifestStage, RunManifest,
-    StageKey,
+    canonical_json, content_hash, key_part, read_through, stage_key, ArtifactStore, ManifestStage,
+    RunManifest, StageKey,
 };
 
 /// The five pipeline stages, in dependency order. These are *logical*
@@ -201,23 +200,23 @@ pub fn pipeline_keys(
     })
 }
 
-/// How the orchestrator uses the store.
+/// How the orchestrator uses the store. Running without a store is
+/// simply [`cbsp_core::run_cross_binary`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CachePolicy {
     /// Serve hits from the store; write misses back (the default).
     #[default]
     ReadWrite,
-    /// Recompute every stage and overwrite stored artifacts.
+    /// Recompute every stage and write over stored artifacts.
     Refresh,
-    /// Compute everything; never read or write the store.
-    Bypass,
 }
 
 /// What happened to one stage execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageOutcome {
-    /// Stage name (one of [`STAGE_ORDER`]).
-    pub stage: String,
+    /// The stage execution (its [`Stage::name`] is one of
+    /// [`STAGE_ORDER`]).
+    pub stage: Stage,
     /// Display label (e.g. the binary a profile covers).
     pub label: String,
     /// The artifact's content key.
@@ -232,7 +231,7 @@ pub struct RunReport {
     /// Key identifying the run (hash over its stage keys).
     pub run_key: String,
     /// One outcome per stage execution (profiles appear once per
-    /// binary).
+    /// binary), in pipeline order.
     pub outcomes: Vec<StageOutcome>,
 }
 
@@ -252,21 +251,12 @@ impl RunReport {
         STAGE_ORDER
             .iter()
             .map(|&name| {
-                let of_stage = self.outcomes.iter().filter(|o| o.stage == name);
+                let of_stage = self.outcomes.iter().filter(|o| o.stage.name() == name);
                 let total = of_stage.clone().count();
                 let hits = of_stage.filter(|o| o.hit).count();
                 (name, hits, total)
             })
             .collect()
-    }
-
-    /// Number of pipeline stages (out of [`STAGE_ORDER`]'s five) whose
-    /// executions were *all* served from the store.
-    pub fn stages_fully_hit(&self) -> usize {
-        self.stage_summary()
-            .iter()
-            .filter(|(_, hits, total)| total > &0 && hits == total)
-            .count()
     }
 }
 
@@ -276,8 +266,8 @@ impl RunReport {
 pub struct Orchestrator<'s> {
     store: &'s ArtifactStore,
     policy: CachePolicy,
-    /// Polled at every stage boundary; `true` abandons the run with
-    /// [`CbspError::Cancelled`]. `None` means never cancelled.
+    /// Polled before every stage execution; `true` abandons the run
+    /// with [`CbspError::Cancelled`]. `None` means never cancelled.
     cancel: Option<Arc<dyn Fn() -> bool + Send + Sync>>,
 }
 
@@ -301,105 +291,16 @@ impl<'s> Orchestrator<'s> {
         }
     }
 
-    /// Attaches a cancellation check, polled at every stage boundary of
-    /// [`Orchestrator::run_cross_binary`]. When `check` returns `true`
-    /// the run stops with [`CbspError::Cancelled`] before starting its
-    /// next stage — cheap cooperative cancellation for servers
-    /// enforcing per-request deadlines. Stages themselves are never
-    /// interrupted, so the store is never left with a torn artifact.
+    /// Attaches a cancellation check, polled before every stage
+    /// execution of [`Orchestrator::run_cross_binary`], each binary's
+    /// profile included. When `check` returns `true` the run stops with
+    /// [`CbspError::Cancelled`] naming the stage about to start — cheap
+    /// cooperative cancellation for servers enforcing per-request
+    /// deadlines. Stages themselves are never interrupted, so the store
+    /// is never left with a torn artifact.
     pub fn with_cancel(mut self, check: Arc<dyn Fn() -> bool + Send + Sync>) -> Self {
         self.cancel = Some(check);
         self
-    }
-
-    /// Returns [`CbspError::Cancelled`] if the cancellation check (if
-    /// any) has fired.
-    fn check_cancelled(&self, stage: &str) -> Result<(), CbspError> {
-        match &self.cancel {
-            Some(check) if check() => Err(CbspError::Cancelled {
-                stage: stage.to_string(),
-            }),
-            _ => Ok(()),
-        }
-    }
-
-    /// Runs one stage through the cache: look up under `key`, compute
-    /// on miss, store the result. A corrupt stored artifact is treated
-    /// as a miss and repaired in place (the typed error is only
-    /// surfaced to direct `ArtifactStore::get` callers); other store
-    /// errors propagate.
-    ///
-    /// `stage` is the logical stage name (one of [`STAGE_ORDER`], used
-    /// for outcomes and trace counters); `ns` is the store namespace
-    /// the artifact lives under — identical to `stage` except for
-    /// non-default estimator lanes (see [`stage_namespaces`]).
-    fn cached<T, F>(
-        &self,
-        stage: &'static str,
-        ns: &str,
-        label: &str,
-        key: &StageKey,
-        compute: F,
-    ) -> Result<(T, StageOutcome), CbspError>
-    where
-        T: serde::Serialize + serde::de::DeserializeOwned,
-        F: FnOnce() -> Result<T, CbspError>,
-    {
-        let mut repair = false;
-        if self.policy == CachePolicy::ReadWrite {
-            match self.store.get::<T>(ns, key) {
-                Ok(Some(value)) => {
-                    cbsp_trace::add("store/hits", 1);
-                    if cbsp_trace::enabled() {
-                        cbsp_trace::add(&format!("store/hit/{stage}"), 1);
-                    }
-                    return Ok((
-                        value,
-                        StageOutcome {
-                            stage: stage.to_string(),
-                            label: label.to_string(),
-                            key: key.clone(),
-                            hit: true,
-                        },
-                    ));
-                }
-                Ok(None) => {}
-                Err(
-                    CbspError::ArtifactCorrupt { .. } | CbspError::ArtifactVersionMismatch { .. },
-                ) => {
-                    repair = true;
-                    cbsp_trace::add("store/repairs", 1);
-                }
-                Err(other) => return Err(other),
-            }
-        }
-        if self.policy != CachePolicy::Bypass {
-            cbsp_trace::add("store/misses", 1);
-            if cbsp_trace::enabled() {
-                cbsp_trace::add(&format!("store/miss/{stage}"), 1);
-            }
-        }
-        let value = compute()?;
-        match self.policy {
-            CachePolicy::Bypass => {}
-            CachePolicy::Refresh => self.store.put_overwrite(ns, key, &value)?,
-            CachePolicy::ReadWrite => {
-                if repair {
-                    self.store.put_overwrite(ns, key, &value)?;
-                } else {
-                    self.store.put(ns, key, &value)?;
-                }
-            }
-        }
-        Ok((
-            value,
-            StageOutcome {
-                stage: stage.to_string(),
-                label: label.to_string(),
-                key: key.clone(),
-                hit: false,
-            },
-        ))
     }
 
     /// Runs the full cross-binary pipeline with per-stage caching,
@@ -407,9 +308,14 @@ impl<'s> Orchestrator<'s> {
     /// [`cbsp_core::run_cross_binary`] on the same inputs) and the
     /// cache report. `description` labels the run in its manifest.
     ///
+    /// This is `cbsp-core`'s driver ([`run_stages`]) with a hook that
+    /// polls the cancellation check and then serves each stage from
+    /// the store under the repair-as-miss contract.
+    ///
     /// # Errors
     ///
-    /// Returns validation errors from the pipeline and
+    /// Returns validation errors from the pipeline,
+    /// [`CbspError::Cancelled`] once the check fires, and
     /// [`CbspError::StoreIo`] on store failure.
     pub fn run_cross_binary(
         &self,
@@ -419,121 +325,111 @@ impl<'s> Orchestrator<'s> {
         description: &str,
     ) -> Result<(CrossBinaryResult, RunReport), CbspError> {
         let keys = pipeline_keys(binaries, input, config)?;
-        let ns = stage_namespaces(&config.estimator, config.fuzzy.is_some());
-        let mut outcomes: Vec<StageOutcome> = Vec::with_capacity(binaries.len() + 4);
-
-        // Stage 1 — profile, in parallel across binaries.
-        self.check_cancelled("profile")?;
-        let pool = Pool::new(config.simpoint.threads);
-        let mut profiles: Vec<CallLoopProfile> = Vec::with_capacity(binaries.len());
-        let results: Vec<Result<(CallLoopProfile, StageOutcome), CbspError>> =
-            pool.run_indexed(binaries.len(), |i| {
-                self.cached(
-                    "profile",
-                    "profile",
-                    &binaries[i].label(),
-                    &keys.profile[i],
-                    || Ok(profile_stage(binaries[i], input)),
-                )
-            });
-        for result in results {
-            let (profile, outcome) = result?;
-            profiles.push(profile);
-            outcomes.push(outcome);
-        }
-
-        // Stage 2 — mappable points across all binaries.
-        self.check_cancelled("mappable")?;
-        let (mappable, outcome) = self.cached(
-            "mappable",
-            "mappable",
-            "all binaries",
-            &keys.mappable,
-            || Ok(mappable_stage(binaries, &profiles)),
-        )?;
-        outcomes.push(outcome);
-        let MappableStage {
-            set: mappable,
-            recovered_procs,
-        } = mappable;
-
-        // Stage 3 — variable-length intervals on the primary.
-        self.check_cancelled("vli")?;
-        let (vli, outcome) = self.cached(
-            "vli",
-            &ns.vli,
-            &binaries[config.primary].label(),
-            &keys.vli,
-            || Ok(vli_stage(binaries, input, config, &mappable, &profiles)),
-        )?;
-        outcomes.push(outcome);
-
-        // Stage 4 — SimPoint clustering of the primary's intervals.
-        self.check_cancelled("simpoint")?;
-        let (simpoint, outcome): (SimPointResult, _) = self.cached(
-            "simpoint",
-            &ns.simpoint,
-            "primary intervals",
-            &keys.simpoint,
-            || Ok(simpoint_stage(&vli, &config.simpoint, &config.estimator)),
-        )?;
-        outcomes.push(outcome);
-
-        // Stage 5 — boundary translation and per-binary weights.
-        self.check_cancelled("map")?;
-        let (mapped, outcome): (MappedSlicing, _) =
-            self.cached("map", &ns.map, "all binaries", &keys.map, || {
-                if config.fuzzy.is_some() {
-                    Ok(map_stage_fuzzy(
-                        binaries, input, &profiles, &vli, &simpoint, config, &pool,
-                    ))
-                } else {
-                    map_stage(
-                        binaries,
-                        input,
-                        config.primary,
-                        &mappable,
-                        &vli,
-                        &simpoint,
-                        &pool,
-                    )
-                }
-            })?;
-        outcomes.push(outcome);
-
-        let run_key = run_key_of(&outcomes);
-        if self.policy != CachePolicy::Bypass {
-            self.store.write_manifest(&RunManifest {
-                schema: crate::store::SCHEMA_VERSION,
-                run_key: run_key.clone(),
-                description: description.to_string(),
-                finished_unix: std::time::SystemTime::now()
-                    .duration_since(std::time::UNIX_EPOCH)
-                    .map_or(0, |d| d.as_secs()),
-                stages: outcomes
-                    .iter()
-                    .map(|o| ManifestStage {
-                        stage: o.stage.clone(),
-                        label: o.label.clone(),
-                        key: o.key.as_hex().to_string(),
-                        hit: o.hit,
-                    })
-                    .collect(),
-            })?;
-        }
-
-        let result = CrossBinaryResult {
-            mappable,
-            recovered_procs,
+        let hook = StoreHook {
+            orchestrator: self,
+            binaries,
             primary: config.primary,
-            vli,
-            simpoint,
-            boundaries: mapped.boundaries,
-            interval_instrs: mapped.interval_instrs,
-            weights: mapped.weights,
-            mappings: mapped.mappings,
+            keys: &keys,
+            ns: stage_namespaces(&config.estimator, config.fuzzy.is_some()),
+            outcomes: Mutex::new(Vec::with_capacity(binaries.len() + 4)),
         };
+        let result = run_stages(binaries, input, config, &hook)?;
+
+        let mut outcomes = hook.outcomes.into_inner().expect("outcome lock");
+        outcomes.sort_by_key(|o| o.stage);
+        let run_key = run_key_of(&outcomes);
+        self.store.write_manifest(&RunManifest {
+            schema: crate::store::SCHEMA_VERSION,
+            run_key: run_key.clone(),
+            description: description.to_string(),
+            finished_unix: std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .map_or(0, |d| d.as_secs()),
+            stages: outcomes
+                .iter()
+                .map(|o| ManifestStage {
+                    stage: o.stage.name().to_string(),
+                    label: o.label.clone(),
+                    key: o.key.as_hex().to_string(),
+                    hit: o.hit,
+                })
+                .collect(),
+        })?;
         Ok((result, RunReport { run_key, outcomes }))
+    }
+}
+
+/// The store's [`StageHook`] for one run: polls the cancellation
+/// check, serves the stage from the store, and records its outcome.
+struct StoreHook<'a> {
+    orchestrator: &'a Orchestrator<'a>,
+    binaries: &'a [&'a Binary],
+    primary: usize,
+    keys: &'a PipelineKeys,
+    ns: StageNamespaces,
+    /// Outcomes in completion order; profiles may finish in any order.
+    outcomes: Mutex<Vec<StageOutcome>>,
+}
+
+impl StageHook for StoreHook<'_> {
+    fn run<T, F>(&self, stage: Stage, compute: F) -> Result<T, CbspError>
+    where
+        T: serde::Serialize + serde::Deserialize,
+        F: FnOnce() -> Result<T, CbspError>,
+    {
+        let name = stage.name();
+        if self.orchestrator.cancel.as_ref().is_some_and(|c| c()) {
+            return Err(CbspError::Cancelled {
+                stage: name.to_string(),
+            });
+        }
+        // `ns` is the store namespace the artifact lives under: the
+        // stage name, except for non-default estimator and fuzzy lanes
+        // (see [`stage_namespaces`]).
+        let (ns, key, label) = match stage {
+            Stage::Profile(b) => ("profile", &self.keys.profile[b], self.binaries[b].label()),
+            Stage::Mappable => ("mappable", &self.keys.mappable, "all binaries".to_string()),
+            Stage::Vli => (
+                self.ns.vli.as_str(),
+                &self.keys.vli,
+                self.binaries[self.primary].label(),
+            ),
+            Stage::Simpoint => (
+                self.ns.simpoint.as_str(),
+                &self.keys.simpoint,
+                "primary intervals".to_string(),
+            ),
+            Stage::Map => (
+                self.ns.map.as_str(),
+                &self.keys.map,
+                "all binaries".to_string(),
+            ),
+        };
+        let policy = self.orchestrator.policy;
+        let (value, hit) = read_through(
+            Some(self.orchestrator.store),
+            |store| match policy {
+                CachePolicy::ReadWrite => store.get(ns, key),
+                CachePolicy::Refresh => Ok(None),
+            },
+            compute,
+            |store, value| store.put(ns, key, value),
+        )?;
+        cbsp_trace::add(if hit { "store/hits" } else { "store/misses" }, 1);
+        if cbsp_trace::enabled() {
+            let outcome = if hit { "hit" } else { "miss" };
+            cbsp_trace::add(&format!("store/{outcome}/{name}"), 1);
+        }
+        self.outcomes
+            .lock()
+            .expect("outcome lock")
+            .push(StageOutcome {
+                stage,
+                label,
+                key: key.clone(),
+                hit,
+            });
+        Ok(value)
     }
 }
 
@@ -553,15 +449,18 @@ mod tests {
     use super::*;
     use cbsp_program::{compile, workloads, CompileTarget, Scale};
 
-    #[test]
-    fn estimator_lanes_get_disjoint_keys_and_share_what_they_can() {
-        let prog = workloads::by_name("swim")
+    /// The four binaries of `name` at Test scale.
+    fn binaries(name: &str) -> Vec<Binary> {
+        let prog = workloads::by_name(name)
             .expect("in suite")
             .build(Scale::Test);
-        let bins: Vec<Binary> = CompileTarget::ALL_FOUR
-            .iter()
-            .map(|&t| compile(&prog, t))
-            .collect();
+        let targets = CompileTarget::ALL_FOUR.iter();
+        targets.map(|&t| compile(&prog, t)).collect()
+    }
+
+    #[test]
+    fn estimator_lanes_get_disjoint_keys_and_share_what_they_can() {
+        let bins = binaries("swim");
         let refs: Vec<&Binary> = bins.iter().collect();
         let input = Input::test();
         let of = |tag: &str| {
@@ -634,13 +533,7 @@ mod tests {
     #[test]
     fn fuzzy_keys_never_collide_with_exact_lanes() {
         use cbsp_core::FuzzyConfig;
-        let prog = workloads::by_name("swim")
-            .expect("in suite")
-            .build(Scale::Test);
-        let bins: Vec<Binary> = CompileTarget::ALL_FOUR
-            .iter()
-            .map(|&t| compile(&prog, t))
-            .collect();
+        let bins = binaries("swim");
         let refs: Vec<&Binary> = bins.iter().collect();
         let input = Input::test();
         let of = |fuzzy: Option<FuzzyConfig>| {
@@ -666,5 +559,76 @@ mod tests {
         assert_eq!(fuzzy.vli, loose.vli);
         assert_eq!(fuzzy.simpoint, loose.simpoint);
         assert_ne!(fuzzy.map, loose.map);
+    }
+
+    /// With one thread every stage execution polls the check once, in
+    /// pipeline order. A check that fires from its k-th poll on stops
+    /// the run before the k-th execution, leaves the k − 1 artifacts
+    /// written before it readable, and a rerun without the check hits
+    /// exactly those and returns the uncancelled result.
+    #[test]
+    fn cancellation_stops_at_every_stage_boundary() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let _lock = cbsp_trace::test_lock();
+        let bins = binaries("gzip");
+        let refs: Vec<&Binary> = bins.iter().collect();
+        let input = Input::test();
+        let simpoint = SimPointConfig {
+            threads: 1,
+            ..SimPointConfig::default()
+        };
+        let config = CbspConfig {
+            interval_target: 20_000,
+            simpoint,
+            ..CbspConfig::default()
+        };
+        let uncancelled = cbsp_core::run_cross_binary(&refs, &input, &config).expect("runs");
+        // (stage, key) of every execution, in order; the default lane
+        // stores each stage under its own name.
+        let keys = pipeline_keys(&refs, &input, &config).expect("keys derive");
+        let mut executions: Vec<(&str, &StageKey)> =
+            keys.profile.iter().map(|key| ("profile", key)).collect();
+        executions.extend([
+            ("mappable", &keys.mappable),
+            ("vli", &keys.vli),
+            ("simpoint", &keys.simpoint),
+            ("map", &keys.map),
+        ]);
+        let polling = |dir: &std::path::Path, fire_from: usize| {
+            let _ = std::fs::remove_dir_all(dir);
+            let store = ArtifactStore::open(dir).expect("store opens");
+            let polls = Arc::new(AtomicUsize::new(0));
+            let counter = Arc::clone(&polls);
+            let check = Arc::new(move || counter.fetch_add(1, Ordering::SeqCst) + 1 >= fire_from);
+            let run = Orchestrator::new(&store, CachePolicy::ReadWrite)
+                .with_cancel(check)
+                .run_cross_binary(&refs, &input, &config, "cancelled")
+                .map(|(result, _)| result);
+            (store, run, polls.load(Ordering::SeqCst))
+        };
+
+        let dir = std::env::temp_dir().join(format!("cbsp-cancel-{}", std::process::id()));
+        let (_, run, polls) = polling(&dir, usize::MAX);
+        assert_eq!(run.expect("never cancelled"), uncancelled);
+        assert_eq!(polls, executions.len(), "one poll per stage execution");
+
+        for k in 1..=polls {
+            let (store, run, _) = polling(&dir, k);
+            match run {
+                Err(CbspError::Cancelled { stage }) => assert_eq!(stage, executions[k - 1].0),
+                other => panic!("k = {k}: expected a cancellation, got {other:?}"),
+            }
+            assert_eq!(store.stats().expect("stats").artifacts, k as u64 - 1);
+            for (stage, key) in &executions[..k - 1] {
+                let stored = store.get::<Value>(stage, key).expect("reads back");
+                assert!(stored.is_some(), "k = {k}: {stage} was written");
+            }
+            let (result, report) = Orchestrator::new(&store, CachePolicy::ReadWrite)
+                .run_cross_binary(&refs, &input, &config, "rerun")
+                .expect("reruns");
+            assert_eq!(result, uncancelled, "k = {k}");
+            assert_eq!(report.hits(), k - 1, "k = {k}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -20,7 +20,7 @@
 //! An artifact file is a JSON envelope:
 //!
 //! ```text
-//! { "schema": 1, "stage": "vli", "key": "<64 hex>",
+//! { "schema": 3, "stage": "vli", "key": "<64 hex>",
 //!   "checksum": "<sha256 of canonical payload>", "payload": ... }
 //! ```
 //!
@@ -29,6 +29,13 @@
 //! modification is detected and reported as a typed
 //! [`CbspError::ArtifactCorrupt`] — never a panic, and never silently
 //! wrong data.
+//!
+//! Every write replaces the file through write-then-rename, whether the
+//! key was absent, damaged or already holds the same bytes, so each
+//! tier has one write function ([`ArtifactStore::put`] here,
+//! [`ArtifactStore::put_blob`] for blobs). Every lookup, in every tier,
+//! follows one repair-as-miss contract: a damaged artifact counts as a
+//! miss, is recomputed and is written over.
 
 use cbsp_core::CbspError;
 use serde::Value;
@@ -124,7 +131,7 @@ pub fn key_part<T: serde::Serialize>(value: &T) -> Value {
 pub struct StageStats {
     /// Number of artifacts of this stage.
     pub artifacts: u64,
-    /// Total bytes of their envelope files.
+    /// Total bytes of their files, envelopes and blobs alike.
     pub bytes: u64,
 }
 
@@ -139,6 +146,23 @@ pub struct StoreStats {
     pub manifests: u64,
     /// Per-stage breakdown, keyed by stage name.
     pub per_stage: BTreeMap<String, StageStats>,
+}
+
+impl StoreStats {
+    /// Usage of one stage namespace (zero if the store holds none).
+    pub fn stage(&self, stage: &str) -> StageStats {
+        self.per_stage.get(stage).cloned().unwrap_or_default()
+    }
+
+    /// Usage of the pipeline-stage artifacts: the totals minus every
+    /// lease namespace ([`LEASE_STAGES`](crate::LEASE_STAGES)).
+    pub fn pipeline(&self) -> StageStats {
+        let leases = crate::traces::LEASE_STAGES.map(|stage| self.stage(stage));
+        StageStats {
+            artifacts: self.artifacts - leases.iter().map(|s| s.artifacts).sum::<u64>(),
+            bytes: self.bytes - leases.iter().map(|s| s.bytes).sum::<u64>(),
+        }
+    }
 }
 
 /// Result of a [`ArtifactStore::gc`] sweep.
@@ -187,30 +211,76 @@ pub struct ArtifactStore {
     root: PathBuf,
 }
 
-/// A tmp-file suffix unique per process *and* per in-process writer, so
-/// concurrent writers of the same key never rename each other's file
-/// out from under themselves.
-pub(crate) fn tmp_suffix() -> String {
-    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    format!(
-        "tmp.{}.{}",
-        std::process::id(),
-        SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-    )
+/// Writes `parts` to `path` through a temp file and a rename, so
+/// readers never observe a torn file and concurrent writers of one key
+/// settle on identical content. The temp name is unique per process
+/// *and* per in-process writer, so concurrent writers never rename each
+/// other's file out from under themselves.
+pub(crate) fn write_then_rename(path: &Path, parts: &[&[u8]]) -> Result<(), CbspError> {
+    use std::io::Write;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let dir = path.parent().expect("store paths have a parent");
+    std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("tmp.{}.{seq}", std::process::id()));
+    let write = || -> std::io::Result<()> {
+        let mut file = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
+        for part in parts {
+            file.write_all(part)?;
+        }
+        file.flush()
+    };
+    write().map_err(|e| io_err(&tmp, e))?;
+    std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))
 }
 
-fn io_err(path: &Path, e: impl fmt::Display) -> CbspError {
+pub(crate) fn io_err(path: &Path, e: impl fmt::Display) -> CbspError {
     CbspError::StoreIo {
         path: path.display().to_string(),
         detail: e.to_string(),
     }
 }
 
-fn corrupt(key: &StageKey, detail: impl Into<String>) -> CbspError {
+pub(crate) fn corrupt(key: &StageKey, detail: impl Into<String>) -> CbspError {
     CbspError::ArtifactCorrupt {
         key: key.as_hex().to_string(),
         detail: detail.into(),
     }
+}
+
+/// The repair-as-miss contract, for every tier and every artifact: a
+/// damaged stored artifact counts as a miss, is recomputed, and is
+/// written over.
+///
+/// With a `store`, `read` looks the artifact up. A hit is served as is
+/// and the result is `(value, true)`. On a clean miss (`Ok(None)`) the
+/// value is computed and written. A damaged artifact —
+/// [`CbspError::ArtifactCorrupt`] or
+/// [`CbspError::ArtifactVersionMismatch`] from `read` — also counts
+/// `store/repairs`, then is computed and written the same way. Without
+/// a store the value is computed and nothing is read or written. Other
+/// errors from `read`, `compute` or `write` propagate.
+pub(crate) fn read_through<T>(
+    store: Option<&ArtifactStore>,
+    read: impl FnOnce(&ArtifactStore) -> Result<Option<T>, CbspError>,
+    compute: impl FnOnce() -> Result<T, CbspError>,
+    write: impl FnOnce(&ArtifactStore, &T) -> Result<(), CbspError>,
+) -> Result<(T, bool), CbspError> {
+    let Some(store) = store else {
+        return Ok((compute()?, false));
+    };
+    match read(store) {
+        Ok(Some(value)) => return Ok((value, true)),
+        Ok(None) => {}
+        Err(CbspError::ArtifactCorrupt { .. } | CbspError::ArtifactVersionMismatch { .. }) => {
+            cbsp_trace::add("store/repairs", 1);
+        }
+        Err(other) => return Err(other),
+    }
+    let value = compute()?;
+    write(store, &value)?;
+    Ok((value, false))
 }
 
 /// Reads the stage name out of a blob file's fixed header — best-effort
@@ -267,35 +337,15 @@ impl ArtifactStore {
         self.object_path(key).is_file()
     }
 
-    /// Stores `value` as the artifact of (`stage`, `key`). Returns
-    /// `true` if the artifact was newly written, `false` if an entry
-    /// already existed (content-addressed stores never need to
-    /// overwrite a present key except to repair corruption — pass
-    /// `overwrite` via [`ArtifactStore::put_overwrite`] for that).
+    /// Stores `value` as the artifact of (`stage`, `key`), replacing any
+    /// file already there. A key names exactly one value, so replacing
+    /// a present artifact rewrites the same bytes, or repairs a damaged
+    /// one; write-then-rename keeps every reader safe.
     ///
     /// # Errors
     ///
     /// Returns [`CbspError::StoreIo`] on filesystem failure.
     pub fn put<T: serde::Serialize>(
-        &self,
-        stage: &str,
-        key: &StageKey,
-        value: &T,
-    ) -> Result<bool, CbspError> {
-        if self.contains(key) {
-            return Ok(false);
-        }
-        self.put_overwrite(stage, key, value)?;
-        Ok(true)
-    }
-
-    /// Stores `value` unconditionally, replacing any existing artifact
-    /// (used to refresh or to repair a corrupt file).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CbspError::StoreIo`] on filesystem failure.
-    pub fn put_overwrite<T: serde::Serialize>(
         &self,
         stage: &str,
         key: &StageKey,
@@ -312,15 +362,7 @@ impl ArtifactStore {
             ("payload".to_string(), payload),
         ]);
         let text = serde_json::to_string(&envelope).expect("serialization cannot fail");
-        let path = self.object_path(key);
-        let dir = path.parent().expect("object path has a parent");
-        std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
-        // Write-then-rename so readers never observe a torn file, and
-        // concurrent writers of the same key settle on identical
-        // content.
-        let tmp = path.with_extension(tmp_suffix());
-        std::fs::write(&tmp, &text).map_err(|e| io_err(&tmp, e))?;
-        std::fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
+        write_then_rename(&self.object_path(key), &[text.as_bytes()])?;
         cbsp_trace::add("store/bytes_written", text.len() as u64);
         Ok(())
     }
@@ -417,9 +459,7 @@ impl ArtifactStore {
             .join("manifests")
             .join(format!("{}.json", manifest.run_key));
         let text = serde_json::to_string_pretty(manifest).expect("serialization cannot fail");
-        let tmp = path.with_extension(tmp_suffix());
-        std::fs::write(&tmp, &text).map_err(|e| io_err(&tmp, e))?;
-        std::fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
+        write_then_rename(&path, &[text.as_bytes()])?;
         Ok(path)
     }
 

@@ -56,7 +56,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use crate::blob::{derived_key, Blob};
-use crate::store::{content_hash, stage_key, ArtifactStore, StageKey};
+use crate::store::{content_hash, corrupt, read_through, stage_key, ArtifactStore, StageKey};
 use serde::Value;
 
 /// Stage name whole recorded traces are stored under, by
@@ -448,53 +448,29 @@ fn put_slice_blobs(
     key: &StageKey,
     binary: &Binary,
     sliced: &SlicedTrace,
-    overwrite: bool,
 ) -> Result<(), CbspError> {
     for s in &sliced.slices {
-        let skey = derived_key(key, "slice", s.interval as u64);
         let (meta, payload) = slice_blob_parts(s);
-        if overwrite {
-            store.put_blob_overwrite(TRACE_SLICE_STAGE, &skey, &meta, &payload)?;
-        } else {
-            store.put_blob(TRACE_SLICE_STAGE, &skey, &meta, &payload)?;
-        }
+        let skey = derived_key(key, "slice", s.interval as u64);
+        store.put_blob(TRACE_SLICE_STAGE, &skey, &meta, &payload)?;
     }
     let meta = slice_manifest_meta(binary.procs.len() as u32, binary.loops.len() as u32, sliced);
-    if overwrite {
-        store.put_blob_overwrite(TRACE_SLICE_STAGE, key, &meta, &[])?;
-    } else {
-        store.put_blob(TRACE_SLICE_STAGE, key, &meta, &[])?;
-    }
-    Ok(())
+    store.put_blob(TRACE_SLICE_STAGE, key, &meta, &[])
 }
 
-/// Outcome of one blob-tier read under the repair-as-miss contract.
-enum Lookup<T> {
-    /// The blob exists, passed its framing checks, and decoded.
-    Hit(T),
-    /// No blob under the key.
-    Miss,
-    /// The blob failed its framing checks or did not decode; the
-    /// caller re-materializes the artifact and overwrites it.
-    Corrupt,
-}
-
-/// Reads the blob of (`stage`, `key`) and decodes it with `decode`,
-/// folding typed corruption into [`Lookup::Corrupt`].
-fn lookup<T>(
+/// Reads the blob of (`stage`, `key`) and decodes it with `decode`. A
+/// blob that passes its framing checks but does not decode is as
+/// damaged as one that fails them: [`CbspError::ArtifactCorrupt`].
+fn read_blob<T>(
     store: &ArtifactStore,
     stage: &str,
     key: &StageKey,
     decode: impl FnOnce(Blob) -> Option<T>,
-) -> Result<Lookup<T>, CbspError> {
-    match store.get_blob(stage, key) {
-        Ok(Some(blob)) => Ok(decode(blob).map_or(Lookup::Corrupt, Lookup::Hit)),
-        Ok(None) => Ok(Lookup::Miss),
-        Err(CbspError::ArtifactCorrupt { .. } | CbspError::ArtifactVersionMismatch { .. }) => {
-            Ok(Lookup::Corrupt)
-        }
-        Err(other) => Err(other),
-    }
+) -> Result<Option<T>, CbspError> {
+    store
+        .get_blob(stage, key)?
+        .map(|blob| decode(blob).ok_or_else(|| corrupt(key, "blob payload does not decode")))
+        .transpose()
 }
 
 // ---------------------------------------------------------------------
@@ -534,11 +510,6 @@ impl<'s> TraceCache<'s> {
     /// [`TraceCache::replay_sliced_both_all`] call).
     pub fn new(store: Option<&'s ArtifactStore>) -> Self {
         TraceCache::with_tier(store.map_or(StoreTier::None, StoreTier::Borrowed))
-    }
-
-    /// Creates a cache with no persistent tier.
-    pub fn in_memory() -> TraceCache<'static> {
-        TraceCache::new(None)
     }
 
     /// Creates a cache that co-owns its backing store, freeing the
@@ -590,30 +561,17 @@ impl<'s> TraceCache<'s> {
     /// Returns [`CbspError::StoreIo`] on store failure.
     pub fn get_or_record(&self, binary: &Binary, input: &Input) -> Result<EventTrace, CbspError> {
         let key = trace_key(binary, input);
-        let mut repair = false;
-        if let Some(store) = self.store() {
-            match lookup(store, TRACE_STAGE, &key, decode_trace_blob)? {
-                Lookup::Hit(trace) => {
-                    cbsp_trace::add("sim/trace_cache_hits", 1);
-                    return Ok(trace);
-                }
-                Lookup::Miss => {}
-                Lookup::Corrupt => {
-                    repair = true;
-                    cbsp_trace::add("store/repairs", 1);
-                }
-            }
-        }
-
-        cbsp_trace::add("sim/trace_cache_misses", 1);
-        let trace = record_trace(binary, input);
-        if let Some(store) = self.store() {
-            let meta = trace_blob_meta(&trace);
-            if repair {
-                store.put_blob_overwrite(TRACE_STAGE, &key, &meta, &trace.bytes)?;
-            } else {
-                store.put_blob(TRACE_STAGE, &key, &meta, &trace.bytes)?;
-            }
+        let (trace, hit) = read_through(
+            self.store(),
+            |store| read_blob(store, TRACE_STAGE, &key, decode_trace_blob),
+            || {
+                cbsp_trace::add("sim/trace_cache_misses", 1);
+                Ok(record_trace(binary, input))
+            },
+            |store, trace| store.put_blob(TRACE_STAGE, &key, &trace_blob_meta(trace), &trace.bytes),
+        )?;
+        if hit {
+            cbsp_trace::add("sim/trace_cache_hits", 1);
         }
         Ok(trace)
     }
@@ -657,37 +615,33 @@ impl<'s> TraceCache<'s> {
             boundaries.len(),
             "one boundary list per binary"
         );
-        let lease = self.store().map(|store| {
-            let key = replay_key(binaries, input, config, boundaries, fli_target);
-            (store, key)
-        });
-        let mut repair = false;
-        if let Some((store, key)) = &lease {
-            let decode = |blob| decode_replay_blob(binaries.len(), blob);
-            match lookup(store, REPLAY_STAGE, key, decode)? {
-                Lookup::Hit(sims) => {
-                    cbsp_trace::add("sim/replay_cache_hits", 1);
-                    return Ok(sims);
-                }
-                Lookup::Miss => {}
-                Lookup::Corrupt => {
-                    repair = true;
-                    cbsp_trace::add("store/repairs", 1);
-                }
-            }
-            cbsp_trace::add("sim/replay_cache_misses", 1);
-        }
-
-        let sims = pool.run_indexed(binaries.len(), |b| {
-            simulate_sliced_both(binaries[b], input, config, &boundaries[b], fli_target)
-        });
-        if let Some((store, key)) = &lease {
-            let (meta, payload) = replay_blob_parts(&sims);
-            if repair {
-                store.put_blob_overwrite(REPLAY_STAGE, key, &meta, &payload)?;
-            } else {
-                store.put_blob(REPLAY_STAGE, key, &meta, &payload)?;
-            }
+        let simulate = || {
+            pool.run_indexed(binaries.len(), |b| {
+                simulate_sliced_both(binaries[b], input, config, &boundaries[b], fli_target)
+            })
+        };
+        let Some(store) = self.store() else {
+            return Ok(simulate());
+        };
+        let key = replay_key(binaries, input, config, boundaries, fli_target);
+        let (sims, hit) = read_through(
+            Some(store),
+            |store| {
+                read_blob(store, REPLAY_STAGE, &key, |blob| {
+                    decode_replay_blob(binaries.len(), blob)
+                })
+            },
+            || {
+                cbsp_trace::add("sim/replay_cache_misses", 1);
+                Ok(simulate())
+            },
+            |store, sims| {
+                let (meta, payload) = replay_blob_parts(sims);
+                store.put_blob(REPLAY_STAGE, &key, &meta, &payload)
+            },
+        )?;
+        if hit {
+            cbsp_trace::add("sim/replay_cache_hits", 1);
         }
         Ok(sims)
     }
@@ -726,95 +680,83 @@ impl<'s> TraceCache<'s> {
         wanted.sort_unstable();
         wanted.dedup();
         let key = trace_slice_key(binary, input, config, boundaries, &wanted);
-        let mem_key = key.as_hex().to_string();
-        if let Some(s) = self.slices.lock().expect("slice cache lock").get(&mem_key) {
+        if let Some(s) = self
+            .slices
+            .lock()
+            .expect("slice cache lock")
+            .get(key.as_hex())
+        {
             cbsp_trace::add("sim/full_replay_avoided", 1);
             return Ok(Arc::clone(s));
         }
-
-        let mut repair = false;
-        if let Some(store) = self.store() {
-            match lookup(store, TRACE_SLICE_STAGE, &key, decode_slice_manifest)? {
-                Lookup::Hit(man) => match self.fetch_slice_blobs(store, &key, &man)? {
-                    Some(slices) => {
-                        cbsp_trace::add("sim/full_replay_avoided", 1);
-                        let sliced = Arc::new(SlicedTrace {
-                            full: man.full,
-                            intervals: man.intervals,
-                            slices,
-                        });
-                        self.insert_slices(mem_key, &sliced);
-                        return Ok(sliced);
-                    }
-                    None => repair = true,
-                },
-                Lookup::Miss => {}
-                Lookup::Corrupt => repair = true,
-            }
-            if repair {
-                cbsp_trace::add("store/repairs", 1);
-            }
-        }
-        self.cut_slices(binary, input, config, boundaries, &wanted, key, repair)
+        self.slices_through(
+            binary,
+            &key,
+            |store| self.read_slices(store, &key),
+            || slice_trace(binary, input, config, boundaries, &wanted),
+        )
     }
 
-    /// Cuts the slice manifest under `key` from one direct run, writes
-    /// it to the store tier (overwriting a damaged one when `repair`)
-    /// and keeps it in memory.
-    #[allow(clippy::too_many_arguments)]
-    fn cut_slices(
+    /// Reads the slice manifest under `key` from the store tier with
+    /// `read`; on a miss, or if it is damaged, `cut`s it from one direct
+    /// run and writes it. Either way the manifest lands in the memory
+    /// tier.
+    fn slices_through(
         &self,
         binary: &Binary,
-        input: &Input,
-        config: &MemoryConfig,
-        boundaries: &[ExecPoint],
-        wanted: &[usize],
-        key: StageKey,
-        repair: bool,
+        key: &StageKey,
+        read: impl FnOnce(&ArtifactStore) -> Result<Option<SlicedTrace>, CbspError>,
+        cut: impl FnOnce() -> SlicedTrace,
     ) -> Result<Arc<SlicedTrace>, CbspError> {
-        let sliced = Arc::new(slice_trace(binary, input, config, boundaries, wanted));
-        if let Some(store) = self.store() {
-            put_slice_blobs(store, &key, binary, &sliced, repair)?;
+        let (sliced, hit) = read_through(
+            self.store(),
+            read,
+            || Ok(cut()),
+            |store, sliced| put_slice_blobs(store, key, binary, sliced),
+        )?;
+        if hit {
+            cbsp_trace::add("sim/full_replay_avoided", 1);
         }
-        self.insert_slices(key.as_hex().to_string(), &sliced);
+        let sliced = Arc::new(sliced);
+        self.slices
+            .lock()
+            .expect("slice cache lock")
+            .insert(key.as_hex().to_string(), Arc::clone(&sliced));
         Ok(sliced)
     }
 
-    /// Reads every per-slice blob a manifest names, fanned out over the
-    /// prefetch pool. Returns `Ok(None)` if any slice blob is missing
-    /// or corrupt (repair-as-miss); `run_indexed`'s index-ordered merge
-    /// keeps the slice order — and therefore every downstream result —
-    /// independent of thread count.
-    fn fetch_slice_blobs(
+    /// Reads the slice manifest under `key` and every per-slice blob it
+    /// names, the slice blobs fanned out over the prefetch pool;
+    /// `run_indexed`'s index-ordered merge keeps the slice order — and
+    /// therefore every downstream result — independent of thread
+    /// count. A missing or damaged slice blob damages the manifest.
+    fn read_slices(
         &self,
         store: &ArtifactStore,
         key: &StageKey,
-        man: &SliceManifest,
-    ) -> Result<Option<Vec<TraceSlice>>, CbspError> {
+    ) -> Result<Option<SlicedTrace>, CbspError> {
+        let Some(man) = read_blob(store, TRACE_SLICE_STAGE, key, decode_slice_manifest)? else {
+            return Ok(None);
+        };
         if man.slice_intervals.len() > 1 && self.prefetch.threads() > 1 {
             cbsp_trace::add("store/prefetch_fanouts", 1);
         }
-        let fetched: Result<Vec<Option<TraceSlice>>, CbspError> = self
+        let slices = self
             .prefetch
             .run_indexed(man.slice_intervals.len(), |i| {
                 let interval = man.slice_intervals[i];
                 let skey = derived_key(key, "slice", interval);
                 let decode = |blob| decode_slice_blob(interval, man.n_procs, man.n_loops, blob);
-                Ok(match lookup(store, TRACE_SLICE_STAGE, &skey, decode)? {
-                    Lookup::Hit(slice) => Some(slice),
-                    Lookup::Miss | Lookup::Corrupt => None,
-                })
+                read_blob(store, TRACE_SLICE_STAGE, &skey, decode)?
+                    .ok_or_else(|| corrupt(key, format!("slice {interval} is missing")))
             })
             .into_iter()
-            .collect();
-        Ok(fetched?.into_iter().collect::<Option<Vec<_>>>())
-    }
-
-    fn insert_slices(&self, mem_key: String, sliced: &Arc<SlicedTrace>) {
-        self.slices
-            .lock()
-            .expect("slice cache lock")
-            .insert(mem_key, Arc::clone(sliced));
+            .collect::<Result<Vec<TraceSlice>, CbspError>>()?;
+        Ok(Some(SlicedTrace {
+            full: man.full,
+            intervals: man.intervals,
+            slices,
+        }))
     }
 
     /// True and SimPoint-estimated CPI for one binary, computed from
@@ -857,15 +799,18 @@ impl<'s> TraceCache<'s> {
         let replayed = match replay_all_slices(&sliced, config) {
             Some(replayed) => replayed,
             None => {
-                // A slice stream that fails to decode is a corrupt
-                // stored manifest: re-cut it and overwrite it.
-                cbsp_trace::add("store/repairs", 1);
+                // A slice stream that fails to decode is a damaged
+                // stored manifest: re-cut it and write it over.
                 let mut wanted = selected;
                 wanted.sort_unstable();
                 wanted.dedup();
                 let key = trace_slice_key(binary, input, config, boundaries, &wanted);
-                let fresh =
-                    self.cut_slices(binary, input, config, boundaries, &wanted, key, true)?;
+                let fresh = self.slices_through(
+                    binary,
+                    &key,
+                    |_| Err(corrupt(&key, "a slice stream does not decode")),
+                    || slice_trace(binary, input, config, boundaries, &wanted),
+                )?;
                 replay_all_slices(&fresh, config).expect("freshly cut slices decode")
             }
         };
@@ -1066,7 +1011,7 @@ mod tests {
         let (boundaries, points) = boundaries_and_points(&bin, &input);
         let selected: Vec<usize> = points.iter().map(|p| p.interval).collect();
         let config = MemoryConfig::table1();
-        let cache = TraceCache::in_memory();
+        let cache = TraceCache::new(None);
 
         cbsp_trace::enable();
         cbsp_trace::reset();
@@ -1260,7 +1205,7 @@ mod tests {
         forged.trace.events += 1;
         let (meta, payload) = slice_blob_parts(&forged);
         store
-            .put_blob_overwrite(TRACE_SLICE_STAGE, &skey, &meta, &payload)
+            .put_blob(TRACE_SLICE_STAGE, &skey, &meta, &payload)
             .expect("forges a checksum-valid slice");
 
         cbsp_trace::enable();
@@ -1304,7 +1249,7 @@ mod tests {
         meta.truncate(count_at);
         meta.extend_from_slice(&u32::MAX.to_le_bytes());
         store
-            .put_blob_overwrite(TRACE_SLICE_STAGE, &key, &meta, &[])
+            .put_blob(TRACE_SLICE_STAGE, &key, &meta, &[])
             .expect("forges a checksum-valid manifest");
 
         cbsp_trace::enable();
@@ -1493,7 +1438,7 @@ mod tests {
             ("binary count u32::MAX", forged(0, &u32::MAX.to_le_bytes())),
         ] {
             store
-                .put_blob_overwrite(REPLAY_STAGE, &key, &meta, &payload)
+                .put_blob(REPLAY_STAGE, &key, &meta, &payload)
                 .expect("forges a checksum-valid lease");
             check(what);
         }

@@ -43,8 +43,8 @@ fn stage_name() -> impl Strategy<Value = String> {
 
 proptest! {
     /// Whatever (stage, meta, payload) goes in comes back
-    /// byte-identical, through both the fresh write and the
-    /// already-exists fast path.
+    /// byte-identical, through both the fresh write and a rewrite of
+    /// the same key.
     #[test]
     fn blob_round_trip_is_byte_identical(
         stage in stage_name(),
@@ -54,9 +54,13 @@ proptest! {
     ) {
         let (store, dir) = temp_store("roundtrip");
         let key = key_of(salt);
-        prop_assert!(store.put_blob(&stage, &key, &meta, &payload).expect("writes"));
-        // Content-addressed: a second put of the same key is a no-op.
-        prop_assert!(!store.put_blob(&stage, &key, &meta, &payload).expect("no-op"));
+        store.put_blob(&stage, &key, &meta, &payload).expect("writes");
+        let first = std::fs::read(store.blob_path(&key)).expect("blob exists");
+        // Content-addressed: a second put of the same key leaves the
+        // same bytes.
+        store.put_blob(&stage, &key, &meta, &payload).expect("rewrites");
+        let second = std::fs::read(store.blob_path(&key)).expect("blob exists");
+        prop_assert!(first == second);
         let blob = store
             .get_blob(&stage, &key)
             .expect("reads")

@@ -60,9 +60,12 @@ proptest! {
     fn round_trip_is_byte_identical(payload in json_value(), salt in 0u64..1000) {
         let (store, dir) = temp_store("roundtrip");
         let key = key_of(&payload, salt);
-        prop_assert!(store.put("prop", &key, &payload).expect("put succeeds"));
-        // A second put of the same content is deduplicated.
-        prop_assert!(!store.put("prop", &key, &payload).expect("put succeeds"));
+        store.put("prop", &key, &payload).expect("put succeeds");
+        let first = std::fs::read(store.object_path(&key)).expect("artifact file exists");
+        // A second put of the same content leaves the same bytes.
+        store.put("prop", &key, &payload).expect("put succeeds");
+        let second = std::fs::read(store.object_path(&key)).expect("artifact file exists");
+        prop_assert!(first == second);
         let got: Value = store
             .get("prop", &key)
             .expect("get succeeds")

@@ -96,9 +96,7 @@ fn put_envelopes(store: &ArtifactStore, keys: &[(&str, &StageKey)]) {
         ("data".to_string(), Value::Str(String::new())),
     ]);
     for (stage, key) in keys {
-        store
-            .put_overwrite(stage, key, &payload)
-            .expect("envelope writes");
+        store.put(stage, key, &payload).expect("envelope writes");
     }
 }
 
@@ -335,7 +333,7 @@ fn sliced_estimates_match_a_full_trace_replay() {
     let points = &result.simpoint.points;
     let n = result.interval_count();
 
-    let cache = TraceCache::in_memory();
+    let cache = TraceCache::new(None);
     for (b, bin) in binaries.iter().enumerate() {
         let label = bin.label();
         let boundaries = &result.boundaries[b];
