@@ -9,12 +9,11 @@
 //! speedup error, mappable point count, and the interval count — so
 //! the sensitivity of the headline results to every knob is visible.
 
-use cbsp_core::{
-    relative_error, run_cross_binary, speedup, speedup_error, weighted_cpi_with, CbspConfig,
-};
+use cbsp_core::{relative_error, run_cross_binary, speedup, speedup_error, CbspConfig};
 use cbsp_program::{compile_with, workloads, Binary, CompileOptions, CompileTarget, Input, Scale};
-use cbsp_sim::{simulate_marker_sliced, IntervalSim, MemoryConfig};
+use cbsp_sim::{simulate_marker_sliced, MemoryConfig};
 use cbsp_simpoint::{RepresentativePolicy, SimPointConfig};
+use cbsp_store::CpiEstimate;
 use std::fmt::Write as _;
 
 /// One ablation variant: a label plus the knobs it changes.
@@ -158,12 +157,10 @@ fn evaluate_variant(
     let mut cycles = [0.0f64; 4];
     let mut true_cycles = [0.0f64; 4];
     for (b, bin) in binaries.iter().enumerate() {
-        let (full, mut ivs) = simulate_marker_sliced(bin, &input, mem, &result.boundaries[b]);
-        ivs.resize(result.interval_count(), IntervalSim::default());
-        let cpis: Vec<f64> = ivs.iter().map(IntervalSim::cpi).collect();
-        let est = weighted_cpi_with(&result.simpoint.points, &result.weights[b], &cpis);
-        cpi_err[b] = relative_error(full.cpi(), est);
-        cycles[b] = est * full.instructions as f64;
+        let (full, ivs) = simulate_marker_sliced(bin, &input, mem, &result.boundaries[b]);
+        let est = CpiEstimate::from_marker_intervals(&result, b, &full, &ivs);
+        cpi_err[b] = relative_error(est.true_cpi, est.estimated_cpi);
+        cycles[b] = est.estimated_cpi * est.instructions as f64;
         true_cycles[b] = full.cycles as f64;
     }
     let sp_err = speedup_error(

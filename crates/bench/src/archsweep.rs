@@ -6,9 +6,10 @@
 //! experiment verifies it: one set of mappable points per benchmark,
 //! evaluated on several memory-system designs.
 
-use cbsp_core::{relative_error, run_cross_binary, weighted_cpi_with, CbspConfig};
+use cbsp_core::{relative_error, run_cross_binary, CbspConfig};
 use cbsp_program::{compile, workloads, Binary, CompileTarget, Input, Scale};
-use cbsp_sim::{simulate_marker_sliced, CacheLevelConfig, IntervalSim, MemoryConfig};
+use cbsp_sim::{simulate_marker_sliced, CacheLevelConfig, MemoryConfig};
+use cbsp_store::CpiEstimate;
 use std::fmt::Write as _;
 
 /// A named architecture variant.
@@ -106,11 +107,9 @@ pub fn sweep_benchmark(
     for (ai, arch) in archs.iter().enumerate() {
         let mut err = 0.0;
         for (b, bin) in binaries.iter().enumerate() {
-            let (full, mut ivs) =
+            let (full, ivs) =
                 simulate_marker_sliced(bin, &input, &arch.config, &result.boundaries[b]);
-            ivs.resize(result.interval_count(), IntervalSim::default());
-            let cpis: Vec<f64> = ivs.iter().map(IntervalSim::cpi).collect();
-            let est = weighted_cpi_with(&result.simpoint.points, &result.weights[b], &cpis);
+            let est = CpiEstimate::from_marker_intervals(&result, b, &full, &ivs).estimated_cpi;
             err += relative_error(full.cpi(), est);
             if b == 1 {
                 true_cpi_32o.push(full.cpi());

@@ -12,12 +12,11 @@
 //! its own namespace (see `cbsp_store::stage_namespaces`).
 
 use crate::experiment::BenchmarkRun;
-use cbsp_core::{relative_error, run_cross_binary, stratified_ci, weighted_cpi_with, CbspConfig};
+use cbsp_core::{relative_error, run_cross_binary, CbspConfig};
 use cbsp_par::Pool;
 use cbsp_program::{Binary, Input, Scale};
-use cbsp_sim::IntervalSim;
 use cbsp_simpoint::{EstimatorConfig, SimPointConfig};
-use cbsp_store::{ArtifactStore, CachePolicy, Orchestrator};
+use cbsp_store::{ArtifactStore, CachePolicy, CpiEstimate, Orchestrator};
 use serde::{Deserialize, Serialize};
 
 /// One benchmark's CPI-estimation quality under one estimator lane.
@@ -153,20 +152,15 @@ pub fn lane_rows(
                 ci_contains: [false; 4],
             };
             for b in 0..4 {
-                let cpis: Vec<f64> = run.vli_interval_stats[b]
-                    .iter()
-                    .map(IntervalSim::cpi)
-                    .collect();
-                let est = weighted_cpi_with(&cross.simpoint.points, &cross.weights[b], &cpis);
-                let truth = run.eval.true_stats[b].cpi();
-                row.cpi_err[b] = relative_error(truth, est);
-                row.ci_half[b] = stratified_ci(
-                    &cross.simpoint.points,
-                    &cross.simpoint.labels,
-                    &cross.weights[b],
-                    &cpis,
+                let est = CpiEstimate::from_marker_intervals(
+                    cross,
+                    b,
+                    &run.eval.true_stats[b],
+                    &run.vli_interval_stats[b],
                 );
-                row.ci_contains[b] = (est - truth).abs() <= row.ci_half[b];
+                row.cpi_err[b] = relative_error(est.true_cpi, est.estimated_cpi);
+                row.ci_half[b] = est.ci_half;
+                row.ci_contains[b] = (est.estimated_cpi - est.true_cpi).abs() <= est.ci_half;
             }
             row
         })
@@ -218,6 +212,7 @@ mod tests {
     use super::*;
     use crate::experiment::evaluate_benchmark;
     use cbsp_sim::MemoryConfig;
+    use cbsp_store::TraceCache;
 
     #[test]
     fn lanes_share_slicing_and_default_matches_base() {
@@ -243,6 +238,55 @@ mod tests {
             assert!(rows[2].ci_half[b] >= 0.0);
             assert!(rows[2].cpi_err[b].is_finite());
         }
+    }
+
+    /// One replay lease per (benchmark, scale, interval): every lane's
+    /// CPI estimate reads the lease the evaluation wrote, simulates
+    /// nothing, and reproduces the lane's row bit for bit.
+    #[test]
+    fn every_lane_estimate_reads_the_evaluation_lease() {
+        let _guard = cbsp_trace::test_lock();
+        let dir = std::env::temp_dir().join(format!("cbsp-lane-lease-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ArtifactStore::open(&dir).expect("store opens");
+        let (mem, pool) = (MemoryConfig::default(), Pool::new(2));
+        let run = crate::experiment::evaluate_benchmark_cached(
+            "gzip",
+            Scale::Test,
+            20_000,
+            &mem,
+            Some(&store),
+            &TraceCache::new(Some(&store)),
+            &pool,
+        );
+        let refs: Vec<&Binary> = run.binaries.iter().collect();
+        for tag in ["bbv", "bbv+mav", "stratified"] {
+            let estimator = EstimatorConfig::parse(tag).expect("known tag");
+            let config = CbspConfig {
+                interval_target: 20_000,
+                estimator,
+                ..CbspConfig::default()
+            };
+            let cross = run_cross_binary(&refs, &Input::test(), &config).expect("pipeline runs");
+            cbsp_trace::enable();
+            cbsp_trace::reset();
+            let estimates = TraceCache::new(Some(&store))
+                .estimate_cpi(&refs, &Input::test(), &mem, &cross, 20_000, &pool)
+                .expect("estimates");
+            let counters = cbsp_trace::snapshot().counters;
+            cbsp_trace::disable();
+            cbsp_trace::reset();
+            assert_eq!(counters.get("sim/replay_cache_hits"), Some(&1), "{tag}");
+            assert_eq!(counters.get("sim/instructions"), None, "{tag} simulated");
+
+            let row = &lane_rows(&run, Scale::Test, 20_000, None, &pool, &[estimator])[0];
+            for (b, est) in estimates.iter().enumerate() {
+                let err = relative_error(est.true_cpi, est.estimated_cpi);
+                assert_eq!(err.to_bits(), row.cpi_err[b].to_bits(), "{tag} binary {b}");
+                assert_eq!(est.ci_half.to_bits(), row.ci_half[b].to_bits());
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

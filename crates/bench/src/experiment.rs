@@ -4,14 +4,13 @@
 
 use cbsp_core::{
     relative_error, run_cross_binary, run_per_binary, speedup, speedup_error, weighted_cpi,
-    weighted_cpi_with, weighted_metric, weighted_metric_with, CbspConfig, CrossBinaryResult,
-    PerBinaryResult,
+    weighted_metric, weighted_metric_with, CbspConfig, CrossBinaryResult, PerBinaryResult,
 };
 use cbsp_par::Pool;
 use cbsp_program::{compile, workloads, Binary, CompileTarget, Input, Scale};
 use cbsp_sim::{IntervalSim, MemoryConfig, SimStats};
 use cbsp_simpoint::SimPointConfig;
-use cbsp_store::{ArtifactStore, CachePolicy, Orchestrator, TraceCache};
+use cbsp_store::{ArtifactStore, CachePolicy, CpiEstimate, Orchestrator, TraceCache};
 use serde::{Deserialize, Serialize};
 
 /// The four standard binaries, in paper order.
@@ -338,12 +337,12 @@ pub fn evaluate_benchmark_cached(
         cycles_est: [0.0; 4],
     };
     for b in 0..4 {
-        let cpis: Vec<f64> = vli_interval_stats[b].iter().map(IntervalSim::cpi).collect();
-        let est = weighted_cpi_with(&cross.simpoint.points, &cross.weights[b], &cpis);
+        let est =
+            CpiEstimate::from_marker_intervals(&cross, b, &true_stats[b], &vli_interval_stats[b]);
         vli.num_points[b] = cross.simpoint.points.len();
-        vli.cpi_est[b] = est;
-        vli.cpi_err[b] = relative_error(true_stats[b].cpi(), est);
-        vli.cycles_est[b] = est * true_stats[b].instructions as f64;
+        vli.cpi_est[b] = est.estimated_cpi;
+        vli.cpi_err[b] = relative_error(est.true_cpi, est.estimated_cpi);
+        vli.cycles_est[b] = est.estimated_cpi * est.instructions as f64;
     }
 
     // Figure 2's metric: mapped interval sizes averaged over binaries.

@@ -5,10 +5,11 @@
 //! several master seeds — showing the conclusions do not hinge on a
 //! lucky seed.
 
-use cbsp_core::{run_cross_binary, weighted_cpi_with, CbspConfig};
+use cbsp_core::{run_cross_binary, CbspConfig};
 use cbsp_program::{compile, workloads, Binary, CompileTarget, Input, Scale};
-use cbsp_sim::{simulate_marker_sliced, IntervalSim, MemoryConfig};
+use cbsp_sim::{simulate_marker_sliced, MemoryConfig};
 use cbsp_simpoint::SimPointConfig;
+use cbsp_store::CpiEstimate;
 use std::fmt::Write as _;
 
 /// Stability of one benchmark's estimates across seeds.
@@ -88,10 +89,8 @@ pub fn seed_stability(name: &str, scale: Scale, interval_target: u64, seeds: usi
         let mut true_cycles = [0.0f64; 4];
         let mut err = 0.0;
         for (b, bin) in binaries.iter().enumerate() {
-            let (full, mut ivs) = simulate_marker_sliced(bin, &input, &mem, &result.boundaries[b]);
-            ivs.resize(result.interval_count(), IntervalSim::default());
-            let cpis: Vec<f64> = ivs.iter().map(IntervalSim::cpi).collect();
-            let est = weighted_cpi_with(&result.simpoint.points, &result.weights[b], &cpis);
+            let (full, ivs) = simulate_marker_sliced(bin, &input, &mem, &result.boundaries[b]);
+            let est = CpiEstimate::from_marker_intervals(&result, b, &full, &ivs).estimated_cpi;
             est_cycles[b] = est * full.instructions as f64;
             true_cycles[b] = full.cycles as f64;
             err += (full.cpi() - est).abs() / full.cpi();

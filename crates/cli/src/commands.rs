@@ -488,12 +488,13 @@ pub fn perbinary(opts: &Opts) -> Result<(), String> {
 /// `cbsp estimate <benchmark> [--interval N] [--scale S] [--threads N]
 /// [--estimator bbv|bbv+mav|early|stratified] [--cache-dir D]
 /// [--no-cache 1] [--refresh 1]` — true vs SimPoint-estimated CPI for
-/// all four binaries, computed from per-simpoint trace slices. The
-/// pipeline stages come from the artifact store like `cbsp cross`; the
-/// CPI side reads the sliced trace manifest, so a warm run decodes
-/// kilobytes of slice payload instead of each binary's full recorded
-/// trace (DESIGN.md "Sliced traces"). The stratified lane additionally
-/// reports a confidence half-width per binary (zero for
+/// all four binaries. The pipeline stages come from the artifact store
+/// like `cbsp cross`; the CPI side reads the replay lease of the
+/// binaries' detailed simulations at Table 1 and the run's interval —
+/// the lease an `experiments` evaluation of the same benchmark, scale
+/// and interval writes — so a warm run reads one blob and simulates
+/// nothing (DESIGN.md "Replay leases"). The stratified lane
+/// additionally reports a confidence half-width per binary (zero for
 /// single-representative lanes by construction).
 pub fn estimate(opts: &Opts) -> Result<(), String> {
     let name = opts.positional(0, "benchmark name")?;
@@ -517,25 +518,20 @@ pub fn estimate(opts: &Opts) -> Result<(), String> {
         .collect();
     let description = format!("estimate {name} scale={scale:?}");
     let (result, cached) = run_pipeline(opts, &binaries, &input, &config, &description)?;
-    // Under `--no-cache 1` the slices are cut in memory too.
-    let traces = TraceCache::new(cached.as_ref().map(|(store, _)| store));
-    let mem = MemoryConfig::default();
-    let pool = Pool::new(config.simpoint.threads);
-    let n = result.interval_count();
-    let estimates = pool.run_indexed(binaries.len(), |b| {
-        traces.estimate_cpi_sliced(
-            &binaries[b],
+    // Under `--no-cache 1` the binaries are simulated in memory too.
+    let estimates = TraceCache::new(cached.as_ref().map(|(store, _)| store))
+        .estimate_cpi(
+            &binaries.iter().collect::<Vec<_>>(),
             &input,
-            &mem,
-            &result.boundaries[b],
-            &result.simpoint.points,
-            Some(&result.weights[b]),
-            n,
+            &MemoryConfig::default(),
+            &result,
+            config.interval_target,
+            &Pool::new(config.simpoint.threads),
         )
-    });
+        .map_err(|e| e.to_string())?;
     println!(
         "{name}: {} intervals, {} phases, {} simulation points (estimator {})",
-        n,
+        result.interval_count(),
         result.simpoint.k,
         result.simpoint.points.len(),
         config.estimator.tag()
@@ -544,27 +540,20 @@ pub fn estimate(opts: &Opts) -> Result<(), String> {
         "{:<10} {:>12} {:>10} {:>12} {:>10} {:>10}",
         "binary", "instructions", "true CPI", "estimated", "rel error", "CI ±"
     );
-    for (b, est) in estimates.into_iter().enumerate() {
-        let est = est.map_err(|e| e.to_string())?;
+    for (bin, est) in binaries.iter().zip(estimates) {
         let rel = if est.true_cpi > 0.0 {
             (est.estimated_cpi - est.true_cpi).abs() / est.true_cpi
         } else {
             0.0
         };
-        let ci_half = cbsp_core::stratified_ci(
-            &result.simpoint.points,
-            &result.simpoint.labels,
-            &result.weights[b],
-            &est.interval_cpis,
-        );
         println!(
             "{:<10} {:>12} {:>10.4} {:>12.4} {:>9.2}% {:>10.4}",
-            binaries[b].label(),
+            bin.label(),
             est.instructions,
             est.true_cpi,
             est.estimated_cpi,
             100.0 * rel,
-            ci_half
+            est.ci_half
         );
     }
     Ok(())
@@ -575,13 +564,14 @@ pub fn estimate(opts: &Opts) -> Result<(), String> {
 ///
 /// The store holds pipeline stage artifacts (referenced by run
 /// manifests) and leases ([`cbsp_store::LEASE_STAGES`]), which no run
-/// manifest references: sliced-trace manifests under `trace_slice`,
-/// the detailed simulations of experiment evaluations under `replay`,
-/// and whole recorded traces under `trace`, which only older versions
-/// and the benchmark's probes write. `stats` reports each population
-/// separately; `gc` keeps manifest-referenced artifacts and evicts
-/// every lease — slices and replay leases are rebuilt transparently on
-/// next use, and nothing reads whole traces back.
+/// manifest references: the detailed simulations that experiment
+/// evaluations and `cbsp estimate` read under `replay`, and per-simpoint
+/// slice manifests under `trace_slice` and whole recorded traces under
+/// `trace`, which only older versions and the benchmark's probes write.
+/// `stats` reports each population separately; `gc` keeps
+/// manifest-referenced artifacts and evicts every lease — replay leases
+/// are re-simulated on next use, and nothing outside the benchmark
+/// reads slices or whole traces back.
 pub fn cache(opts: &Opts) -> Result<(), String> {
     let action = opts.positional(0, "cache action (stats|gc)")?;
     let store = ArtifactStore::open(opts.cache_dir()).map_err(|e| e.to_string())?;
@@ -608,7 +598,7 @@ pub fn cache(opts: &Opts) -> Result<(), String> {
                 traces.artifacts, traces.bytes
             );
             println!(
-                "  sliced traces:   {} artifacts, {} bytes (evicted by gc, re-sliced on use)",
+                "  sliced traces:   {} artifacts, {} bytes (evicted by gc, unused by estimates)",
                 slices.artifacts, slices.bytes
             );
             println!(
@@ -666,8 +656,8 @@ pub fn cache(opts: &Opts) -> Result<(), String> {
             );
             println!(
                 "note: removal includes every lease — recorded traces, sliced traces and \
-                 replay leases (no manifest references them); slices and replay leases are \
-                 rebuilt on next use"
+                 replay leases (no manifest references them); replay leases are re-simulated \
+                 on next use"
             );
             Ok(())
         }

@@ -59,9 +59,9 @@ commands:
       [--interval N] [--scale S] [--threads N]
       [--estimator bbv|bbv+mav|early|stratified]
       [--cache-dir DIR] [--no-cache 1] [--refresh 1]
-                                 (reads per-simpoint trace slices;
-                                 stratified also reports a confidence
-                                 half-width)
+                                 (reads the replay lease an experiments
+                                 evaluation writes; stratified also
+                                 reports a confidence half-width)
   cache <stats|gc>             inspect or garbage-collect the artifact
       [--cache-dir DIR]          store (stats splits pipeline stages from the
                                  leases: traces, slices, replays; gc keeps

@@ -297,6 +297,50 @@ fn cross_serves_warm_run_from_cache() {
 }
 
 #[test]
+fn estimate_is_identical_cold_warm_and_uncached() {
+    let dir = temp_dir("estimate");
+    let args = [
+        "estimate",
+        "mcf",
+        "--scale",
+        "test",
+        "--interval",
+        "20000",
+        "--estimator",
+        "stratified",
+    ];
+    let cached = [&args[..], &["--cache-dir", "store"]].concat();
+    let cold = assert_ok(&cbsp(&dir, &cached), "cold estimate");
+    let warm = assert_ok(&cbsp(&dir, &cached), "warm estimate");
+    let plain = assert_ok(
+        &cbsp(&dir, &[&args[..], &["--no-cache", "1"]].concat()),
+        "uncached estimate",
+    );
+    for label in ["mcf-32u", "mcf-32o", "mcf-64u", "mcf-64o"] {
+        assert!(cold.contains(label), "missing {label} in:\n{cold}");
+    }
+    assert_eq!(warm, cold, "warm estimate differs");
+    assert_eq!(plain, cold, "uncached estimate differs");
+    assert!(
+        !dir.join(".cbsp-cache").exists(),
+        "an uncached run creates no store"
+    );
+
+    // The CPI side is one replay lease over the four binaries, and no
+    // per-simpoint slices.
+    let stats = assert_ok(
+        &cbsp(&dir, &["cache", "stats", "--cache-dir", "store"]),
+        "stats",
+    );
+    for line in [
+        "replay leases:   1 artifacts",
+        "sliced traces:   0 artifacts",
+    ] {
+        assert!(stats.contains(line), "missing `{line}` in:\n{stats}");
+    }
+}
+
+#[test]
 fn perbinary_produces_a_valid_region_file() {
     let dir = temp_dir("perbinary");
     assert_ok(

@@ -276,8 +276,6 @@ fn metrics_body(core: &Arc<ServerCore>) -> String {
         .metrics
         .to_value(depth as u64, executing as u64, core.is_draining());
 
-    let snapshot = cbsp_trace::snapshot();
-    let counter = |name: &str| *snapshot.counters.get(name).unwrap_or(&0);
     let ratio = |hits: u64, misses: u64| {
         let total = hits + misses;
         if total == 0 {
@@ -286,7 +284,8 @@ fn metrics_body(core: &Arc<ServerCore>) -> String {
             hits as f64 / total as f64
         }
     };
-    let (store_hits, store_misses) = (counter("store/hits"), counter("store/misses"));
+    let store_hits = core.engine.store_hits.load(Ordering::Relaxed);
+    let store_misses = core.engine.store_misses.load(Ordering::Relaxed);
     let singleflight = core.metrics.singleflight_hits.load(Ordering::Relaxed);
     let requests = core.metrics.requests.load(Ordering::Relaxed);
     let result_hits = core.engine.result_hits.load(Ordering::Relaxed);

@@ -1,12 +1,11 @@
 //! Request preparation and execution against warm pipeline state.
 //!
-//! The [`Engine`] owns the process-lifetime caches — the
-//! content-addressed [`ArtifactStore`], the two-tier [`TraceCache`],
-//! and a small in-memory cache of completed runs — and knows how to
-//! turn protocol params into [`Work`] items and work items into
-//! result values. Admission policy (queueing, batching, deadlines)
-//! lives in [`crate::server`]; nothing here blocks on anything but
-//! the pipeline itself.
+//! The [`Engine`] owns the process-lifetime state — the
+//! content-addressed [`ArtifactStore`] and a small in-memory cache of
+//! completed runs — and knows how to turn protocol params into
+//! [`Work`] items and work items into result values. Admission policy
+//! (queueing, batching, deadlines) lives in [`crate::server`]; nothing
+//! here blocks on anything but the pipeline itself.
 //!
 //! The result cache is what makes the daemon *warm* rather than just
 //! resident: the store alone still costs a disk read plus
@@ -24,7 +23,7 @@ use cbsp_sim::MemoryConfig;
 use cbsp_simpoint::{EstimatorConfig, SimPointResult};
 use cbsp_store::{
     content_hash, pipeline_keys, stage_namespaces, ArtifactStore, CachePolicy, Orchestrator,
-    PipelineKeys, RunReport,
+    PipelineKeys, RunReport, TraceCache,
 };
 use serde::Value;
 use std::collections::{HashMap, VecDeque};
@@ -54,7 +53,7 @@ pub(crate) struct PipelineSpec {
 pub(crate) enum Work {
     /// `pipeline.run` — batchable.
     Pipeline(Box<PipelineSpec>),
-    /// `estimate.cpi` — pipeline plus slice replays.
+    /// `estimate.cpi` — pipeline plus its replay lease.
     Estimate(Box<PipelineSpec>),
     /// `simpoints.get` — store lookup by derived key, never computes.
     Simpoints(Box<PipelineSpec>),
@@ -122,8 +121,7 @@ impl<V> ResultCache<V> {
 
 /// Warm per-process pipeline state shared by all workers.
 pub(crate) struct Engine {
-    pub store: Arc<ArtifactStore>,
-    pub traces: cbsp_store::TraceCache<'static>,
+    pub store: ArtifactStore,
     /// Thread budget for one execution slot (a batch shares it).
     pub threads: usize,
     /// Completed runs keyed by map-stage digest, FIFO-evicted at
@@ -133,6 +131,12 @@ pub(crate) struct Engine {
     pub result_hits: AtomicU64,
     /// Requests that had to run the (store-backed) pipeline.
     pub result_misses: AtomicU64,
+    /// Stage executions those runs served from the store (for
+    /// `/metrics`): the sum of their [`RunReport::hits`].
+    pub store_hits: AtomicU64,
+    /// Stage executions those runs computed: the sum of their
+    /// [`RunReport::misses`].
+    pub store_misses: AtomicU64,
 }
 
 /// The `fuzzy_map` param: absent, `null`, or `false` ⇒ exact-only
@@ -163,15 +167,15 @@ fn param_fuzzy(params: &Value) -> Result<Option<FuzzyConfig>, Fault> {
     Ok(Some(FuzzyConfig { threshold }))
 }
 
-/// `estimate.cpi` replays per-simpoint trace slices cut at exact
-/// marker boundaries, which the fuzzy fallback's instruction-offset
-/// windows do not follow — so the method is exact-lane only.
+/// `estimate.cpi` simulates each binary sliced at exact marker
+/// boundaries, which the fuzzy fallback's instruction-offset windows do
+/// not follow — so the method is exact-lane only.
 pub(crate) fn reject_fuzzy_estimate(spec: &PipelineSpec) -> Result<(), Fault> {
     if spec.config.fuzzy.is_some() {
         return Err(fault(
             ErrorCode::BadRequest,
-            "estimate.cpi does not accept `fuzzy_map` (slice replay follows exact marker \
-             boundaries; evaluate fuzzy lanes with `experiments accuracy-gate --fuzzy`)",
+            "estimate.cpi does not accept `fuzzy_map` (its detailed simulation slices at exact \
+             marker boundaries; evaluate fuzzy lanes with `experiments accuracy-gate --fuzzy`)",
         ));
     }
     Ok(())
@@ -257,14 +261,15 @@ pub(crate) fn prepare_spec(params: &Value, detail_allowed: bool) -> Result<Pipel
 }
 
 impl Engine {
-    pub fn new(store: Arc<ArtifactStore>, threads: usize) -> Engine {
+    pub fn new(store: ArtifactStore, threads: usize) -> Engine {
         Engine {
-            traces: cbsp_store::TraceCache::shared(Arc::clone(&store)),
             store,
             threads,
             runs: Mutex::new(ResultCache::default()),
             result_hits: AtomicU64::new(0),
             result_misses: AtomicU64::new(0),
+            store_hits: AtomicU64::new(0),
+            store_misses: AtomicU64::new(0),
         }
     }
 
@@ -288,39 +293,28 @@ impl Engine {
     }
 
     /// Runs the pipeline, then computes each binary's true and
-    /// SimPoint-estimated CPI from its per-simpoint trace slices: warm
-    /// requests replay kilobytes of slice payload instead of simulating
-    /// the whole run (see DESIGN.md "Sliced traces").
+    /// SimPoint-estimated CPI from the replay lease of its detailed
+    /// simulation at Table 1 and the run's interval target — the lease
+    /// an experiment evaluation of the same digest writes — so a warm
+    /// request reads one blob and simulates nothing (see DESIGN.md
+    /// "Replay leases").
     pub fn execute_estimate(&self, spec: &PipelineSpec, deadline: Instant) -> Reply {
         let run = self.run_cross(spec, self.threads, deadline)?;
-        let cross = &run.cross;
-        let pool = Pool::new(self.threads);
-        let mem = MemoryConfig::default();
-        let n = cross.interval_count();
-        let estimates = pool.run_indexed(spec.binaries.len(), |b| {
-            self.traces.estimate_cpi_sliced(
-                &spec.binaries[b],
+        let refs: Vec<&Binary> = spec.binaries.iter().collect();
+        let estimates = TraceCache::new(Some(&self.store))
+            .estimate_cpi(
+                &refs,
                 &spec.input,
-                &mem,
-                &cross.boundaries[b],
-                &cross.simpoint.points,
-                Some(&cross.weights[b]),
-                n,
+                &MemoryConfig::default(),
+                &run.cross,
+                spec.config.interval_target,
+                &Pool::new(self.threads),
             )
-        });
+            .map_err(internal)?;
         let mut binaries = Vec::with_capacity(spec.binaries.len());
-        for (b, est) in estimates.into_iter().enumerate() {
-            let est = est.map_err(internal)?;
-            // Zero for single-representative lanes by construction; the
-            // stratified lane reports its half-width (see DESIGN.md).
-            let ci_half = cbsp_core::stratified_ci(
-                &cross.simpoint.points,
-                &cross.simpoint.labels,
-                &cross.weights[b],
-                &est.interval_cpis,
-            );
+        for (bin, est) in spec.binaries.iter().zip(estimates) {
             binaries.push(obj(vec![
-                ("label", Value::Str(spec.binaries[b].label())),
+                ("label", Value::Str(bin.label())),
                 ("true_cpi", Value::Float(est.true_cpi)),
                 ("estimated_cpi", Value::Float(est.estimated_cpi)),
                 (
@@ -331,7 +325,10 @@ impl Engine {
                         0.0
                     }),
                 ),
-                ("ci_half", Value::Float(ci_half)),
+                // Zero for single-representative lanes by
+                // construction; the stratified lane reports its
+                // half-width (see DESIGN.md).
+                ("ci_half", Value::Float(est.ci_half)),
             ]));
         }
         let mut fields = summary_fields(spec, &run);
@@ -455,6 +452,10 @@ impl Engine {
                 ),
                 other => internal(other),
             })?;
+        self.store_hits
+            .fetch_add(report.hits() as u64, Ordering::Relaxed);
+        self.store_misses
+            .fetch_add(report.misses() as u64, Ordering::Relaxed);
         let run = Arc::new(CachedRun {
             result_hash: content_hash(&cross),
             cross,

@@ -60,8 +60,6 @@ pub struct ServeConfig {
     pub cache_dir: PathBuf,
     /// Deadline for requests that don't send `timeout_ms`.
     pub default_timeout_ms: u64,
-    /// Most `pipeline.run` requests one worker executes as one batch.
-    pub batch_max: usize,
     /// Dispatcher threads draining the queue. Two keeps cheap queries
     /// (`store.stats`) from stalling behind a long pipeline while still
     /// letting batches form.
@@ -76,11 +74,13 @@ impl Default for ServeConfig {
             max_inflight: 64,
             cache_dir: PathBuf::from(".cbsp-cache"),
             default_timeout_ms: 30_000,
-            batch_max: 8,
             workers: 2,
         }
     }
 }
+
+/// Most `pipeline.run` requests one worker executes as one batch.
+const BATCH_MAX: usize = 8;
 
 /// Where a finished job's reply goes.
 pub(crate) enum ReplyTo {
@@ -279,7 +279,7 @@ impl ServerCore {
                     // interval) into this execution — one pool fan-out
                     // instead of N sequential runs.
                     let mut i = 0;
-                    while i < st.queue.len() && batch.len() < self.cfg.batch_max.max(1) {
+                    while i < st.queue.len() && batch.len() < BATCH_MAX {
                         let take = matches!(
                             &st.queue[i].work,
                             Work::Pipeline(s)
@@ -389,7 +389,7 @@ impl Server {
         let threads = cfg.threads;
         let workers = cfg.workers.max(1);
         let core = Arc::new(ServerCore {
-            engine: Engine::new(Arc::new(store), threads),
+            engine: Engine::new(store, threads),
             metrics: ServeMetrics::default(),
             cfg,
             state: Mutex::new(QueueState {

@@ -1,7 +1,8 @@
 //! End-to-end tests of the daemon: lifecycle, mixed queries,
-//! single-flight deduplication observed through `/metrics`, typed
-//! backpressure, deadline enforcement, graceful drain, bounded frame
-//! length, and byte-identity of served results across thread counts.
+//! single-flight deduplication and store traffic observed through
+//! `/metrics`, typed backpressure, deadline enforcement, graceful
+//! drain, bounded frame length, and byte-identity of served results
+//! across thread counts and against the library.
 
 use cbsp_serve::{ServeConfig, Server};
 use serde::Value;
@@ -23,7 +24,15 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 fn start(tag: &str, configure: impl FnOnce(&mut ServeConfig)) -> (Server, SocketAddr, PathBuf) {
-    let dir = temp_dir(tag);
+    start_in(temp_dir(tag), configure)
+}
+
+/// Starts a daemon over the store at `dir`, which may already hold
+/// another daemon's artifacts.
+fn start_in(
+    dir: PathBuf,
+    configure: impl FnOnce(&mut ServeConfig),
+) -> (Server, SocketAddr, PathBuf) {
     let mut cfg = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
@@ -332,23 +341,53 @@ fn graceful_drain_completes_inflight_work() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// `/metrics` counts the daemon's own stage hits and misses whether or
+/// not tracing is on: a second daemon over a warm store serves all
+/// eight stages of a run from it.
+#[test]
+fn metrics_count_store_traffic_across_a_restart() {
+    let request = r#"{"id":"r","method":"pipeline.run","params":{"benchmark":"gzip","scale":"test","interval":20000}}"#;
+    let (server, addr, dir) = start("restart", |_| {});
+    let cold = assert_ok(&one_shot(addr, request));
+    assert_eq!(field(&cold, "result.cache.misses"), &Value::UInt(8));
+    server.shutdown();
+    server.wait().expect("clean drain");
+
+    let (server, addr, dir) = start_in(dir, |_| {});
+    let warm = assert_ok(&one_shot(addr, request));
+    assert_eq!(field(&warm, "result.cache.hits"), &Value::UInt(8));
+    assert_eq!(field(&warm, "result.cache.misses"), &Value::UInt(0));
+    let metrics = parse(&http_get(addr, "/metrics"));
+    assert_eq!(field(&metrics, "cache.store_hits"), &Value::UInt(8));
+    assert_eq!(field(&metrics, "cache.store_misses"), &Value::UInt(0));
+    assert_eq!(field(&metrics, "cache.store_hit_ratio"), &Value::Float(1.0));
+    server.shutdown();
+    server.wait().expect("clean drain");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn results_are_byte_identical_across_thread_counts() {
     let request = r#"{"id":"x","method":"pipeline.run","params":{"benchmark":"equake","scale":"test","interval":20000,"detail":"full"}}"#;
+    let estimate = r#"{"id":"e","method":"estimate.cpi","params":{"benchmark":"equake","scale":"test","interval":20000}}"#;
     let mut frames = Vec::new();
+    let mut estimates = Vec::new();
     for threads in [1usize, 3] {
         let (server, addr, dir) = start("threads", |cfg| {
             cfg.threads = threads;
         });
         frames.push(one_shot(addr, request));
+        estimates.push(one_shot(addr, estimate));
         server.shutdown();
         server.wait().expect("clean drain");
         let _ = std::fs::remove_dir_all(dir);
     }
     assert_ok(&frames[0]);
     // Different servers, different thread budgets, fresh stores: the
-    // full embedded CrossBinaryResult must not differ by a byte.
+    // full embedded CrossBinaryResult must not differ by a byte, and
+    // neither may the estimate.
     assert_eq!(frames[0], frames[1]);
+    assert_eq!(estimates[0], estimates[1]);
 
     // And the served result matches what the library computes directly
     // (the CLI's `--no-cache 1` path): same content hash.
@@ -374,4 +413,29 @@ fn results_are_byte_identical_across_thread_counts() {
         field(&served, "result.result_hash"),
         &Value::Str(cbsp_store::content_hash(&cross)),
     );
+
+    // Each binary's served estimate is the store-less library estimate
+    // at Table 1, bit for bit.
+    let library = cbsp_store::TraceCache::new(None)
+        .estimate_cpi(
+            &binaries.iter().collect::<Vec<_>>(),
+            &cbsp_program::Input::test(),
+            &cbsp_sim::MemoryConfig::default(),
+            &cross,
+            20_000,
+            &cbsp_par::Pool::new(2),
+        )
+        .expect("library estimates");
+    let served = assert_ok(&estimates[0]);
+    let rows = field(&served, "result.binaries").as_array().expect("array");
+    assert_eq!(rows.len(), library.len());
+    let bits = |row: &Value, name: &str| match field(row, name) {
+        Value::Float(f) => f.to_bits(),
+        other => panic!("{name}: {other:?}"),
+    };
+    for (row, est) in rows.iter().zip(&library) {
+        assert_eq!(bits(row, "true_cpi"), est.true_cpi.to_bits());
+        assert_eq!(bits(row, "estimated_cpi"), est.estimated_cpi.to_bits());
+        assert_eq!(bits(row, "ci_half"), est.ci_half.to_bits());
+    }
 }

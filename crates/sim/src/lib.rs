@@ -19,11 +19,12 @@
 //!   [`TraceSlice`] per selected interval, which [`replay_slice`]
 //!   simulates again from its state checkpoint alone.
 //!
-//! Slices are the only recorded event streams the pipeline reads back:
-//! decoding a whole recorded [`EventTrace`] costs about as much as
-//! interpreting the binary, so no driver records one. Whole-trace
-//! recording and [`replay_full`] stay for the end-to-end benchmark's
-//! probes.
+//! No product path reads a recorded event stream back: decoding a
+//! whole recorded [`EventTrace`] costs about as much as interpreting
+//! the binary, so no driver records one, and CPI estimates read their
+//! evaluation's stored simulation results rather than slices.
+//! Whole-trace recording, [`replay_full`], [`slice_trace`] and
+//! [`replay_slice`] stay for the end-to-end benchmark's probes.
 //!
 //! ## Example
 //!

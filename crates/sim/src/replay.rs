@@ -5,8 +5,8 @@
 //! callback sequence is exactly the one the original
 //! [`cbsp_program::run`] produced, so any sink computes byte-identical
 //! results from a replay (see `tests/replay_equivalence.rs`). Its
-//! product caller is [`crate::replay_slice`]: per-simpoint slices are
-//! the only recorded streams the pipeline reads back.
+//! callers, [`crate::replay_slice`] and [`crate::replay_full`], run
+//! only in the end-to-end benchmark's probes and in tests.
 //!
 //! Decoding is total: corrupted or truncated buffers yield a typed
 //! [`TraceError`], never a panic.

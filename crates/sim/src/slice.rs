@@ -1,6 +1,9 @@
 //! Per-simpoint *sliced* traces: record the events of selected
-//! intervals so a warm CPI estimate decodes kilobytes instead of
-//! re-running the whole program.
+//! intervals so their statistics can be rebuilt from kilobytes instead
+//! of re-running the whole program. No product path uses them — a CPI
+//! estimate reads its evaluation's replay lease, since the estimate is
+//! judged against a full run anyway — so their one caller is the
+//! end-to-end benchmark's `sim.slice_replay_us` probe.
 //!
 //! A SimPoint estimate only ever charges a handful of selected
 //! intervals — exactly the waste region-based sampling tool chains

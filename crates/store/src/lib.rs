@@ -22,8 +22,10 @@
 //!   lookup, key-chained invalidation, cancellation between stages, and
 //!   parallel profile collection across binaries. Without a store the
 //!   same driver is [`cbsp_core::run_cross_binary`].
-//! * [`TraceCache`] — slice manifests and replay leases for the
-//!   simulation side.
+//! * [`TraceCache`] — replay leases for the simulation side: one
+//!   evaluation's detailed simulations, which every CPI estimate of the
+//!   same binaries reads too ([`TraceCache::estimate_cpi`]), plus the
+//!   slice manifests the end-to-end benchmark's probe cuts.
 //!
 //! Every cached lookup in the crate, stage or lease, follows one
 //! repair-as-miss contract: a damaged artifact counts as a miss, is

@@ -1,31 +1,31 @@
-//! Content-addressed simulation cache: per-simpoint slice manifests
-//! and replay leases, in memory and optionally in the
-//! [`ArtifactStore`].
+//! Content-addressed simulation cache: replay leases and per-simpoint
+//! slice manifests, optionally backed by the [`ArtifactStore`].
 //!
 //! Every simulation interprets its binary straight into the simulator
 //! sink; nothing here records a whole [`EventTrace`] for later replay,
 //! because decoding one costs about as much as interpreting the binary
 //! again. What is worth keeping is smaller:
 //!
+//! * a **replay lease** ([`TraceCache::replay_sliced_both_all`]): the
+//!   detailed simulations of one evaluation, each binary simulated
+//!   once into its marker-bounded and its fixed-length slicing. A
+//!   warm-store evaluation reads the results back and simulates
+//!   nothing; every field is an integer counter, so a hit is
+//!   bit-identical to the simulation it replaces. Every product CPI
+//!   estimate reads the same lease ([`TraceCache::estimate_cpi`]), so
+//!   one lease serves the evaluation and every estimator lane of a
+//!   (benchmark, scale, interval);
 //! * a **sliced trace** ([`TraceCache::get_slices`]): for one binary,
 //!   its whole-run statistics plus one exact state checkpoint and the
-//!   events of each selected interval, cut from one direct run; a warm
-//!   CPI estimate replays kilobytes of slices instead of simulating;
-//! * a **replay lease** ([`TraceCache::replay_sliced_both_all`]): the
-//!   detailed simulations of one experiment evaluation, each binary
-//!   simulated once into its marker-bounded and its fixed-length
-//!   slicing. A warm-store evaluation reads the results back and
-//!   simulates nothing; every field is an integer counter, so a hit is
-//!   bit-identical to the simulation it replaces.
+//!   events of each selected interval, cut from one direct run. Only
+//!   the end-to-end benchmark's slice-replay probe reads them.
 //!
 //! ## The binary blob tier
 //!
 //! Persistent artifacts are written to the store's **blob tier** (see
 //! [`crate::blob`]): raw checksummed binary files under the content
-//! digests, with event bytes stored verbatim. A sliced-trace manifest's
-//! per-slice blobs are prefetched in parallel over a
-//! [`cbsp_par::Pool`] (independent files; the index-ordered merge keeps
-//! results byte-identical at any thread count).
+//! digests, with event bytes stored verbatim. A sliced-trace manifest
+//! names its per-slice blobs, which are read back in interval order.
 //!
 //! The blob is the only encoding this cache reads or writes. Slice and
 //! replay artifacts are leases — no run manifest references them, so
@@ -43,17 +43,14 @@
 //! versions hold a `trace` blob per binary; nothing reads them, and
 //! `gc` evicts them like every other lease.
 
-use cbsp_core::{weighted_cpi, weighted_cpi_with, CbspError};
+use cbsp_core::{stratified_ci, weighted_cpi_with, CbspError, CrossBinaryResult};
 use cbsp_par::Pool;
 use cbsp_profile::ExecPoint;
 use cbsp_program::{Binary, Input};
 use cbsp_sim::{
-    record_trace, replay_slice, simulate_sliced_both, slice_trace, BothSlicings, EventTrace,
-    IntervalSim, LevelStats, MemoryConfig, SimStats, SlicedTrace, TraceSlice,
+    record_trace, simulate_sliced_both, slice_trace, BothSlicings, EventTrace, IntervalSim,
+    LevelStats, MemoryConfig, SimStats, SlicedTrace, TraceSlice,
 };
-use cbsp_simpoint::SimPoint;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
 
 use crate::blob::{derived_key, Blob};
 use crate::store::{content_hash, corrupt, read_through, stage_key, ArtifactStore, StageKey};
@@ -477,73 +474,19 @@ fn read_blob<T>(
 // The cache
 // ---------------------------------------------------------------------
 
-/// How a [`TraceCache`] reaches its persistent tier: not at all,
-/// through a borrow scoped to one experiment, or through shared
-/// ownership for long-lived holders (the `cbsp-serve` daemon).
-#[derive(Debug)]
-enum StoreTier<'s> {
-    None,
-    Borrowed(&'s ArtifactStore),
-    Shared(Arc<ArtifactStore>),
-}
-
-/// A two-tier (memory + optional store) cache of sliced traces, plus
-/// the store's replay leases.
-///
-/// Cheap to construct; scope one per experiment so its in-memory tier
-/// holds only the handful of binaries that experiment touches — or
-/// build one with [`TraceCache::shared`] and keep it for a process
-/// lifetime, as the serving daemon does.
+/// A cache of replay leases and sliced traces, backed by an optional
+/// store. It holds nothing in memory: every hit is read back from the
+/// store, and without a store every call simulates.
 #[derive(Debug)]
 pub struct TraceCache<'s> {
-    store: StoreTier<'s>,
-    /// In-memory tier of the sliced-trace path: per-simpoint slice
-    /// manifests keyed like the `trace_slice` store namespace.
-    slices: Mutex<HashMap<String, Arc<SlicedTrace>>>,
-    /// Pool slice-blob prefetches fan out over.
-    prefetch: Pool,
+    store: Option<&'s ArtifactStore>,
 }
 
 impl<'s> TraceCache<'s> {
-    /// Creates a cache backed by `store` (pass `None` to keep slices in
-    /// memory only and to simulate on every
-    /// [`TraceCache::replay_sliced_both_all`] call).
+    /// Creates a cache backed by `store` (pass `None` to simulate, or
+    /// cut slices, on every call).
     pub fn new(store: Option<&'s ArtifactStore>) -> Self {
-        TraceCache::with_tier(store.map_or(StoreTier::None, StoreTier::Borrowed))
-    }
-
-    /// Creates a cache that co-owns its backing store, freeing the
-    /// holder from the borrow scope [`TraceCache::new`] imposes. A
-    /// long-lived server keeps one of these so both the in-memory slice
-    /// tier and the on-disk tier stay warm across requests.
-    pub fn shared(store: Arc<ArtifactStore>) -> TraceCache<'static> {
-        TraceCache::with_tier(StoreTier::Shared(store))
-    }
-
-    fn with_tier(store: StoreTier<'s>) -> Self {
-        TraceCache {
-            store,
-            slices: Mutex::new(HashMap::new()),
-            prefetch: Pool::auto(),
-        }
-    }
-
-    /// Overrides the pool slice-blob prefetches fan out over (the
-    /// default is [`Pool::auto`]). Determinism tests pin this to
-    /// compare thread counts.
-    #[must_use]
-    pub fn with_prefetch(mut self, pool: Pool) -> Self {
-        self.prefetch = pool;
-        self
-    }
-
-    /// The persistent tier, whichever way it is held.
-    fn store(&self) -> Option<&ArtifactStore> {
-        match &self.store {
-            StoreTier::None => None,
-            StoreTier::Borrowed(s) => Some(s),
-            StoreTier::Shared(s) => Some(s),
-        }
+        TraceCache { store }
     }
 
     /// Returns the recorded trace for `(binary, input)`: one store round
@@ -562,7 +505,7 @@ impl<'s> TraceCache<'s> {
     pub fn get_or_record(&self, binary: &Binary, input: &Input) -> Result<EventTrace, CbspError> {
         let key = trace_key(binary, input);
         let (trace, hit) = read_through(
-            self.store(),
+            self.store,
             |store| read_blob(store, TRACE_STAGE, &key, decode_trace_blob),
             || {
                 cbsp_trace::add("sim/trace_cache_misses", 1);
@@ -620,7 +563,7 @@ impl<'s> TraceCache<'s> {
                 simulate_sliced_both(binaries[b], input, config, &boundaries[b], fli_target)
             })
         };
-        let Some(store) = self.store() else {
+        let Some(store) = self.store else {
             return Ok(simulate());
         };
         let key = replay_key(binaries, input, config, boundaries, fli_target);
@@ -646,23 +589,65 @@ impl<'s> TraceCache<'s> {
         Ok(sims)
     }
 
-    /// Returns the per-simpoint slice manifest for `(binary, input)`
-    /// cut at `boundaries` covering `selected` intervals, cutting it
-    /// from one direct run ([`cbsp_sim::slice_trace`]) only if neither
-    /// cache tier has it. Warm calls touch kilobytes of slice payload
-    /// instead of simulating the whole run (`sim/full_replay_avoided`
-    /// counts them).
+    /// True and SimPoint-estimated CPI of every binary of `cross`, in
+    /// input order: the detailed simulations of
+    /// [`TraceCache::replay_sliced_both_all`] at `cross.boundaries` and
+    /// `interval_target`, each binary's marker intervals weighted by
+    /// [`CpiEstimate::from_marker_intervals`]. With the memory
+    /// configuration and interval target of an evaluation of the same
+    /// binaries, this reads that evaluation's replay lease and simulates
+    /// nothing; estimator lanes share the VLI cutting, so they share the
+    /// lease too.
     ///
-    /// Store hits read the manifest blob, then prefetch its per-slice
-    /// blobs in parallel (`store/prefetch_fanouts` counts multi-slice
-    /// fan-outs); the index-ordered merge keeps the result
-    /// byte-identical at any thread count.
+    /// # Errors
+    ///
+    /// Returns [`CbspError::StoreIo`] on store failure.
+    ///
+    /// # Panics
+    ///
+    /// As [`TraceCache::replay_sliced_both_all`]: if `binaries` and
+    /// `cross.boundaries` differ in length, if `interval_target` is
+    /// zero, or if some boundary of `cross` is never reached by its
+    /// binary (as when `binaries` are not `cross`'s).
+    pub fn estimate_cpi(
+        &self,
+        binaries: &[&Binary],
+        input: &Input,
+        config: &MemoryConfig,
+        cross: &CrossBinaryResult,
+        interval_target: u64,
+        pool: &Pool,
+    ) -> Result<Vec<CpiEstimate>, CbspError> {
+        let sims = self.replay_sliced_both_all(
+            binaries,
+            input,
+            config,
+            &cross.boundaries,
+            interval_target,
+            pool,
+        )?;
+        Ok(sims
+            .iter()
+            .enumerate()
+            .map(|(b, sim)| CpiEstimate::from_marker_intervals(cross, b, &sim.stats, &sim.marker))
+            .collect())
+    }
+
+    /// Returns the per-simpoint slice manifest for `(binary, input)`
+    /// cut at `boundaries` covering `selected` intervals (order and
+    /// duplicates do not matter), cutting it from one direct run
+    /// ([`cbsp_sim::slice_trace`]) unless the store has it. A store hit
+    /// reads the manifest blob, then each per-slice blob in interval
+    /// order (`sim/full_replay_avoided` counts hits).
+    ///
+    /// Only the end-to-end benchmark's `sim.slice_replay_us` probe calls
+    /// this; every CPI estimate reads a replay lease instead.
     ///
     /// # Errors
     ///
     /// Returns [`CbspError::StoreIo`] on store failure. Corrupt stored
-    /// manifests or slice blobs — damaged framing or undecodable
-    /// payloads — are treated as misses and repaired in place.
+    /// manifests or slice blobs are treated as misses and repaired in
+    /// place.
     ///
     /// # Panics
     ///
@@ -675,164 +660,49 @@ impl<'s> TraceCache<'s> {
         config: &MemoryConfig,
         boundaries: &[ExecPoint],
         selected: &[usize],
-    ) -> Result<Arc<SlicedTrace>, CbspError> {
+    ) -> Result<SlicedTrace, CbspError> {
         let mut wanted: Vec<usize> = selected.to_vec();
         wanted.sort_unstable();
         wanted.dedup();
         let key = trace_slice_key(binary, input, config, boundaries, &wanted);
-        if let Some(s) = self
-            .slices
-            .lock()
-            .expect("slice cache lock")
-            .get(key.as_hex())
-        {
-            cbsp_trace::add("sim/full_replay_avoided", 1);
-            return Ok(Arc::clone(s));
-        }
-        self.slices_through(
-            binary,
-            &key,
-            |store| self.read_slices(store, &key),
-            || slice_trace(binary, input, config, boundaries, &wanted),
-        )
-    }
-
-    /// Reads the slice manifest under `key` from the store tier with
-    /// `read`; on a miss, or if it is damaged, `cut`s it from one direct
-    /// run and writes it. Either way the manifest lands in the memory
-    /// tier.
-    fn slices_through(
-        &self,
-        binary: &Binary,
-        key: &StageKey,
-        read: impl FnOnce(&ArtifactStore) -> Result<Option<SlicedTrace>, CbspError>,
-        cut: impl FnOnce() -> SlicedTrace,
-    ) -> Result<Arc<SlicedTrace>, CbspError> {
         let (sliced, hit) = read_through(
-            self.store(),
-            read,
-            || Ok(cut()),
-            |store, sliced| put_slice_blobs(store, key, binary, sliced),
+            self.store,
+            |store| read_slices(store, &key),
+            || Ok(slice_trace(binary, input, config, boundaries, &wanted)),
+            |store, sliced| put_slice_blobs(store, &key, binary, sliced),
         )?;
         if hit {
             cbsp_trace::add("sim/full_replay_avoided", 1);
         }
-        let sliced = Arc::new(sliced);
-        self.slices
-            .lock()
-            .expect("slice cache lock")
-            .insert(key.as_hex().to_string(), Arc::clone(&sliced));
         Ok(sliced)
-    }
-
-    /// Reads the slice manifest under `key` and every per-slice blob it
-    /// names, the slice blobs fanned out over the prefetch pool;
-    /// `run_indexed`'s index-ordered merge keeps the slice order — and
-    /// therefore every downstream result — independent of thread
-    /// count. A missing or damaged slice blob damages the manifest.
-    fn read_slices(
-        &self,
-        store: &ArtifactStore,
-        key: &StageKey,
-    ) -> Result<Option<SlicedTrace>, CbspError> {
-        let Some(man) = read_blob(store, TRACE_SLICE_STAGE, key, decode_slice_manifest)? else {
-            return Ok(None);
-        };
-        if man.slice_intervals.len() > 1 && self.prefetch.threads() > 1 {
-            cbsp_trace::add("store/prefetch_fanouts", 1);
-        }
-        let slices = self
-            .prefetch
-            .run_indexed(man.slice_intervals.len(), |i| {
-                let interval = man.slice_intervals[i];
-                let skey = derived_key(key, "slice", interval);
-                let decode = |blob| decode_slice_blob(interval, man.n_procs, man.n_loops, blob);
-                read_blob(store, TRACE_SLICE_STAGE, &skey, decode)?
-                    .ok_or_else(|| corrupt(key, format!("slice {interval} is missing")))
-            })
-            .into_iter()
-            .collect::<Result<Vec<TraceSlice>, CbspError>>()?;
-        Ok(Some(SlicedTrace {
-            full: man.full,
-            intervals: man.intervals,
-            slices,
-        }))
-    }
-
-    /// True and SimPoint-estimated CPI for one binary, computed from
-    /// per-simpoint trace slices: each selected interval's CPI comes
-    /// from replaying its slice (an exact state checkpoint plus the
-    /// interval's own events), and the whole-program truth comes from
-    /// the slice manifest — so a warm call decodes only kilobytes.
-    /// Slice replays are bit-identical to the in-context interval
-    /// statistics of a full run, so the result is byte-identical across
-    /// cache temperature and thread count, *and* to the same estimate
-    /// computed from [`cbsp_sim::simulate_marker_sliced`].
-    ///
-    /// `phase_weights` follows [`weighted_cpi_with`] (the cross-binary
-    /// scheme); pass `None` to use each point's own weight.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CbspError::StoreIo`] on store failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if some boundary is never reached by the binary's
-    /// execution.
-    #[allow(clippy::too_many_arguments)]
-    pub fn estimate_cpi_sliced(
-        &self,
-        binary: &Binary,
-        input: &Input,
-        config: &MemoryConfig,
-        boundaries: &[ExecPoint],
-        points: &[SimPoint],
-        phase_weights: Option<&[f64]>,
-        interval_count: usize,
-    ) -> Result<CpiEstimate, CbspError> {
-        let _span = cbsp_trace::span_labeled("sim/estimate_sliced", || binary.label());
-        let selected: Vec<usize> = points.iter().map(|p| p.interval).collect();
-        let sliced = self.get_slices(binary, input, config, boundaries, &selected)?;
-        let n = interval_count.max(sliced.intervals);
-        let mut interval_cpis = vec![0.0f64; n];
-        let replayed = match replay_all_slices(&sliced, config) {
-            Some(replayed) => replayed,
-            None => {
-                // A slice stream that fails to decode is a damaged
-                // stored manifest: re-cut it and write it over.
-                let mut wanted = selected;
-                wanted.sort_unstable();
-                wanted.dedup();
-                let key = trace_slice_key(binary, input, config, boundaries, &wanted);
-                let fresh = self.slices_through(
-                    binary,
-                    &key,
-                    |_| Err(corrupt(&key, "a slice stream does not decode")),
-                    || slice_trace(binary, input, config, boundaries, &wanted),
-                )?;
-                replay_all_slices(&fresh, config).expect("freshly cut slices decode")
-            }
-        };
-        for (interval, stats) in replayed {
-            if interval < n {
-                interval_cpis[interval] = stats.cpi();
-            }
-        }
-        let estimated_cpi = match phase_weights {
-            Some(w) => weighted_cpi_with(points, w, &interval_cpis),
-            None => weighted_cpi(points, &interval_cpis),
-        };
-        Ok(CpiEstimate {
-            true_cpi: sliced.full.cpi(),
-            instructions: sliced.full.instructions,
-            estimated_cpi,
-            interval_cpis,
-        })
     }
 }
 
-/// Result of a sliced CPI estimate for one binary.
+/// Reads the slice manifest under `key` and every per-slice blob it
+/// names, in interval order. A missing or damaged slice blob damages
+/// the manifest.
+fn read_slices(store: &ArtifactStore, key: &StageKey) -> Result<Option<SlicedTrace>, CbspError> {
+    let Some(man) = read_blob(store, TRACE_SLICE_STAGE, key, decode_slice_manifest)? else {
+        return Ok(None);
+    };
+    let slices = man
+        .slice_intervals
+        .iter()
+        .map(|&interval| {
+            let skey = derived_key(key, "slice", interval);
+            let decode = |blob| decode_slice_blob(interval, man.n_procs, man.n_loops, blob);
+            read_blob(store, TRACE_SLICE_STAGE, &skey, decode)?
+                .ok_or_else(|| corrupt(key, format!("slice {interval} is missing")))
+        })
+        .collect::<Result<Vec<TraceSlice>, CbspError>>()?;
+    Ok(Some(SlicedTrace {
+        full: man.full,
+        intervals: man.intervals,
+        slices,
+    }))
+}
+
+/// One binary's true and SimPoint-estimated CPI.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CpiEstimate {
     /// Whole-program CPI (full-run ground truth).
@@ -841,22 +711,39 @@ pub struct CpiEstimate {
     pub instructions: u64,
     /// The SimPoint-weighted CPI estimate.
     pub estimated_cpi: f64,
-    /// Per-interval CPIs backing the estimate; selected intervals hold
-    /// their slice-replayed CPI, unselected intervals are 0.
-    pub interval_cpis: Vec<f64>,
+    /// Half-width of the stratified 95% confidence interval around the
+    /// estimate ([`stratified_ci`]); zero for single-representative
+    /// lanes by construction.
+    pub ci_half: f64,
 }
 
-/// Replays every slice in `sliced`, or `None` if any slice stream is
-/// corrupt.
-fn replay_all_slices(
-    sliced: &SlicedTrace,
-    config: &MemoryConfig,
-) -> Option<Vec<(usize, IntervalSim)>> {
-    sliced
-        .slices
-        .iter()
-        .map(|s| replay_slice(s, config).ok().map(|r| (s.interval, r)))
-        .collect()
+impl CpiEstimate {
+    /// Binary `b`'s estimate under `cross`: its whole-run `stats`, and
+    /// the CPI of its marker `intervals` (padded with empty intervals
+    /// to [`CrossBinaryResult::interval_count`]) weighted by the
+    /// simulation points and the binary's recalculated phase weights
+    /// ([`weighted_cpi_with`]), with the stratified half-width around
+    /// it. `stats` and `intervals` come from one marker-sliced
+    /// simulation of the binary at `cross.boundaries[b]`: a
+    /// [`BothSlicings`] or [`cbsp_sim::simulate_marker_sliced`].
+    pub fn from_marker_intervals(
+        cross: &CrossBinaryResult,
+        b: usize,
+        stats: &SimStats,
+        intervals: &[IntervalSim],
+    ) -> CpiEstimate {
+        let cpis: Vec<f64> = (0..cross.interval_count())
+            .map(|i| intervals.get(i).copied().unwrap_or_default().cpi())
+            .collect();
+        let points = &cross.simpoint.points;
+        let weights = &cross.weights[b];
+        CpiEstimate {
+            true_cpi: stats.cpi(),
+            instructions: stats.instructions,
+            estimated_cpi: weighted_cpi_with(points, weights, &cpis),
+            ci_half: stratified_ci(points, &cross.simpoint.labels, weights, &cpis),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -894,9 +781,8 @@ mod tests {
     }
 
     /// Sixteen boundaries at evenly spaced executions of the binary's
-    /// most frequent marker, plus a few synthetic simpoints over the
-    /// resulting intervals.
-    fn boundaries_and_points(bin: &Binary, input: &Input) -> (Vec<ExecPoint>, Vec<SimPoint>) {
+    /// most frequent marker, plus a few selected intervals among them.
+    fn boundaries_and_selection(bin: &Binary, input: &Input) -> (Vec<ExecPoint>, Vec<usize>) {
         let mut tally = MarkerTally::default();
         run(bin, input, &mut tally);
         let (&marker, &execs) = tally
@@ -911,30 +797,7 @@ mod tests {
                 count: i * execs / cuts,
             })
             .collect();
-        let points = vec![
-            SimPoint {
-                phase: 0,
-                interval: 0,
-                weight: 0.5,
-                share: 1.0,
-                variance: 0.0,
-            },
-            SimPoint {
-                phase: 1,
-                interval: 2,
-                weight: 0.3,
-                share: 1.0,
-                variance: 0.0,
-            },
-            SimPoint {
-                phase: 2,
-                interval: 3,
-                weight: 0.2,
-                share: 1.0,
-                variance: 0.0,
-            },
-        ];
-        (boundaries, points)
+        (boundaries, vec![0, 2, 3])
     }
 
     fn temp_store(tag: &str) -> (ArtifactStore, std::path::PathBuf) {
@@ -1004,60 +867,22 @@ mod tests {
     }
 
     #[test]
-    fn warm_slice_manifest_avoids_the_full_replay() {
+    fn slice_manifest_persists_as_blobs() {
         let _lock = cbsp_trace::test_lock();
         let bin = test_binary();
         let input = Input::test();
-        let (boundaries, points) = boundaries_and_points(&bin, &input);
-        let selected: Vec<usize> = points.iter().map(|p| p.interval).collect();
-        let config = MemoryConfig::table1();
-        let cache = TraceCache::new(None);
-
-        cbsp_trace::enable();
-        cbsp_trace::reset();
-        let cold = cache
-            .get_slices(&bin, &input, &config, &boundaries, &selected)
-            .expect("materializes");
-        let cold_counters = cbsp_trace::snapshot().counters;
-        let warm = cache
-            .get_slices(&bin, &input, &config, &boundaries, &selected)
-            .expect("memory hit");
-        let warm_counters = cbsp_trace::snapshot().counters;
-        cbsp_trace::disable();
-
-        assert!(Arc::ptr_eq(&cold, &warm), "same manifest allocation");
-        assert_eq!(cold_counters.get("sim/full_replay_avoided"), None);
-        assert_eq!(warm_counters.get("sim/full_replay_avoided"), Some(&1));
-        // The manifest is a small fraction of the full trace.
-        let full = cbsp_sim::record_trace(&bin, &input);
-        assert!(
-            cold.encoded_len() < full.bytes.len(),
-            "slices {} vs full trace {}",
-            cold.encoded_len(),
-            full.bytes.len()
-        );
-        // Selection order and duplicates do not change the key.
-        let shuffled = vec![selected[2], selected[0], selected[1], selected[0]];
-        let again = cache
-            .get_slices(&bin, &input, &config, &boundaries, &shuffled)
-            .expect("normalized key hits");
-        assert!(Arc::ptr_eq(&cold, &again));
-    }
-
-    #[test]
-    fn slice_manifest_persists_as_blobs_and_prefetches() {
-        let _lock = cbsp_trace::test_lock();
-        let bin = test_binary();
-        let input = Input::test();
-        let (boundaries, points) = boundaries_and_points(&bin, &input);
-        let selected: Vec<usize> = points.iter().map(|p| p.interval).collect();
+        let (boundaries, selected) = boundaries_and_selection(&bin, &input);
         let config = MemoryConfig::table1();
         let (store, dir) = temp_store("slice-persist");
 
-        let first = TraceCache::new(Some(&store));
-        let cold = first
+        cbsp_trace::enable();
+        cbsp_trace::reset();
+        let cold = TraceCache::new(Some(&store))
             .get_slices(&bin, &input, &config, &boundaries, &selected)
             .expect("materializes");
+        let cold_counters = cbsp_trace::snapshot().counters;
+        cbsp_trace::disable();
+        assert_eq!(cold_counters.get("sim/full_replay_avoided"), None);
 
         // Manifest and one blob per selected interval, no envelopes.
         let key = trace_slice_key(&bin, &input, &config, &boundaries, &selected);
@@ -1067,28 +892,44 @@ mod tests {
             let skey = derived_key(&key, "slice", s.interval as u64);
             assert!(store.contains_blob(&skey), "slice {} blob", s.interval);
         }
+        // The manifest is a small fraction of the full trace.
+        let full = cbsp_sim::record_trace(&bin, &input);
+        assert!(
+            cold.encoded_len() < full.bytes.len(),
+            "slices {} vs full trace {}",
+            cold.encoded_len(),
+            full.bytes.len()
+        );
 
         // A fresh cache (fresh process, conceptually) loads the stored
         // manifest without touching the full trace.
-        let second = TraceCache::new(Some(&store));
         cbsp_trace::enable();
         cbsp_trace::reset();
-        let warm = second
+        let warm = TraceCache::new(Some(&store))
             .get_slices(&bin, &input, &config, &boundaries, &selected)
             .expect("store hit");
         let counters = cbsp_trace::snapshot().counters;
         cbsp_trace::disable();
 
-        assert_eq!(*cold, *warm, "stored manifest round-trips exactly");
+        assert_eq!(cold, warm, "stored manifest round-trips exactly");
         assert_eq!(counters.get("sim/full_replay_avoided"), Some(&1));
         assert_eq!(counters.get("sim/trace_cache_misses"), None);
-        // Manifest + per-slice blobs were all read through the blob
-        // tier; multi-slice reads fan out.
+        // Manifest + per-slice blobs were all read through the blob tier.
         let blob_reads = counters.get("store/blob_reads").copied().unwrap_or(0);
         assert_eq!(blob_reads, 1 + cold.slices.len() as u64);
-        if Pool::auto().threads() > 1 {
-            assert_eq!(counters.get("store/prefetch_fanouts"), Some(&1));
-        }
+
+        // Selection order and duplicates do not change the key.
+        let shuffled = vec![selected[2], selected[0], selected[1], selected[0]];
+        cbsp_trace::enable();
+        cbsp_trace::reset();
+        let again = TraceCache::new(Some(&store))
+            .get_slices(&bin, &input, &config, &boundaries, &shuffled)
+            .expect("normalized key hits");
+        let counters = cbsp_trace::snapshot().counters;
+        cbsp_trace::disable();
+        cbsp_trace::reset();
+        assert_eq!(cold, again);
+        assert_eq!(counters.get("sim/full_replay_avoided"), Some(&1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1097,8 +938,7 @@ mod tests {
         let _lock = cbsp_trace::test_lock();
         let bin = test_binary();
         let input = Input::test();
-        let (boundaries, points) = boundaries_and_points(&bin, &input);
-        let selected: Vec<usize> = points.iter().map(|p| p.interval).collect();
+        let (boundaries, selected) = boundaries_and_selection(&bin, &input);
         let config = MemoryConfig::table1();
         let (store, dir) = temp_store("slice-repair");
 
@@ -1117,13 +957,13 @@ mod tests {
         let repaired = fresh
             .get_slices(&bin, &input, &config, &boundaries, &selected)
             .expect("repairs");
-        assert_eq!(*cold, *repaired);
+        assert_eq!(cold, repaired);
         // Repaired in place: a third cache now hits cleanly.
         let third = TraceCache::new(Some(&store));
         let warm = third
             .get_slices(&bin, &input, &config, &boundaries, &selected)
             .expect("hits");
-        assert_eq!(*cold, *warm);
+        assert_eq!(cold, warm);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1132,8 +972,7 @@ mod tests {
         let _lock = cbsp_trace::test_lock();
         let bin = test_binary();
         let input = Input::test();
-        let (boundaries, points) = boundaries_and_points(&bin, &input);
-        let selected: Vec<usize> = points.iter().map(|p| p.interval).collect();
+        let (boundaries, selected) = boundaries_and_selection(&bin, &input);
         let config = MemoryConfig::table1();
         let (store, dir) = temp_store("slice-blob-repair");
 
@@ -1156,12 +995,12 @@ mod tests {
         let repaired = fresh
             .get_slices(&bin, &input, &config, &boundaries, &selected)
             .expect("repairs");
-        assert_eq!(*cold, *repaired);
+        assert_eq!(cold, repaired);
         let third = TraceCache::new(Some(&store));
         let warm = third
             .get_slices(&bin, &input, &config, &boundaries, &selected)
             .expect("hits");
-        assert_eq!(*cold, *warm);
+        assert_eq!(cold, warm);
 
         // A *missing* slice blob is the same miss.
         std::fs::remove_file(&path).expect("remove");
@@ -1169,57 +1008,7 @@ mod tests {
         let again = fourth
             .get_slices(&bin, &input, &config, &boundaries, &selected)
             .expect("repairs missing blob");
-        assert_eq!(*cold, *again);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A checksum-valid slice blob whose event stream fails to decode is
-    /// re-cut from one direct run and rewritten in place: the estimate
-    /// is unchanged, the repair is counted, and no trace is recorded.
-    #[test]
-    fn undecodable_slice_stream_is_re_cut_in_place() {
-        let _lock = cbsp_trace::test_lock();
-        let bin = test_binary();
-        let input = Input::test();
-        let (boundaries, points) = boundaries_and_points(&bin, &input);
-        let selected: Vec<usize> = points.iter().map(|p| p.interval).collect();
-        let config = MemoryConfig::table1();
-        let n = boundaries.len() + 1;
-        let (store, dir) = temp_store("slice-stream");
-        let estimate = || {
-            TraceCache::new(Some(&store))
-                .estimate_cpi_sliced(&bin, &input, &config, &boundaries, &points, None, n)
-                .expect("estimates")
-        };
-        let cold = estimate();
-
-        // Claim one event more than the slice holds: the framing is
-        // valid, the replay runs out of bytes.
-        let key = trace_slice_key(&bin, &input, &config, &boundaries, &selected);
-        let sliced = TraceCache::new(Some(&store))
-            .get_slices(&bin, &input, &config, &boundaries, &selected)
-            .expect("store hit");
-        let mut forged = sliced.slices[1].clone();
-        let skey = derived_key(&key, "slice", forged.interval as u64);
-        let good = std::fs::read(store.blob_path(&skey)).expect("slice blob exists");
-        forged.trace.events += 1;
-        let (meta, payload) = slice_blob_parts(&forged);
-        store
-            .put_blob(TRACE_SLICE_STAGE, &skey, &meta, &payload)
-            .expect("forges a checksum-valid slice");
-
-        cbsp_trace::enable();
-        cbsp_trace::reset();
-        let repaired = estimate();
-        let counters = cbsp_trace::snapshot().counters;
-        cbsp_trace::disable();
-        cbsp_trace::reset();
-        assert_eq!(repaired, cold);
-        assert_eq!(counters.get("store/repairs"), Some(&1));
-        assert_eq!(counters.get("sim/trace_cache_misses"), None);
-        assert!(!store.contains_blob(&trace_key(&bin, &input)), "no trace");
-        let rewritten = std::fs::read(store.blob_path(&skey)).expect("slice rewritten");
-        assert!(rewritten == good, "repaired in place");
+        assert_eq!(cold, again);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1231,8 +1020,7 @@ mod tests {
         let _lock = cbsp_trace::test_lock();
         let bin = test_binary();
         let input = Input::test();
-        let (boundaries, points) = boundaries_and_points(&bin, &input);
-        let selected: Vec<usize> = points.iter().map(|p| p.interval).collect();
+        let (boundaries, selected) = boundaries_and_selection(&bin, &input);
         let config = MemoryConfig::table1();
         let (store, dir) = temp_store("slice-count");
 
@@ -1259,7 +1047,7 @@ mod tests {
             .expect("repairs");
         let counters = cbsp_trace::snapshot().counters;
         cbsp_trace::disable();
-        assert_eq!(*cold, *repaired);
+        assert_eq!(cold, repaired);
         assert_eq!(counters.get("store/repairs"), Some(&1));
         assert_eq!(std::fs::read(&path).expect("rewritten"), good);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1277,7 +1065,7 @@ mod tests {
             .collect();
         let cuts = bins
             .iter()
-            .map(|b| boundaries_and_points(b, &Input::test()).0)
+            .map(|b| boundaries_and_selection(b, &Input::test()).0)
             .collect();
         (bins, cuts)
     }
@@ -1461,58 +1249,6 @@ mod tests {
         assert_eq!(again, cold);
         assert_eq!(counters.get("sim/replay_cache_misses"), Some(&1));
         assert_simulated_once(&again, &counters);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The estimate is byte-identical across cache temperature and
-    /// thread count: cold materialization and warm slice replay run the
-    /// same per-interval simulations.
-    #[test]
-    fn sliced_estimate_is_identical_cold_warm_and_across_threads() {
-        let _lock = cbsp_trace::test_lock();
-        let bin = test_binary();
-        let input = Input::test();
-        let (boundaries, points) = boundaries_and_points(&bin, &input);
-        let config = MemoryConfig::table1();
-        let (store, dir) = temp_store("slice-estimate");
-
-        let n = boundaries.len() + 1;
-        let cache = TraceCache::new(Some(&store));
-        let cold = cache
-            .estimate_cpi_sliced(&bin, &input, &config, &boundaries, &points, None, n)
-            .expect("cold estimate");
-        assert!(cold.true_cpi > 1.0 && cold.estimated_cpi > 0.0);
-        assert_eq!(cold.interval_cpis.len(), n);
-
-        for threads in [1usize, 8] {
-            let pool = Pool::new(threads);
-            let warm = pool.run_indexed(2 * threads.max(2), |_| {
-                cache
-                    .estimate_cpi_sliced(&bin, &input, &config, &boundaries, &points, None, n)
-                    .expect("warm estimate")
-            });
-            for est in warm {
-                assert_eq!(
-                    cold.estimated_cpi.to_bits(),
-                    est.estimated_cpi.to_bits(),
-                    "{threads} threads"
-                );
-                assert_eq!(cold.true_cpi.to_bits(), est.true_cpi.to_bits());
-                assert_eq!(cold.instructions, est.instructions);
-                assert_eq!(cold.interval_cpis, est.interval_cpis);
-            }
-        }
-
-        // A fresh cache over the same store (warm disk, cold memory)
-        // also reproduces the estimate bit-for-bit.
-        let fresh = TraceCache::new(Some(&store));
-        let from_store = fresh
-            .estimate_cpi_sliced(&bin, &input, &config, &boundaries, &points, None, n)
-            .expect("store-warm estimate");
-        assert_eq!(
-            cold.estimated_cpi.to_bits(),
-            from_store.estimated_cpi.to_bits()
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

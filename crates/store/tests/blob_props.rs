@@ -6,13 +6,9 @@
 //!    blob file is detected on read and reported as a typed
 //!    [`CbspError`] (`ArtifactCorrupt` / `ArtifactVersionMismatch`),
 //!    never a panic and never silently wrong bytes.
-//! 3. Prefetch determinism — slice prefetch fan-out returns the same
-//!    bytes at 1 thread and at 8.
 
 use cbsp_core::CbspError;
-use cbsp_par::Pool;
-use cbsp_program::{compile, workloads, CompileTarget, Input, Scale};
-use cbsp_store::{stage_key, ArtifactStore, StageKey, TraceCache};
+use cbsp_store::{stage_key, ArtifactStore, StageKey};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use serde::Value;
@@ -132,66 +128,4 @@ proptest! {
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
-}
-
-/// Slice prefetch fan-out is byte-deterministic: a cache prefetching
-/// on 1 thread and one prefetching on 8 return identical slices in
-/// identical order.
-#[test]
-fn slice_prefetch_is_byte_identical_across_thread_counts() {
-    use cbsp_profile::{ExecPoint, MarkerRef};
-    use cbsp_program::{run, Marker, TraceSink};
-    use cbsp_sim::MemoryConfig;
-
-    #[derive(Default)]
-    struct Tally(std::collections::BTreeMap<MarkerRef, u64>);
-    impl TraceSink for Tally {
-        fn on_block(&mut self, _b: cbsp_program::BlockId, _i: u64) {}
-        fn on_marker(&mut self, m: Marker) {
-            let r = match m {
-                Marker::ProcEntry(p) => MarkerRef::Proc(u32::from(p)),
-                Marker::LoopEntry(l) => MarkerRef::LoopEntry(u32::from(l)),
-                Marker::LoopBack(l) => MarkerRef::LoopBack(u32::from(l)),
-            };
-            *self.0.entry(r).or_insert(0) += 1;
-        }
-    }
-
-    let prog = workloads::by_name("gzip")
-        .expect("in suite")
-        .build(Scale::Test);
-    let bin = compile(&prog, CompileTarget::W32_O2);
-    let input = Input::test();
-    let mut tally = Tally::default();
-    run(&bin, &input, &mut tally);
-    let (&marker, &execs) = tally.0.iter().max_by_key(|(_, &n)| n).expect("markers run");
-    let cuts = 8.min(execs);
-    let boundaries: Vec<ExecPoint> = (1..=cuts)
-        .map(|i| ExecPoint {
-            marker,
-            count: i * execs / cuts,
-        })
-        .collect();
-    let selected: Vec<usize> = (0..=boundaries.len()).collect();
-    let config = MemoryConfig::table1();
-
-    let (store, dir) = temp_store("prefetch");
-    // Materialize the slice blobs once.
-    TraceCache::new(Some(&store))
-        .get_slices(&bin, &input, &config, &boundaries, &selected)
-        .expect("cold materialization");
-
-    let serial = TraceCache::new(Some(&store))
-        .with_prefetch(Pool::new(1))
-        .get_slices(&bin, &input, &config, &boundaries, &selected)
-        .expect("serial prefetch");
-    let pooled = TraceCache::new(Some(&store))
-        .with_prefetch(Pool::new(8))
-        .get_slices(&bin, &input, &config, &boundaries, &selected)
-        .expect("pooled prefetch");
-    assert_eq!(
-        *serial, *pooled,
-        "slice prefetch must merge in index order at any thread count"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }
