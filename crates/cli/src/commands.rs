@@ -668,7 +668,8 @@ pub fn cache(opts: &Opts) -> Result<(), String> {
 /// `cbsp serve [--addr A] [--threads N] [--max-inflight N]
 /// [--cache-dir D] [--timeout-ms N]` — run the query daemon.
 ///
-/// Serves the pipeline from warm state (store handle, trace cache) over
+/// Serves the pipeline from warm state (store handle, each benchmark's
+/// binaries, completed runs and their estimates) over
 /// newline-delimited JSON on TCP, with `GET /healthz` and
 /// `GET /metrics` answered on the same port. Blocks until a client
 /// sends `server.shutdown`, then drains admitted work and exits. See

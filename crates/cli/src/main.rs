@@ -35,6 +35,7 @@ commands:
   hot <binary.json>            hottest procedures by instruction share
       [--scale S] [--top N]
   source <bench>               pseudo-C listing of a benchmark's source
+      [--scale S]
   markers <binary.json>        software-phase-marker analysis
       [--scale S] [--interval N] [--top N]
   profile <binary.json>        collect a fixed-length-interval BBV profile (.bb)
@@ -59,9 +60,10 @@ commands:
       [--interval N] [--scale S] [--threads N]
       [--estimator bbv|bbv+mav|early|stratified]
       [--cache-dir DIR] [--no-cache 1] [--refresh 1]
-                                 (reads the replay lease an experiments
-                                 evaluation writes; stratified also
-                                 reports a confidence half-width)
+                                 (exact lane only; reads the replay
+                                 lease an experiments evaluation
+                                 writes; stratified also reports a
+                                 confidence half-width)
   cache <stats|gc>             inspect or garbage-collect the artifact
       [--cache-dir DIR]          store (stats splits pipeline stages from the
                                  leases: traces, slices, replays; gc keeps
@@ -79,13 +81,86 @@ observability (any command):
   --metrics-json FILE          write a flat counters/gauges/span snapshot
 ";
 
+/// The flags each command reads, as [`USAGE`] lists them. Every
+/// command also takes [`TRACE_FLAGS`]; any other flag fails before the
+/// command runs.
+const FLAGS: &[(&str, &[&str])] = &[
+    ("list", &[]),
+    ("compile", &["target", "scale", "out"]),
+    ("inspect", &["code"]),
+    ("hot", &["scale", "top"]),
+    ("source", &["scale"]),
+    ("markers", &["scale", "interval", "top"]),
+    ("profile", &["interval", "scale", "out"]),
+    ("simpoint", &["max-k", "dims", "theta", "out"]),
+    ("perbinary", &["interval", "scale", "out"]),
+    (
+        "cross",
+        &[
+            "interval",
+            "scale",
+            "threads",
+            "out-dir",
+            "estimator",
+            "fuzzy-map",
+            "cache-dir",
+            "no-cache",
+            "refresh",
+        ],
+    ),
+    ("simulate", &["regions", "full", "scale"]),
+    (
+        "estimate",
+        &[
+            "interval",
+            "scale",
+            "threads",
+            "estimator",
+            "cache-dir",
+            "no-cache",
+            "refresh",
+        ],
+    ),
+    ("cache", &["cache-dir"]),
+    (
+        "serve",
+        &["addr", "threads", "max-inflight", "cache-dir", "timeout-ms"],
+    ),
+];
+
+/// The observability flags every command takes.
+const TRACE_FLAGS: [&str; 2] = ["trace-out", "metrics-json"];
+
+/// Fails on the first flag `command` does not take. A command missing
+/// from [`FLAGS`] (`help`, or a typo reported later) is not checked.
+fn check_flags(command: &str, opts: &Opts) -> Result<(), String> {
+    let Some((_, takes)) = FLAGS.iter().find(|(name, _)| *name == command) else {
+        return Ok(());
+    };
+    match opts
+        .flag_names()
+        .find(|flag| !takes.contains(flag) && !TRACE_FLAGS.contains(flag))
+    {
+        None => Ok(()),
+        Some("fuzzy-map") if command == "estimate" => Err(
+            "cbsp estimate does not accept --fuzzy-map: the estimate is exact-lane only (its \
+             detailed simulation slices at exact marker boundaries; evaluate fuzzy lanes with \
+             `experiments accuracy-gate --fuzzy`)"
+                .into(),
+        ),
+        Some(flag) => Err(format!(
+            "unknown flag --{flag} for cbsp {command} (see cbsp help)"
+        )),
+    }
+}
+
 fn main() {
     let mut args = std::env::args().skip(1);
     let Some(command) = args.next() else {
         eprint!("{USAGE}");
         std::process::exit(2);
     };
-    let opts = match Opts::parse(args) {
+    let opts = match Opts::parse(args).and_then(|o| check_flags(&command, &o).map(|()| o)) {
         Ok(o) => o,
         Err(e) => fail(&e),
     };
@@ -119,4 +194,51 @@ fn main() {
 fn fail(message: &str) -> ! {
     eprintln!("error: {message}");
     std::process::exit(2);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{FLAGS, TRACE_FLAGS, USAGE};
+
+    /// Every `--flag` named in `text`, in order.
+    fn flags_in(text: &str) -> Vec<&str> {
+        text.split("--")
+            .skip(1)
+            .map(|rest| {
+                let end = rest
+                    .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                    .unwrap_or(rest.len());
+                &rest[..end]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn usage_and_the_flag_table_name_the_same_flags() {
+        let (commands, observability) = USAGE
+            .split_once("commands:\n")
+            .and_then(|(_, rest)| rest.split_once("\nobservability"))
+            .expect("USAGE lists its commands, then the observability flags");
+        // Each command's line and the deeper-indented lines under it.
+        let mut sections: Vec<(&str, String)> = Vec::new();
+        for line in commands.lines() {
+            if line.starts_with("  ") && !line.starts_with("   ") {
+                let name = line.split_whitespace().next().expect("a command name");
+                sections.push((name, String::new()));
+            }
+            if let Some((_, text)) = sections.last_mut() {
+                text.push_str(line);
+            }
+        }
+        let usage: Vec<(&str, Vec<&str>)> = sections
+            .iter()
+            .map(|(name, text)| (*name, flags_in(text)))
+            .collect();
+        let table: Vec<(&str, Vec<&str>)> = FLAGS
+            .iter()
+            .map(|(name, takes)| (*name, takes.to_vec()))
+            .collect();
+        assert_eq!(usage, table);
+        assert_eq!(flags_in(observability), TRACE_FLAGS);
+    }
 }

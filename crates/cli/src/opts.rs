@@ -39,6 +39,11 @@ impl Opts {
         Ok(opts)
     }
 
+    /// The name of every flag given, in sorted order.
+    pub fn flag_names(&self) -> impl Iterator<Item = &str> {
+        self.flags.keys().map(String::as_str)
+    }
+
     /// Returns a flag's raw value.
     pub fn flag(&self, key: &str) -> Option<&str> {
         self.flags.get(key).map(String::as_str)

@@ -54,6 +54,61 @@ fn help_and_errors() {
 }
 
 #[test]
+fn unknown_flags_fail_before_the_command_runs() {
+    let dir = temp_dir("flags");
+    let stderr = |out: &Output| String::from_utf8_lossy(&out.stderr).to_string();
+    // A misspelt flag used to run silently at the default interval.
+    let typo = cbsp(
+        &dir,
+        &[
+            "cross",
+            "gzip",
+            "--scale",
+            "test",
+            "--intervall",
+            "20000",
+            "--no-cache",
+            "1",
+        ],
+    );
+    assert_eq!(typo.status.code(), Some(2), "{}", stderr(&typo));
+    assert!(
+        stderr(&typo).contains("unknown flag --intervall"),
+        "{}",
+        stderr(&typo)
+    );
+    assert!(typo.stdout.is_empty(), "the command ran");
+
+    // The estimate is exact-lane only, so it refuses the fuzzy lane
+    // instead of ignoring it.
+    let fuzzy = cbsp(
+        &dir,
+        &[
+            "estimate",
+            "gzip",
+            "--scale",
+            "test",
+            "--interval",
+            "20000",
+            "--fuzzy-map",
+            "--no-cache",
+            "1",
+        ],
+    );
+    assert_eq!(fuzzy.status.code(), Some(2), "{}", stderr(&fuzzy));
+    assert!(
+        stderr(&fuzzy).contains("exact-lane only"),
+        "{}",
+        stderr(&fuzzy)
+    );
+    assert!(fuzzy.stdout.is_empty(), "the command ran");
+
+    // The observability flags are accepted by every command.
+    assert_ok(&cbsp(&dir, &["list", "--metrics-json", "m.json"]), "list");
+    assert!(dir.join("m.json").exists());
+}
+
+#[test]
 fn compile_inspect_profile_simpoint_chain() {
     let dir = temp_dir("chain");
     let out = assert_ok(

@@ -169,7 +169,7 @@ fn dispatch(core: &Arc<ServerCore>, request: &Request) -> Reply {
             Ok(obj(vec![("draining", Value::Bool(true))]))
         }
         "pipeline.run" => {
-            let spec = prepare_spec(&request.params, true)?;
+            let spec = prepare_spec(&core.engine, &request.params, true)?;
             let key = format!(
                 "pipeline.run:{}:{}",
                 spec.keys.map.as_hex(),
@@ -178,13 +178,13 @@ fn dispatch(core: &Arc<ServerCore>, request: &Request) -> Reply {
             run_queued(core, Work::Pipeline(Box::new(spec)), Some(key), deadline)
         }
         "estimate.cpi" => {
-            let spec = prepare_spec(&request.params, false)?;
+            let spec = prepare_spec(&core.engine, &request.params, false)?;
             crate::engine::reject_fuzzy_estimate(&spec)?;
             let key = format!("estimate.cpi:{}", spec.keys.map.as_hex());
             run_queued(core, Work::Estimate(Box::new(spec)), Some(key), deadline)
         }
         "simpoints.get" => {
-            let spec = prepare_spec(&request.params, false)?;
+            let spec = prepare_spec(&core.engine, &request.params, false)?;
             let key = format!("simpoints.get:{}", spec.keys.simpoint.as_hex());
             run_queued(core, Work::Simpoints(Box::new(spec)), Some(key), deadline)
         }

@@ -5,9 +5,10 @@
 //! full stage execution, while the artifacts themselves are
 //! content-addressed and immutable — perfect to keep warm. This crate
 //! serves the cross-binary pipeline from long-lived state: one
-//! [`ArtifactStore`](cbsp_store::ArtifactStore) handle, one bounded
-//! cache of completed runs, one metrics registry, shared by every
-//! request.
+//! [`ArtifactStore`](cbsp_store::ArtifactStore) handle, each
+//! benchmark's compiled binaries and their digests, one bounded cache
+//! of completed runs and their CPI estimates, one metrics registry,
+//! shared by every request.
 //!
 //! Built entirely on `std` networking — the workspace vendors its
 //! dependencies and takes no async runtime.

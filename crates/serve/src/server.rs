@@ -3,8 +3,8 @@
 //! ## Request life cycle
 //!
 //! ```text
-//! accept ─► connection thread ─► parse ─► prepare (compile + keys)
-//!                                           │
+//! accept ─► connection thread ─► parse ─► prepare (memoised binaries
+//!                                           │        + stage keys)
 //!                         single-flight? ───┤ join in-flight twin
 //!                         queue full? ──────┤ `overloaded`
 //!                                           ▼

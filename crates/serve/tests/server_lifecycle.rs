@@ -215,11 +215,12 @@ fn mixed_queries_singleflight_and_metrics() {
     ));
     assert_eq!(field(&miss, "result.found"), &Value::Bool(false));
 
-    // Store stats split pipeline artifacts from the trace namespace.
+    // Store stats split pipeline artifacts from the lease namespaces.
     let stats = assert_ok(&one_shot(addr, r#"{"id":4,"method":"store.stats"}"#));
     assert!(matches!(field(&stats, "result.artifacts"), Value::UInt(n) if *n > 0));
     assert!(matches!(field(&stats, "result.pipeline.artifacts"), Value::UInt(n) if *n > 0));
     field(&stats, "result.traces.artifacts");
+    assert_eq!(field(&stats, "result.replays.artifacts"), &Value::UInt(0));
 
     // CPI estimation over the warm store: four binaries, sane errors.
     let est = assert_ok(&one_shot(
@@ -232,6 +233,9 @@ fn mixed_queries_singleflight_and_metrics() {
         assert!(matches!(field(b, "true_cpi"), Value::Float(c) if *c > 0.0));
         assert!(matches!(field(b, "estimated_cpi"), Value::Float(c) if *c > 0.0));
     }
+    // …whose detailed simulations landed in one replay lease.
+    let stats = assert_ok(&one_shot(addr, r#"{"id":10,"method":"store.stats"}"#));
+    assert_eq!(field(&stats, "result.replays.artifacts"), &Value::UInt(1));
 
     let snap = assert_ok(&one_shot(addr, r#"{"id":6,"method":"trace.snapshot"}"#));
     field(&snap, "result.enabled");
@@ -366,6 +370,32 @@ fn metrics_count_store_traffic_across_a_restart() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// A warm `estimate.cpi` answers from the estimates kept on its
+/// resident run: once `cache gc` has evicted the replay lease under
+/// the running daemon, the same request still replies byte for byte
+/// as before, and simulates nothing, so no lease is written back.
+#[test]
+fn a_warm_estimate_reads_no_replay_lease() {
+    let request = r#"{"id":"e","method":"estimate.cpi","params":{"benchmark":"gzip","scale":"test","interval":20000}}"#;
+    let (server, addr, dir) = start("estimate-memo", |_| {});
+    let cold = one_shot(addr, request);
+    assert_ok(&cold);
+    let store = cbsp_store::ArtifactStore::open(&dir).expect("store opens");
+    let replays = || {
+        let stats = store.stats().expect("store stats");
+        stats.stage(cbsp_store::REPLAY_STAGE).artifacts
+    };
+    assert_eq!(replays(), 1);
+    store.gc().expect("gc");
+    assert_eq!(replays(), 0);
+
+    assert_eq!(one_shot(addr, request), cold);
+    assert_eq!(replays(), 0, "a warm estimate re-simulated");
+    server.shutdown();
+    server.wait().expect("clean drain");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn results_are_byte_identical_across_thread_counts() {
     let request = r#"{"id":"x","method":"pipeline.run","params":{"benchmark":"equake","scale":"test","interval":20000,"detail":"full"}}"#;
@@ -377,7 +407,10 @@ fn results_are_byte_identical_across_thread_counts() {
             cfg.threads = threads;
         });
         frames.push(one_shot(addr, request));
-        estimates.push(one_shot(addr, estimate));
+        let cold = one_shot(addr, estimate);
+        // The second reply comes from the estimates kept on the run.
+        assert_eq!(one_shot(addr, estimate), cold);
+        estimates.push(cold);
         server.shutdown();
         server.wait().expect("clean drain");
         let _ = std::fs::remove_dir_all(dir);

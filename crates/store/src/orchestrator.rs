@@ -136,10 +136,34 @@ pub fn pipeline_keys(
     input: &Input,
     config: &CbspConfig,
 ) -> Result<PipelineKeys, CbspError> {
+    let bin_hashes: Vec<String> = binaries.iter().map(|b| content_hash(*b)).collect();
+    pipeline_keys_from_digests(binaries, &bin_hashes, &content_hash(input), config)
+}
+
+/// [`pipeline_keys`] from precomputed digests: `bin_hashes[b]` is
+/// `content_hash(binaries[b])` and `input_hash` is `content_hash` of
+/// the run's input. Hashing the binaries dominates the derivation, so
+/// a caller that reuses the same binaries (`cbsp-serve` keeps each
+/// benchmark's) hashes them once and derives every run's keys from
+/// here.
+///
+/// # Errors
+///
+/// As [`pipeline_keys`]: `binaries` are validated on every call.
+///
+/// # Panics
+///
+/// Panics if `bin_hashes` does not hold one digest per binary.
+pub fn pipeline_keys_from_digests(
+    binaries: &[&Binary],
+    bin_hashes: &[String],
+    input_hash: &str,
+    config: &CbspConfig,
+) -> Result<PipelineKeys, CbspError> {
+    assert_eq!(binaries.len(), bin_hashes.len(), "one digest per binary");
     validate_binaries(binaries, config)?;
     let ns = stage_namespaces(&config.estimator, config.fuzzy.is_some());
-    let bin_hashes: Vec<String> = binaries.iter().map(|b| content_hash(*b)).collect();
-    let input_hash = content_hash(input);
+    let input_hash = input_hash.to_string();
     let hash_parts: Vec<Value> = bin_hashes.iter().map(|h| Value::Str(h.clone())).collect();
 
     let profile: Vec<StageKey> = bin_hashes
@@ -499,6 +523,17 @@ mod tests {
                 assert_ne!(maps[i], maps[j], "map keys {i} vs {j}");
             }
         }
+    }
+
+    #[test]
+    fn precomputed_digests_still_validate_the_binaries() {
+        let mut bins = binaries("swim");
+        bins[3] = binaries("gzip").swap_remove(3);
+        let refs: Vec<&Binary> = bins.iter().collect();
+        let digests: Vec<String> = bins.iter().map(content_hash).collect();
+        let input = content_hash(&Input::test());
+        let derived = pipeline_keys_from_digests(&refs, &digests, &input, &CbspConfig::default());
+        assert!(matches!(derived, Err(CbspError::ProgramMismatch { .. })));
     }
 
     #[test]
