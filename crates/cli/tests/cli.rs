@@ -1,8 +1,10 @@
 //! End-to-end tests of the `cbsp` binary: each tool-chain stage run as
 //! a real subprocess, files flowing between stages.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn cbsp(dir: &PathBuf, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_cbsp"))
@@ -554,4 +556,38 @@ fn simulate_rejects_mismatched_region_files() {
         ],
     );
     assert!(out.status.success(), "graceful handling of foreign regions");
+}
+
+/// `cbsp serve` answers `server.shutdown` before the process exits.
+#[test]
+fn serve_answers_shutdown_before_it_exits() {
+    let dir = temp_dir("serve-shutdown");
+    for attempt in 0..20 {
+        let mut daemon = Command::new(env!("CARGO_BIN_EXE_cbsp"))
+            .args(["serve", "--addr", "127.0.0.1:0", "--threads", "1"])
+            .args(["--cache-dir", "store"])
+            .current_dir(&dir)
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("cbsp serve starts");
+        // The pipe stays open in `daemon`, which prints as it drains.
+        let mut banner = String::new();
+        BufReader::new(daemon.stdout.as_mut().expect("stdout piped"))
+            .read_line(&mut banner)
+            .expect("banner read");
+        let addr = banner.rsplit(' ').next().expect("banner names the address");
+        let mut stream = TcpStream::connect(addr.trim()).expect("connects");
+        let mut replies = BufReader::new(stream.try_clone().expect("clone")).lines();
+        let mut exchange = |frame: &str| {
+            stream.write_all(frame.as_bytes()).expect("sent");
+            replies.next().and_then(Result::ok)
+        };
+        let pong = exchange("{\"id\":1,\"method\":\"ping\"}\n");
+        let bye = exchange("{\"id\":2,\"method\":\"server.shutdown\"}\n");
+        assert!(daemon.wait().expect("cbsp serve exits").success());
+        assert!(pong.is_some_and(|pong| pong.contains("\"pong\":true")));
+        let draining = r#"{"id":2,"ok":true,"v":1,"result":{"draining":true}}"#;
+        assert_eq!(bye.as_deref(), Some(draining), "try {attempt}");
+    }
+    let _ = std::fs::remove_dir_all(dir);
 }

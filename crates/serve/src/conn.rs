@@ -4,15 +4,15 @@
 //! The first line of a connection decides its dialect: an HTTP request
 //! line (`GET /metrics HTTP/1.1`) gets a one-shot HTTP response and the
 //! connection closes; anything else is treated as newline-delimited
-//! JSON for the connection's lifetime. Responses are written in request
-//! order; a connection thread blocks while its current request is in
-//! flight (pipelining across requests is done with multiple
-//! connections).
+//! JSON for the connection's lifetime. Each request executes on the
+//! connection's own thread, so responses are written in request order
+//! (pipelining across requests is done with multiple connections).
+//! Each response leaves in one write.
 //!
 //! Every line is read with a bound, [`MAX_LINE_BYTES`]: a client that
 //! never sends `\n` cannot grow the connection's buffer without limit.
 
-use crate::engine::{prepare_spec, Reply, Work};
+use crate::engine::{prepare_spec, Reply};
 use crate::protocol::{
     err_frame, err_frame_retry, fault, obj, ok_frame, parse_request, ErrorCode, Request,
 };
@@ -77,7 +77,10 @@ pub(crate) fn handle(core: Arc<ServerCore>, stream: TcpStream) {
     let mut writer = stream;
     let mut line = Vec::new();
     loop {
-        let frame = match read_line(&mut reader, &mut line) {
+        let read = read_line(&mut reader, &mut line);
+        // Open until its reply is written: a drain waits for it.
+        let _open = core.open_frame();
+        let mut frame = match read {
             Ok(Line::End) | Err(_) => return,
             Ok(Line::TooLong) => {
                 core.metrics.count_request("(invalid)");
@@ -102,12 +105,8 @@ pub(crate) fn handle(core: Arc<ServerCore>, stream: TcpStream) {
                 handle_frame(&core, text.trim())
             }
         };
-        if writer
-            .write_all(frame.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
+        frame.push('\n');
+        if writer.write_all(frame.as_bytes()).is_err() {
             return;
         }
     }
@@ -152,8 +151,8 @@ fn handle_frame(core: &Arc<ServerCore>, line: &str) -> String {
     }
 }
 
-/// Routes a request to its handler. Queued methods block this
-/// connection thread until a worker delivers the reply.
+/// Routes a request to its handler. Every method but `ping` and
+/// `server.shutdown` runs through [`ServerCore::run`], on this thread.
 fn dispatch(core: &Arc<ServerCore>, request: &Request) -> Reply {
     let deadline = Instant::now()
         + Duration::from_millis(
@@ -175,36 +174,28 @@ fn dispatch(core: &Arc<ServerCore>, request: &Request) -> Reply {
                 spec.keys.map.as_hex(),
                 if spec.detail_full { "full" } else { "summary" }
             );
-            run_queued(core, Work::Pipeline(Box::new(spec)), Some(key), deadline)
+            core.run(Some(key), deadline, || {
+                core.engine.execute_pipeline(&spec, deadline)
+            })
         }
         "estimate.cpi" => {
             let spec = prepare_spec(&core.engine, &request.params, false)?;
             crate::engine::reject_fuzzy_estimate(&spec)?;
             let key = format!("estimate.cpi:{}", spec.keys.map.as_hex());
-            run_queued(core, Work::Estimate(Box::new(spec)), Some(key), deadline)
+            core.run(Some(key), deadline, || {
+                core.engine.execute_estimate(&spec, deadline)
+            })
         }
         "simpoints.get" => {
             let spec = prepare_spec(&core.engine, &request.params, false)?;
             let key = format!("simpoints.get:{}", spec.keys.simpoint.as_hex());
-            run_queued(core, Work::Simpoints(Box::new(spec)), Some(key), deadline)
+            core.run(Some(key), deadline, || core.engine.execute_simpoints(&spec))
         }
-        "store.stats" => run_queued(core, Work::StoreStats, None, deadline),
-        "trace.snapshot" => run_queued(core, Work::TraceSnapshot, None, deadline),
+        "store.stats" => core.run(None, deadline, || core.engine.execute_store_stats()),
+        "trace.snapshot" => core.run(None, deadline, || core.engine.execute_trace_snapshot()),
         other => Err(fault(
             ErrorCode::BadRequest,
             format!("unknown method `{other}`"),
-        )),
-    }
-}
-
-/// Submits a job and waits for its reply.
-fn run_queued(core: &Arc<ServerCore>, work: Work, key: Option<String>, deadline: Instant) -> Reply {
-    let rx = core.submit(work, key, deadline)?;
-    match rx.recv() {
-        Ok(reply) => reply,
-        Err(_) => Err(fault(
-            ErrorCode::Internal,
-            "the request's worker went away without replying",
         )),
     }
 }
@@ -260,12 +251,11 @@ fn serve_http<R: Read>(
             r#"{"error":"not found (try /healthz or /metrics)"}"#.to_string(),
         ),
     };
-    let _ = write!(
-        writer,
+    let response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
-    let _ = writer.flush();
+    let _ = writer.write_all(response.as_bytes());
 }
 
 /// The `/metrics` document: serve-side counters, cache effectiveness,

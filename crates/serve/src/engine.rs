@@ -2,10 +2,10 @@
 //!
 //! The [`Engine`] owns the process-lifetime state — the
 //! content-addressed [`ArtifactStore`] and the memos below — and knows
-//! how to turn protocol params into [`Work`] items and work items into
-//! result values. Admission policy (queueing, batching, deadlines)
-//! lives in [`crate::server`]; nothing here blocks on anything but the
-//! pipeline itself.
+//! how to turn protocol params into a [`PipelineSpec`] and a request
+//! into its result value. Admission policy (single flight, turns,
+//! deadlines) lives in [`crate::server`]; nothing here blocks on
+//! anything but the pipeline itself.
 //!
 //! Three memos make the daemon *warm* rather than just resident, and
 //! each holds a pure function of its key, so none can go stale:
@@ -91,21 +91,6 @@ pub(crate) struct PipelineSpec {
     pub detail_full: bool,
 }
 
-/// One unit of admitted work.
-#[derive(Debug)]
-pub(crate) enum Work {
-    /// `pipeline.run` — batchable.
-    Pipeline(Box<PipelineSpec>),
-    /// `estimate.cpi` — pipeline plus its replay lease.
-    Estimate(Box<PipelineSpec>),
-    /// `simpoints.get` — store lookup by derived key, never computes.
-    Simpoints(Box<PipelineSpec>),
-    /// `store.stats`.
-    StoreStats,
-    /// `trace.snapshot`.
-    TraceSnapshot,
-}
-
 /// A finished request: a result value or a typed fault.
 pub(crate) type Reply = Result<Value, Fault>;
 
@@ -150,7 +135,7 @@ impl<V> Default for ResultCache<V> {
 impl<V> ResultCache<V> {
     /// Inserts `value` under `key`, evicting the oldest keys beyond
     /// [`RESULT_CACHE_CAP`]. A resident key keeps its place in the
-    /// eviction queue: a racing worker may insert the same key between
+    /// eviction queue: a racing request may insert the same key between
     /// its lookup and here, and both values are identical.
     fn insert(&mut self, key: String, value: V) {
         if self.entries.insert(key.clone(), value).is_none() {
@@ -165,10 +150,10 @@ impl<V> ResultCache<V> {
     }
 }
 
-/// Warm per-process pipeline state shared by all workers.
+/// Warm per-process pipeline state shared by every request.
 pub(crate) struct Engine {
     pub store: ArtifactStore,
-    /// Thread budget for one execution slot (a batch shares it).
+    /// Thread budget of each executing request.
     pub threads: usize,
     /// Each `(benchmark, scale)`'s binaries, filled by the first
     /// request naming them. Keyed by the suite's own name, so it never
@@ -343,15 +328,10 @@ impl Engine {
         Arc::clone(memo.entry(key).or_insert(fresh))
     }
 
-    /// Runs the cached pipeline for `spec` with `threads` worker
-    /// threads, cancelling at stage boundaries once `deadline` passes.
-    pub fn execute_pipeline(
-        &self,
-        spec: &PipelineSpec,
-        threads: usize,
-        deadline: Instant,
-    ) -> Reply {
-        let run = self.run_cross(spec, threads, deadline)?;
+    /// Runs the cached pipeline for `spec`, cancelling at stage
+    /// boundaries once `deadline` passes.
+    pub fn execute_pipeline(&self, spec: &PipelineSpec, deadline: Instant) -> Reply {
+        let run = self.run_cross(spec, deadline)?;
         let mut fields = summary_fields(spec, &run);
         if spec.detail_full {
             fields.push((
@@ -372,7 +352,7 @@ impl Engine {
     /// the run's digest, so later requests answer from memory. A
     /// failure is returned, never kept, and the next request retries.
     pub fn execute_estimate(&self, spec: &PipelineSpec, deadline: Instant) -> Reply {
-        let run = self.run_cross(spec, self.threads, deadline)?;
+        let run = self.run_cross(spec, deadline)?;
         let estimates = match run.estimates.get() {
             Some(estimates) => estimates,
             None => {
@@ -494,13 +474,8 @@ impl Engine {
     /// The map-stage key is a digest over the binaries, input, and
     /// config, and the pipeline is deterministic at any thread count,
     /// so a cached run is byte-for-byte what a recomputation would
-    /// produce — the cache can ignore `threads` and `deadline`.
-    fn run_cross(
-        &self,
-        spec: &PipelineSpec,
-        threads: usize,
-        deadline: Instant,
-    ) -> Result<Arc<CachedRun>, Fault> {
+    /// produce — the cache can ignore the thread budget and `deadline`.
+    fn run_cross(&self, spec: &PipelineSpec, deadline: Instant) -> Result<Arc<CachedRun>, Fault> {
         use std::sync::atomic::Ordering;
         let cache_key = spec.keys.map.as_hex().to_string();
         if let Some(hit) = {
@@ -514,7 +489,7 @@ impl Engine {
 
         let config = CbspConfig {
             simpoint: cbsp_simpoint::SimPointConfig {
-                threads,
+                threads: self.threads,
                 ..spec.config.simpoint
             },
             ..spec.config

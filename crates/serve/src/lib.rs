@@ -1,4 +1,4 @@
-//! # cbsp-serve — the batching simulation-point query daemon
+//! # cbsp-serve — the simulation-point query daemon
 //!
 //! The pipeline's cost profile begs for a resident process: a cold CLI
 //! invocation pays process start, store open, and (on first touch)
@@ -23,15 +23,15 @@
 //!   same port, for probes and scrapers that don't speak the NDJSON
 //!   protocol.
 //!
-//! ## Admission pipeline
+//! ## Admission
 //!
-//! Requests pass through a bounded queue with typed backpressure
-//! (`overloaded`), single-flight deduplication keyed on the store's
-//! content digests (two concurrent identical queries execute once),
-//! micro-batching of compatible `pipeline.run` requests into one
-//! `cbsp-par` fan-out, and per-request deadlines enforced at stage
-//! boundaries. A graceful drain (`server.shutdown`) finishes admitted
-//! work before [`Server::wait`] returns.
+//! Each request runs on the thread of the connection that sent it.
+//! Admission is bounded with typed backpressure (`overloaded`),
+//! single-flight deduplication is keyed on the store's content digests
+//! (two concurrent identical queries execute once), requests take turns
+//! in arrival order, and deadlines are enforced at stage boundaries. A
+//! graceful drain (`server.shutdown`) answers every frame read before
+//! [`Server::wait`] returns.
 //!
 //! ## Example
 //!

@@ -2,7 +2,7 @@
 //!
 //! Kept separate from the global [`cbsp_trace`] collector on purpose:
 //! these counters describe *this server instance* (admission decisions,
-//! batching, request latency) and must work even when tracing is
+//! turn waits, request latency) and must work even when tracing is
 //! disabled, while `cbsp_trace` aggregates whatever pipeline work runs
 //! in the process. `GET /metrics` surfaces both side by side.
 
@@ -64,27 +64,20 @@ impl Histogram {
     }
 }
 
-/// All serve-side counters, updated by connection and worker threads.
+/// All serve-side counters, updated by connection threads.
 #[derive(Debug, Default)]
 pub struct ServeMetrics {
     /// Requests received (every parsed frame, including rejected ones).
     pub requests: AtomicU64,
-    /// Requests that joined an identical in-flight request instead of
-    /// queueing their own execution.
+    /// Requests that joined an identical admitted request instead of
+    /// executing again.
     pub singleflight_hits: AtomicU64,
-    /// Requests rejected because the admission queue was full.
+    /// Requests rejected because `max_inflight` requests were admitted.
     pub overloaded: AtomicU64,
-    /// Requests that hit their deadline (in queue or at a stage
-    /// boundary).
+    /// Requests that hit their deadline (waiting for their turn or at
+    /// a stage boundary).
     pub timeouts: AtomicU64,
-    /// Micro-batches executed (a solo `pipeline.run` counts as a batch
-    /// of one).
-    pub batches: AtomicU64,
-    /// `pipeline.run` executions that went through a batch.
-    pub batched_requests: AtomicU64,
-    /// Largest batch executed so far.
-    pub max_batch: AtomicU64,
-    /// Total time requests spent queued before a worker picked them up.
+    /// Total time admitted requests waited for their turn.
     pub queue_wait_us: AtomicU64,
     /// End-to-end request latency (parse to response), µs buckets.
     pub latency: Histogram,
@@ -106,15 +99,9 @@ impl ServeMetrics {
         *map.entry(code.to_string()).or_insert(0) += 1;
     }
 
-    /// Records a completed batch of `n` pipeline executions.
-    pub fn count_batch(&self, n: u64) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_requests.fetch_add(n, Ordering::Relaxed);
-        self.max_batch.fetch_max(n, Ordering::Relaxed);
-    }
-
-    /// Renders the `serve` section of `GET /metrics`. `queue_depth` and
-    /// `executing` are sampled by the caller under the queue lock.
+    /// Renders the `serve` section of `GET /metrics`. `queue_depth`
+    /// (requests waiting for a turn) and `executing` are sampled by the
+    /// caller under the admission lock.
     pub fn to_value(&self, queue_depth: u64, executing: u64, draining: bool) -> Value {
         let load = |a: &AtomicU64| Value::UInt(a.load(Ordering::Relaxed));
         let map_value = |m: &Mutex<BTreeMap<String, u64>>| {
@@ -133,9 +120,6 @@ impl ServeMetrics {
             ("singleflight_hits", load(&self.singleflight_hits)),
             ("overloaded", load(&self.overloaded)),
             ("timeouts", load(&self.timeouts)),
-            ("batches", load(&self.batches)),
-            ("batched_requests", load(&self.batched_requests)),
-            ("max_batch", load(&self.max_batch)),
             ("queue_depth", Value::UInt(queue_depth)),
             ("executing", Value::UInt(executing)),
             ("draining", Value::Bool(draining)),
@@ -187,10 +171,9 @@ mod tests {
         let m = ServeMetrics::default();
         m.count_request("ping");
         m.count_error("bad_request");
-        m.count_batch(3);
         let v = m.to_value(2, 1, false);
         let text = serde_json::to_string(&v).expect("serializes");
         assert!(text.contains("\"requests\":1"));
-        assert!(text.contains("\"batched_requests\":3"));
+        assert!(text.contains("\"queue_depth\":2"));
     }
 }

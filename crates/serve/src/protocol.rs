@@ -39,8 +39,8 @@ pub enum ErrorCode {
     /// The frame was JSON but not a valid request (missing/ill-typed
     /// fields, unknown method, unknown benchmark, bad parameters).
     BadRequest,
-    /// The admission queue is full; retry later. The request was not
-    /// executed.
+    /// `--max-inflight` requests are already admitted; retry later.
+    /// The request was not executed.
     Overloaded,
     /// The request's deadline passed before a result was produced.
     Timeout,
@@ -171,7 +171,7 @@ pub fn err_frame(id: &Value, code: ErrorCode, message: &str) -> String {
 /// Serializes an error response frame carrying a `retry_after_ms`
 /// backoff hint (no trailing newline). Used for `overloaded`: the
 /// server suggests how long a well-behaved client should wait before
-/// retrying, derived from the current queue depth.
+/// retrying, derived from how many requests wait for a turn.
 pub fn err_frame_retry(id: &Value, code: ErrorCode, message: &str, retry_after_ms: u64) -> String {
     frame(
         id,

@@ -1,5 +1,5 @@
 //! Property test: no frame a client can send — random bytes, truncated
-//! JSON, wrong shapes — crashes a connection or a worker. Every
+//! JSON, wrong shapes — crashes a connection. Every
 //! malformed frame yields a typed protocol error, and the connection
 //! keeps serving afterwards.
 
@@ -106,7 +106,7 @@ fn sendable(s: &str) -> bool {
 
 proptest! {
     /// Arbitrary text frames: typed error (or, for the rare accidental
-    /// valid request, a success) — never a hang, never a dead worker.
+    /// valid request, a success) — never a hang, never a dead connection.
     #[test]
     fn random_frames_yield_typed_errors(chars in vec(any::<char>(), 1..60)) {
         let frame: String = chars.into_iter().collect();

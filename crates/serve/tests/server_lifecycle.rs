@@ -1,8 +1,8 @@
 //! End-to-end tests of the daemon: lifecycle, mixed queries,
 //! single-flight deduplication and store traffic observed through
 //! `/metrics`, typed backpressure, deadline enforcement, graceful
-//! drain, bounded frame length, and byte-identity of served results
-//! across thread counts and against the library.
+//! drain, bounded frame length, one write per reply, and byte-identity
+//! of served results across thread counts and against the library.
 
 use cbsp_serve::{ServeConfig, Server};
 use serde::Value;
@@ -122,7 +122,7 @@ fn parse(frame: &str) -> Value {
 }
 
 /// Polls `/metrics` until the daemon reports a request executing, so
-/// assertions that need a provably occupied worker don't depend on
+/// assertions that need a provably occupied turn don't depend on
 /// sleeps calibrated to one build profile. Panics if nothing starts
 /// within ~10 s.
 fn wait_until_executing(addr: SocketAddr) {
@@ -168,12 +168,12 @@ fn mixed_queries_singleflight_and_metrics() {
     assert!(http_get(addr, "/healthz").contains("\"status\":\"ok\""));
     assert!(http_get(addr, "/nope").contains("not found"));
 
-    // Occupy the single worker with a cold pipeline, then submit two
+    // Occupy the single turn with a cold pipeline, then submit two
     // identical requests back to back on pre-opened connections: the
-    // second finds the first in flight — queued behind the busy
-    // worker, or already executing — and joins it. (Even if the
-    // occupying run finishes first, the twin executes for
-    // milliseconds while its duplicate arrives in microseconds.)
+    // second finds the first admitted — waiting behind the busy turn,
+    // or already executing — and joins it. (Even if the occupying run
+    // finishes first, the twin executes for milliseconds while its
+    // duplicate arrives in microseconds.)
     let occupy = std::thread::spawn(move || {
         one_shot(
             addr,
@@ -285,6 +285,32 @@ fn an_oversized_frame_is_a_typed_error_and_the_session_continues() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// Each reply leaves in one write: on a no-delay connection, the first
+/// read of every reply already holds the whole frame and its newline.
+#[test]
+fn each_reply_arrives_in_one_read() {
+    let (server, addr, dir) = start("one-write", |_| {});
+    let Client { mut writer, .. } = Client::connect(addr);
+    writer.set_nodelay(true).expect("no delay");
+    let mut buf = [0u8; 256];
+    for i in 0..200 {
+        let request = format!("{{\"id\":{i},\"method\":\"ping\"}}\n");
+        writer
+            .write_all(request.as_bytes())
+            .expect("request written");
+        let n = writer.read(&mut buf).expect("reply read");
+        let reply = format!("{{\"id\":{i},\"ok\":true,\"v\":1,\"result\":{{\"pong\":true}}}}\n");
+        assert_eq!(
+            String::from_utf8_lossy(&buf[..n]),
+            reply,
+            "reply {i} arrived split"
+        );
+    }
+    server.shutdown();
+    server.wait().expect("clean drain");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn overload_is_rejected_with_typed_error() {
     let (server, addr, dir) = start("overload", |cfg| {
@@ -300,7 +326,8 @@ fn overload_is_rejected_with_typed_error() {
         )
     });
     wait_until_executing(addr);
-    // …then any queued method must be refused, not delayed.
+    // …then every method that takes a turn must be refused, not
+    // delayed.
     assert_eq!(
         error_code(&one_shot(addr, r#"{"id":1,"method":"store.stats"}"#)),
         "overloaded"
