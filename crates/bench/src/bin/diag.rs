@@ -64,17 +64,12 @@ fn main() {
     // FLI phase details binary 0
     for b in [0usize, 1] {
         let pb = &run.per_binary[b];
-        println!(
-            "-- FLI bin{} k={} intervals={}",
-            b,
-            pb.simpoint.k,
-            pb.intervals.len()
-        );
-        for pt in &pb.simpoint.points {
+        println!("-- FLI bin{} k={} intervals={}", b, pb.k, pb.labels.len());
+        for pt in &pb.points {
             let stats = &run.fli_interval_stats[b];
             let mut cyc = 0.0;
             let mut ins = 0.0;
-            for (i, &l) in pb.simpoint.labels.iter().enumerate() {
+            for (i, &l) in pb.labels.iter().enumerate() {
                 if l == pt.phase {
                     cyc += stats[i].cycles as f64;
                     ins += stats[i].instructions as f64;
@@ -91,4 +86,3 @@ fn main() {
         }
     }
 }
-// (extended diagnostics appended at build time)

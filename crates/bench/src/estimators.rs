@@ -271,7 +271,7 @@ mod tests {
             cbsp_trace::enable();
             cbsp_trace::reset();
             let estimates = TraceCache::new(Some(&store))
-                .estimate_cpi(&refs, &Input::test(), &mem, &cross, 20_000, &pool)
+                .estimate_cpi(&refs, &Input::test(), None, &mem, &cross, 20_000, &pool)
                 .expect("estimates");
             let counters = cbsp_trace::snapshot().counters;
             cbsp_trace::disable();

@@ -3,14 +3,19 @@
 //! paper's metrics.
 
 use cbsp_core::{
-    relative_error, run_cross_binary, run_per_binary, speedup, speedup_error, weighted_cpi,
-    weighted_metric, weighted_metric_with, CbspConfig, CrossBinaryResult, PerBinaryResult,
+    relative_error, run_cross_binary, speedup, speedup_error, weighted_cpi, weighted_metric,
+    weighted_metric_with, CbspConfig, CrossBinaryResult,
 };
 use cbsp_par::Pool;
-use cbsp_program::{compile, workloads, Binary, CompileTarget, Input, Scale};
+use cbsp_program::{
+    compile, compile_cost_estimate_ns, workloads, Binary, CompileTarget, Input, Scale,
+};
 use cbsp_sim::{IntervalSim, MemoryConfig, SimStats};
-use cbsp_simpoint::SimPointConfig;
-use cbsp_store::{ArtifactStore, CachePolicy, CpiEstimate, Orchestrator, TraceCache};
+use cbsp_simpoint::{SimPointConfig, SimPointResult};
+use cbsp_store::{
+    pipeline_keys_from_digests, ArtifactStore, CachePolicy, CpiEstimate, Digests, Orchestrator,
+    TraceCache,
+};
 use serde::{Deserialize, Serialize};
 
 /// The four standard binaries, in paper order.
@@ -174,8 +179,9 @@ pub struct BenchmarkRun {
     pub binaries: Vec<Binary>,
     /// The cross-binary pipeline output.
     pub cross: CrossBinaryResult,
-    /// Per-binary FLI analyses.
-    pub per_binary: Vec<PerBinaryResult>,
+    /// Per-binary FLI clusterings: each binary's fixed-length intervals
+    /// clustered on their own.
+    pub per_binary: Vec<SimPointResult>,
     /// Per-binary interval stats under the mapped (VLI) slicing.
     pub vli_interval_stats: Vec<Vec<IntervalSim>>,
     /// Per-binary interval stats under the FLI slicing.
@@ -225,16 +231,19 @@ pub fn evaluate_benchmark_with(
 }
 
 /// [`evaluate_benchmark_with`] with an explicit [`TraceCache`] and
-/// parallelism: compilation, the cross-binary pipeline, the per-binary
-/// FLI analyses, and the detailed simulations all fan out over `pool`,
+/// parallelism: the cross-binary pipeline, the per-binary FLI
+/// analyses, and the detailed simulations all fan out over `pool`
+/// (compilation too, when the program is big enough to pay for it),
 /// and results are bit-identical at any pool size. Each binary is
 /// simulated once, straight from the interpreter, into both detailed
 /// slicings ([`TraceCache::replay_sliced_both_all`]). When the cache
-/// has a store tier, those simulations are a replay lease: a later
-/// evaluation of the same binaries, input, memory configuration,
-/// boundaries and interval target reads them back instead of
-/// simulating. Pass a cache without a persistent tier to keep
-/// pipeline-stage caching while opting out of replay leases.
+/// has a store tier, those simulations and the FLI clusterings
+/// ([`TraceCache::fli_simpoints`]) are leases: a later evaluation of
+/// the same binaries, input and configuration reads them back instead
+/// of simulating, profiling and clustering. Pass a cache without a
+/// persistent tier to keep pipeline-stage caching while opting out of
+/// every lease. With a store, the binaries and the input are hashed
+/// once, and every stage and lease key derives from those [`Digests`].
 ///
 /// # Panics
 ///
@@ -251,10 +260,17 @@ pub fn evaluate_benchmark_cached(
     let workload = workloads::by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
     let prog = workload.build(scale);
     let input = Input::for_scale(scale);
-    let binaries: Vec<Binary> = pool.run_indexed(CompileTarget::ALL_FOUR.len(), |i| {
-        compile(&prog, CompileTarget::ALL_FOUR[i])
-    });
+    // Compiling four binaries takes microseconds: the work-size gate
+    // keeps it off the pool unless the program is big enough to pay
+    // for the fan-out.
+    let compile_ns = compile_cost_estimate_ns(&prog) * CompileTarget::ALL_FOUR.len() as u64;
+    let binaries: Vec<Binary> = pool
+        .for_work(compile_ns)
+        .run_indexed(CompileTarget::ALL_FOUR.len(), |i| {
+            compile(&prog, CompileTarget::ALL_FOUR[i])
+        });
     let bin_refs: Vec<&Binary> = binaries.iter().collect();
+    let digests = store.map(|_| Digests::of(&bin_refs, &input));
 
     // Cross-binary (VLI) pipeline; the pipeline's internal stages use
     // the same thread budget.
@@ -266,12 +282,13 @@ pub fn evaluate_benchmark_cached(
         },
         ..CbspConfig::default()
     };
-    let cross = match store {
-        Some(store) => {
-            let orchestrator = Orchestrator::new(store, CachePolicy::ReadWrite);
+    let cross = match store.zip(digests.as_ref()) {
+        Some((store, digests)) => {
+            let keys = pipeline_keys_from_digests(&bin_refs, digests, &config)
+                .expect("same-program binaries");
             let description = format!("bench {name} scale={scale:?} interval={interval_target}");
-            orchestrator
-                .run_cross_binary(&bin_refs, &input, &config, &description)
+            Orchestrator::new(store, CachePolicy::ReadWrite)
+                .run_keyed(&bin_refs, &input, &config, &keys, &description)
                 .expect("same-program binaries")
                 .0
         }
@@ -279,14 +296,19 @@ pub fn evaluate_benchmark_cached(
     };
 
     // Per-binary (FLI) pipeline: four independent analyses side by
-    // side, each clustering with its share of the thread budget.
-    let fli_config = SimPointConfig {
-        threads: pool.split(binaries.len()).threads(),
-        ..config.simpoint
-    };
-    let per_binary: Vec<PerBinaryResult> = pool.run_indexed(binaries.len(), |b| {
-        run_per_binary(&binaries[b], &input, interval_target, &fli_config)
-    });
+    // side, each clustering with its share of the thread budget. With
+    // a store tier they are a lease, so a warm evaluation runs no
+    // k-means.
+    let per_binary = traces
+        .fli_simpoints(
+            &bin_refs,
+            &input,
+            digests.as_ref(),
+            interval_target,
+            &config.simpoint,
+            pool,
+        )
+        .expect("trace store usable");
 
     // Detailed simulation, sliced both ways: one run of each binary
     // yields both slicings. With a store tier the four results are one
@@ -296,6 +318,7 @@ pub fn evaluate_benchmark_cached(
         .replay_sliced_both_all(
             &bin_refs,
             &input,
+            digests.as_ref(),
             mem,
             &cross.boundaries,
             interval_target,
@@ -322,8 +345,8 @@ pub fn evaluate_benchmark_cached(
     };
     for b in 0..4 {
         let cpis: Vec<f64> = fli_interval_stats[b].iter().map(IntervalSim::cpi).collect();
-        let est = weighted_cpi(&per_binary[b].simpoint.points, &cpis);
-        fli.num_points[b] = per_binary[b].simpoint.points.len();
+        let est = weighted_cpi(&per_binary[b].points, &cpis);
+        fli.num_points[b] = per_binary[b].points.len();
         fli.cpi_est[b] = est;
         fli.cpi_err[b] = relative_error(true_stats[b].cpi(), est);
         fli.cycles_est[b] = est * true_stats[b].instructions as f64;
@@ -426,7 +449,7 @@ pub fn mpki_eval(run: &BenchmarkRun) -> MpkiEval {
             .iter()
             .map(IntervalSim::dram_mpki)
             .collect();
-        out.fli_est[b] = weighted_metric(&run.per_binary[b].simpoint.points, &fli_vals);
+        out.fli_est[b] = weighted_metric(&run.per_binary[b].points, &fli_vals);
     }
     out
 }
@@ -474,14 +497,14 @@ pub fn phase_bias(run: &BenchmarkRun, pair: Pair, top: usize) -> PhaseBias {
     let fli_rows = |bi: usize| -> Vec<PhaseRow> {
         let analysis = &run.per_binary[bi];
         let stats = &run.fli_interval_stats[bi];
-        let mut pts = analysis.simpoint.points.clone();
+        let mut pts = analysis.points.clone();
         pts.sort_by(|x, y| y.weight.partial_cmp(&x.weight).expect("finite weights"));
         pts.iter()
             .take(top)
             .map(|pt| {
                 let mut cyc = 0.0;
                 let mut ins = 0.0;
-                for (i, &label) in analysis.simpoint.labels.iter().enumerate() {
+                for (i, &label) in analysis.labels.iter().enumerate() {
                     if label == pt.phase {
                         cyc += stats[i].cycles as f64;
                         ins += stats[i].instructions as f64;
@@ -570,7 +593,8 @@ mod tests {
     }
 
     /// A warm-store evaluation reads its detailed simulations back from
-    /// the replay lease: no simulation, no trace loaded, same result.
+    /// the replay lease and its FLI clusterings from the FLI lease: no
+    /// simulation, no trace loaded, no k-means, same result.
     #[test]
     fn warm_store_evaluation_replays_nothing() {
         let _guard = cbsp_trace::test_lock();
@@ -597,6 +621,8 @@ mod tests {
         assert_eq!(counters.get("sim/replay_cache_hits"), Some(&1));
         assert_eq!(counters.get("sim/trace_cache_hits"), None);
         assert_eq!(counters.get("sim/trace_cache_misses"), None);
+        assert_eq!(counters.get("simpoint/fli_cache_hits"), Some(&1));
+        assert_eq!(counters.get("simpoint/kmeans_runs"), None);
         let expected = cbsp_store::content_hash(&plain);
         assert_eq!(cbsp_store::content_hash(&cold), expected);
         assert_eq!(cbsp_store::content_hash(&warm), expected);

@@ -12,7 +12,9 @@ use cbsp_program::{
 };
 use cbsp_sim::{estimate_cpi_from_regions, simulate_full, simulate_regions, MemoryConfig};
 use cbsp_simpoint::{analyze, EstimatorConfig, SimPointConfig};
-use cbsp_store::{ArtifactStore, Orchestrator, RunReport, TraceCache};
+use cbsp_store::{
+    pipeline_keys_from_digests, ArtifactStore, Digests, Orchestrator, RunReport, TraceCache,
+};
 
 /// `cbsp list` — the benchmark suite.
 pub fn list(_opts: &Opts) -> Result<(), String> {
@@ -179,19 +181,23 @@ pub fn simpoint(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
+/// What a store-backed [`run_pipeline`] returns beside the result: the
+/// store, the digests of the binaries and input (hashed once; every
+/// key of the run derives from them) and the run's cache report.
+type Stored = (ArtifactStore, Digests, RunReport);
+
 /// The pipeline run `cross` and `estimate` share: through the artifact
 /// store at `--cache-dir` (every stage recomputed and written over
-/// under `--refresh 1`), returning the store and the run's cache report
-/// beside the result. Under `--no-cache 1` it runs
-/// [`cbsp_core::run_cross_binary`] and never opens, or creates, the
-/// store.
+/// under `--refresh 1`), returning what [`Stored`] holds beside the
+/// result. Under `--no-cache 1` it runs [`cbsp_core::run_cross_binary`]
+/// and never opens, or creates, the store.
 fn run_pipeline(
     opts: &Opts,
     binaries: &[Binary],
     input: &Input,
     config: &CbspConfig,
     description: &str,
-) -> Result<(CrossBinaryResult, Option<(ArtifactStore, RunReport)>), String> {
+) -> Result<(CrossBinaryResult, Option<Stored>), String> {
     let refs: Vec<&Binary> = binaries.iter().collect();
     let Some(policy) = opts.cache_policy()? else {
         let result =
@@ -199,10 +205,12 @@ fn run_pipeline(
         return Ok((result, None));
     };
     let store = ArtifactStore::open(opts.cache_dir()).map_err(|e| e.to_string())?;
+    let digests = Digests::of(&refs, input);
+    let keys = pipeline_keys_from_digests(&refs, &digests, config).map_err(|e| e.to_string())?;
     let (result, report) = Orchestrator::new(&store, policy)
-        .run_cross_binary(&refs, input, config, description)
+        .run_keyed(&refs, input, config, &keys, description)
         .map_err(|e| e.to_string())?;
-    Ok((result, Some((store, report))))
+    Ok((result, Some((store, digests, report))))
 }
 
 /// `cbsp cross <benchmark> [--interval N] [--scale S] [--threads N]
@@ -265,7 +273,7 @@ pub fn cross(opts: &Opts) -> Result<(), String> {
     let (result, cached) = run_pipeline(opts, &binaries, &input, &config, &description)?;
     match cached {
         None => println!("cache: bypassed (--no-cache)"),
-        Some((_, report)) => {
+        Some((_, _, report)) => {
             let summary: Vec<String> = report
                 .stage_summary()
                 .iter()
@@ -519,10 +527,11 @@ pub fn estimate(opts: &Opts) -> Result<(), String> {
     let description = format!("estimate {name} scale={scale:?}");
     let (result, cached) = run_pipeline(opts, &binaries, &input, &config, &description)?;
     // Under `--no-cache 1` the binaries are simulated in memory too.
-    let estimates = TraceCache::new(cached.as_ref().map(|(store, _)| store))
+    let estimates = TraceCache::new(cached.as_ref().map(|(store, _, _)| store))
         .estimate_cpi(
             &binaries.iter().collect::<Vec<_>>(),
             &input,
+            cached.as_ref().map(|(_, digests, _)| digests),
             &MemoryConfig::default(),
             &result,
             config.interval_target,
@@ -565,13 +574,14 @@ pub fn estimate(opts: &Opts) -> Result<(), String> {
 /// The store holds pipeline stage artifacts (referenced by run
 /// manifests) and leases ([`cbsp_store::LEASE_STAGES`]), which no run
 /// manifest references: the detailed simulations that experiment
-/// evaluations and `cbsp estimate` read under `replay`, and per-simpoint
-/// slice manifests under `trace_slice` and whole recorded traces under
-/// `trace`, which only older versions and the benchmark's probes write.
-/// `stats` reports each population separately; `gc` keeps
+/// evaluations and `cbsp estimate` read under `replay`, the per-binary
+/// FLI clusterings of experiment evaluations under `fli`, and
+/// per-simpoint slice manifests under `trace_slice` and whole recorded
+/// traces under `trace`, which only older versions and the benchmark's
+/// probes write. `stats` reports each population separately; `gc` keeps
 /// manifest-referenced artifacts and evicts every lease — replay leases
-/// are re-simulated on next use, and nothing outside the benchmark
-/// reads slices or whole traces back.
+/// are re-simulated and FLI leases re-clustered on next use, and
+/// nothing outside the benchmark reads slices or whole traces back.
 pub fn cache(opts: &Opts) -> Result<(), String> {
     let action = opts.positional(0, "cache action (stats|gc)")?;
     let store = ArtifactStore::open(opts.cache_dir()).map_err(|e| e.to_string())?;
@@ -593,6 +603,7 @@ pub fn cache(opts: &Opts) -> Result<(), String> {
             let traces = stats.stage(cbsp_store::TRACE_STAGE);
             let slices = stats.stage(cbsp_store::TRACE_SLICE_STAGE);
             let replays = stats.stage(cbsp_store::REPLAY_STAGE);
+            let fli = stats.stage(cbsp_store::FLI_STAGE);
             println!(
                 "  trace cache:     {} artifacts, {} bytes (evicted by gc, unused by evaluations)",
                 traces.artifacts, traces.bytes
@@ -604,6 +615,10 @@ pub fn cache(opts: &Opts) -> Result<(), String> {
             println!(
                 "  replay leases:   {} artifacts, {} bytes (evicted by gc, re-simulated on use)",
                 replays.artifacts, replays.bytes
+            );
+            println!(
+                "  FLI leases:      {} artifacts, {} bytes (evicted by gc, re-clustered on use)",
+                fli.artifacts, fli.bytes
             );
             for (stage, s) in &stats.per_stage {
                 println!("  {stage:<10} {} artifacts, {} bytes", s.artifacts, s.bytes);
@@ -655,9 +670,9 @@ pub fn cache(opts: &Opts) -> Result<(), String> {
                 report.kept
             );
             println!(
-                "note: removal includes every lease — recorded traces, sliced traces and \
-                 replay leases (no manifest references them); replay leases are re-simulated \
-                 on next use"
+                "note: removal includes every lease — recorded traces, sliced traces, replay \
+                 leases and FLI leases (no manifest references them); replay leases are \
+                 re-simulated and FLI leases re-clustered on next use"
             );
             Ok(())
         }

@@ -297,9 +297,9 @@ fn cross_serves_warm_run_from_cache() {
     assert!(gc.contains("kept 8"), "{gc}");
 
     // Add leases: four recorded traces, as older versions left them,
-    // and the replay lease of an experiment evaluation. They are
-    // reported apart from the pipeline stages and the estimator lanes,
-    // and gc evicts them.
+    // and the replay and FLI leases of an experiment evaluation. They
+    // are reported apart from the pipeline stages and the estimator
+    // lanes, and gc evicts them.
     let prog = cbsp_program::workloads::by_name("mcf")
         .expect("in suite")
         .build(cbsp_program::Scale::Test);
@@ -319,28 +319,40 @@ fn cross_serves_warm_run_from_cache() {
         .replay_sliced_both_all(
             &refs,
             &cbsp_program::Input::test(),
+            None,
             &cbsp_sim::MemoryConfig::table1(),
             &vec![Vec::new(); refs.len()],
             20_000,
             &cbsp_par::Pool::new(1),
         )
         .expect("simulates");
+    traces
+        .fli_simpoints(
+            &refs,
+            &cbsp_program::Input::test(),
+            None,
+            20_000,
+            &cbsp_simpoint::SimPointConfig::default(),
+            &cbsp_par::Pool::new(1),
+        )
+        .expect("clusters");
     let stats = assert_ok(
         &cbsp(&dir, &["cache", "stats", "--cache-dir", "store"]),
         "stats with leases",
     );
     for line in [
-        "store: 13 artifacts",
+        "store: 14 artifacts",
         "pipeline stages: 8 artifacts",
         "trace cache:     4 artifacts",
         "sliced traces:   0 artifacts",
         "replay leases:   1 artifacts",
+        "FLI leases:      1 artifacts",
         "bbv            8 artifacts",
     ] {
         assert!(stats.contains(line), "missing `{line}` in:\n{stats}");
     }
     let gc = assert_ok(&cbsp(&dir, &["cache", "gc", "--cache-dir", "store"]), "gc");
-    assert!(gc.contains("removed 5 artifacts"), "{gc}");
+    assert!(gc.contains("removed 6 artifacts"), "{gc}");
     assert!(gc.contains("kept 8"), "{gc}");
 
     for action in ["shred", "migrate"] {

@@ -32,7 +32,7 @@ use cbsp_sim::MemoryConfig;
 use cbsp_simpoint::{EstimatorConfig, SimPointResult};
 use cbsp_store::{
     content_hash, pipeline_keys_from_digests, stage_namespaces, ArtifactStore, CachePolicy,
-    CpiEstimate, Orchestrator, PipelineKeys, RunReport, TraceCache,
+    CpiEstimate, Digests, Orchestrator, PipelineKeys, RunReport, TraceCache,
 };
 use serde::Value;
 use std::collections::{HashMap, VecDeque};
@@ -47,10 +47,8 @@ use std::time::Instant;
 pub(crate) struct Prepared {
     input: Input,
     binaries: Vec<Binary>,
-    /// `content_hash` of each binary, in binary order.
-    digests: Vec<String>,
-    /// `content_hash(&input)`.
-    input_digest: String,
+    /// The binaries' and the input's content digests.
+    digests: Digests,
 }
 
 impl Prepared {
@@ -62,8 +60,7 @@ impl Prepared {
             .collect();
         let input = Input::for_scale(scale);
         Prepared {
-            digests: binaries.iter().map(content_hash).collect(),
-            input_digest: content_hash(&input),
+            digests: Digests::of(&binaries.iter().collect::<Vec<_>>(), &input),
             input,
             binaries,
         }
@@ -284,13 +281,8 @@ pub(crate) fn prepare_spec(
     };
 
     let prepared = engine.prepared(&workload, scale);
-    let keys = pipeline_keys_from_digests(
-        &prepared.refs(),
-        &prepared.digests,
-        &prepared.input_digest,
-        &config,
-    )
-    .map_err(internal)?;
+    let keys = pipeline_keys_from_digests(&prepared.refs(), &prepared.digests, &config)
+        .map_err(internal)?;
     Ok(PipelineSpec {
         benchmark,
         scale_name,
@@ -349,8 +341,10 @@ impl Engine {
     /// an experiment evaluation of the same digest writes, so a warm
     /// store simulates nothing (see DESIGN.md "Replay leases") — and
     /// keeps them on the run. Every input of that lease derives from
-    /// the run's digest, so later requests answer from memory. A
-    /// failure is returned, never kept, and the next request retries.
+    /// the run's digest, so later requests answer from memory. The
+    /// lease key derives from the kept digests: no request hashes a
+    /// binary. A failure is returned, never kept, and the next request
+    /// retries.
     pub fn execute_estimate(&self, spec: &PipelineSpec, deadline: Instant) -> Reply {
         let run = self.run_cross(spec, deadline)?;
         let estimates = match run.estimates.get() {
@@ -360,6 +354,7 @@ impl Engine {
                     .estimate_cpi(
                         &spec.prepared.refs(),
                         &spec.prepared.input,
+                        Some(&spec.prepared.digests),
                         &MemoryConfig::default(),
                         &run.cross,
                         spec.config.interval_target,
@@ -422,11 +417,12 @@ impl Engine {
         ]))
     }
 
-    /// Store usage, with each lease namespace — recorded traces, sliced
+    /// Store usage, with the lease namespaces — recorded traces, sliced
     /// traces and replay leases — split out from the pipeline stages
     /// (leases are evicted by `gc` and rebuilt on use, so lumping them
     /// with stage artifacts hides both facts). `pipeline` excludes every
-    /// lease namespace ([`cbsp_store::LEASE_STAGES`]).
+    /// lease namespace ([`cbsp_store::LEASE_STAGES`]); FLI leases, which
+    /// only experiment evaluations write, show in `per_stage` alone.
     pub fn execute_store_stats(&self) -> Reply {
         let stats = self.store.stats().map_err(internal)?;
         let sub = |stage: &cbsp_store::StageStats| {
@@ -475,6 +471,8 @@ impl Engine {
     /// config, and the pipeline is deterministic at any thread count,
     /// so a cached run is byte-for-byte what a recomputation would
     /// produce — the cache can ignore the thread budget and `deadline`.
+    /// A miss runs the orchestrator on `spec.keys` (the thread count is
+    /// not in them), so it hashes nothing either.
     fn run_cross(&self, spec: &PipelineSpec, deadline: Instant) -> Result<Arc<CachedRun>, Fault> {
         use std::sync::atomic::Ordering;
         let cache_key = spec.keys.map.as_hex().to_string();
@@ -499,7 +497,13 @@ impl Engine {
         let description = format!("serve: {}/{}", spec.benchmark, spec.scale_name);
         let prepared = &spec.prepared;
         let (cross, report) = orch
-            .run_cross_binary(&prepared.refs(), &prepared.input, &config, &description)
+            .run_keyed(
+                &prepared.refs(),
+                &prepared.input,
+                &config,
+                &spec.keys,
+                &description,
+            )
             .map_err(|e| match e {
                 CbspError::Cancelled { stage } => fault(
                     ErrorCode::Timeout,

@@ -480,6 +480,7 @@ fn results_are_byte_identical_across_thread_counts() {
         .estimate_cpi(
             &binaries.iter().collect::<Vec<_>>(),
             &cbsp_program::Input::test(),
+            None,
             &cbsp_sim::MemoryConfig::default(),
             &cross,
             20_000,

@@ -22,10 +22,12 @@
 //!   lookup, key-chained invalidation, cancellation between stages, and
 //!   parallel profile collection across binaries. Without a store the
 //!   same driver is [`cbsp_core::run_cross_binary`].
-//! * [`TraceCache`] — replay leases for the simulation side: one
-//!   evaluation's detailed simulations, which every CPI estimate of the
-//!   same binaries reads too ([`TraceCache::estimate_cpi`]), plus the
-//!   slice manifests the end-to-end benchmark's probe cuts.
+//! * [`TraceCache`] — the evaluation's leases: its detailed
+//!   simulations, which every CPI estimate of the same binaries reads
+//!   too ([`TraceCache::estimate_cpi`]), and its per-binary FLI
+//!   clusterings ([`TraceCache::fli_simpoints`]), plus the slice
+//!   manifests the end-to-end benchmark's probe cuts. Every key of one
+//!   evaluation derives from its [`Digests`], hashed once.
 //!
 //! Every cached lookup in the crate, stage or lease, follows one
 //! repair-as-miss contract: a damaged artifact counts as a miss, is
@@ -71,8 +73,8 @@ pub use blob::{
     derived_key, Blob, BLOB_FORMAT_VERSION, BLOB_HEADER_LEN, BLOB_MAGIC, BLOB_STAGE_MAX,
 };
 pub use orchestrator::{
-    pipeline_keys, pipeline_keys_from_digests, stage_namespaces, CachePolicy, Orchestrator,
-    PipelineKeys, RunReport, StageNamespaces, StageOutcome, STAGE_ORDER,
+    pipeline_keys, pipeline_keys_from_digests, stage_namespaces, CachePolicy, Digests,
+    Orchestrator, PipelineKeys, RunReport, StageNamespaces, StageOutcome, STAGE_ORDER,
 };
 pub use sha256::{hex_digest, Sha256};
 pub use store::{
@@ -80,6 +82,6 @@ pub use store::{
     RunManifest, StageKey, StageStats, StoreStats, SCHEMA_VERSION,
 };
 pub use traces::{
-    trace_key, trace_slice_key, CpiEstimate, TraceCache, LEASE_STAGES, REPLAY_STAGE,
+    trace_key, trace_slice_key, CpiEstimate, TraceCache, FLI_STAGE, LEASE_STAGES, REPLAY_STAGE,
     TRACE_SLICE_STAGE, TRACE_STAGE,
 };

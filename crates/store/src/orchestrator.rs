@@ -89,6 +89,30 @@ pub fn stage_namespaces(estimator: &EstimatorConfig, fuzzy: bool) -> StageNamesp
     }
 }
 
+/// The content digests every key of a run derives from: each binary's
+/// and the input's [`content_hash`]. Hashing the binaries is most of
+/// the cost of deriving a key (about 0.3 ms for four Train binaries),
+/// so a caller that keys several lookups on one set of binaries — an
+/// evaluation's stages and leases, or `cbsp-serve`'s repeated
+/// requests — hashes them once and passes these along.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Digests {
+    /// `content_hash` of each binary, in binary order.
+    pub binaries: Vec<String>,
+    /// `content_hash` of the input.
+    pub input: String,
+}
+
+impl Digests {
+    /// Hashes `binaries` and `input`.
+    pub fn of(binaries: &[&Binary], input: &Input) -> Digests {
+        Digests {
+            binaries: binaries.iter().map(|b| content_hash(*b)).collect(),
+            input: content_hash(input),
+        }
+    }
+}
+
 /// The content keys of every stage of one pipeline run, derived from
 /// the inputs alone — computing them costs a few hashes, never a stage
 /// execution. This is what makes digest-based lookups (`cbsp-serve`'s
@@ -136,16 +160,14 @@ pub fn pipeline_keys(
     input: &Input,
     config: &CbspConfig,
 ) -> Result<PipelineKeys, CbspError> {
-    let bin_hashes: Vec<String> = binaries.iter().map(|b| content_hash(*b)).collect();
-    pipeline_keys_from_digests(binaries, &bin_hashes, &content_hash(input), config)
+    pipeline_keys_from_digests(binaries, &Digests::of(binaries, input), config)
 }
 
-/// [`pipeline_keys`] from precomputed digests: `bin_hashes[b]` is
-/// `content_hash(binaries[b])` and `input_hash` is `content_hash` of
-/// the run's input. Hashing the binaries dominates the derivation, so
-/// a caller that reuses the same binaries (`cbsp-serve` keeps each
-/// benchmark's) hashes them once and derives every run's keys from
-/// here.
+/// [`pipeline_keys`] from precomputed [`Digests`] of `binaries` and the
+/// run's input: a caller that reuses the same binaries (`cbsp-serve`
+/// keeps each benchmark's) or keys more than the pipeline from them
+/// (an experiment evaluation's leases) hashes them once and derives
+/// every key from here.
 ///
 /// # Errors
 ///
@@ -153,17 +175,17 @@ pub fn pipeline_keys(
 ///
 /// # Panics
 ///
-/// Panics if `bin_hashes` does not hold one digest per binary.
+/// Panics if `digests` does not hold one digest per binary.
 pub fn pipeline_keys_from_digests(
     binaries: &[&Binary],
-    bin_hashes: &[String],
-    input_hash: &str,
+    digests: &Digests,
     config: &CbspConfig,
 ) -> Result<PipelineKeys, CbspError> {
+    let bin_hashes = &digests.binaries;
     assert_eq!(binaries.len(), bin_hashes.len(), "one digest per binary");
     validate_binaries(binaries, config)?;
     let ns = stage_namespaces(&config.estimator, config.fuzzy.is_some());
-    let input_hash = input_hash.to_string();
+    let input_hash = digests.input.clone();
     let hash_parts: Vec<Value> = bin_hashes.iter().map(|h| Value::Str(h.clone())).collect();
 
     let profile: Vec<StageKey> = bin_hashes
@@ -349,11 +371,30 @@ impl<'s> Orchestrator<'s> {
         description: &str,
     ) -> Result<(CrossBinaryResult, RunReport), CbspError> {
         let keys = pipeline_keys(binaries, input, config)?;
+        self.run_keyed(binaries, input, config, &keys, description)
+    }
+
+    /// [`Orchestrator::run_cross_binary`] with the stage keys already
+    /// derived: `keys` must be `pipeline_keys(binaries, input, config)`,
+    /// which a caller holding the [`Digests`] derives through
+    /// [`pipeline_keys_from_digests`] without hashing a binary.
+    ///
+    /// # Errors
+    ///
+    /// As [`Orchestrator::run_cross_binary`].
+    pub fn run_keyed(
+        &self,
+        binaries: &[&Binary],
+        input: &Input,
+        config: &CbspConfig,
+        keys: &PipelineKeys,
+        description: &str,
+    ) -> Result<(CrossBinaryResult, RunReport), CbspError> {
         let hook = StoreHook {
             orchestrator: self,
             binaries,
             primary: config.primary,
-            keys: &keys,
+            keys,
             ns: stage_namespaces(&config.estimator, config.fuzzy.is_some()),
             outcomes: Mutex::new(Vec::with_capacity(binaries.len() + 4)),
         };
@@ -530,9 +571,8 @@ mod tests {
         let mut bins = binaries("swim");
         bins[3] = binaries("gzip").swap_remove(3);
         let refs: Vec<&Binary> = bins.iter().collect();
-        let digests: Vec<String> = bins.iter().map(content_hash).collect();
-        let input = content_hash(&Input::test());
-        let derived = pipeline_keys_from_digests(&refs, &digests, &input, &CbspConfig::default());
+        let digests = Digests::of(&refs, &Input::test());
+        let derived = pipeline_keys_from_digests(&refs, &digests, &CbspConfig::default());
         assert!(matches!(derived, Err(CbspError::ProgramMismatch { .. })));
     }
 

@@ -443,7 +443,7 @@ impl ArtifactStore {
                 format!("checksum mismatch: stored {checksum}, computed {actual}"),
             ));
         }
-        let value = serde_json::from_value::<T>(payload.clone())
+        let value = T::deserialize_value(payload)
             .map_err(|e| corrupt(key, format!("payload does not decode: {e}")))?;
         Ok(Some(value))
     }

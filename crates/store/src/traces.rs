@@ -1,5 +1,6 @@
-//! Content-addressed simulation cache: replay leases and per-simpoint
-//! slice manifests, optionally backed by the [`ArtifactStore`].
+//! Content-addressed evaluation cache: replay leases, FLI leases and
+//! per-simpoint slice manifests, optionally backed by the
+//! [`ArtifactStore`].
 //!
 //! Every simulation interprets its binary straight into the simulator
 //! sink; nothing here records a whole [`EventTrace`] for later replay,
@@ -15,6 +16,10 @@
 //!   estimate reads the same lease ([`TraceCache::estimate_cpi`]), so
 //!   one lease serves the evaluation and every estimator lane of a
 //!   (benchmark, scale, interval);
+//! * an **FLI lease** ([`TraceCache::fli_simpoints`]): the per-binary
+//!   SimPoint baseline of one evaluation, each binary's fixed-length
+//!   intervals clustered on their own. A warm-store evaluation reads the
+//!   four clusterings back and profiles and clusters nothing;
 //! * a **sliced trace** ([`TraceCache::get_slices`]): for one binary,
 //!   its whole-run statistics plus one exact state checkpoint and the
 //!   events of each selected interval, cut from one direct run. Only
@@ -27,8 +32,10 @@
 //! digests, with event bytes stored verbatim. A sliced-trace manifest
 //! names its per-slice blobs, which are read back in interval order.
 //!
-//! The blob is the only encoding this cache reads or writes. Slice and
-//! replay artifacts are leases — no run manifest references them, so
+//! The blob is the encoding of every lease here but the FLI lease, a
+//! few kilobytes of clustering results stored as the JSON envelope the
+//! `simpoint` stage already uses for them. Slice and replay artifacts
+//! are leases — no run manifest references them, so
 //! `gc` always evicts them — and a JSON envelope left by an older
 //! version is therefore a plain miss: the artifact is re-materialized,
 //! its blob lands beside the envelope, and the next `gc` evicts the
@@ -43,7 +50,7 @@
 //! versions hold a `trace` blob per binary; nothing reads them, and
 //! `gc` evicts them like every other lease.
 
-use cbsp_core::{stratified_ci, weighted_cpi_with, CbspError, CrossBinaryResult};
+use cbsp_core::{run_per_binary, stratified_ci, weighted_cpi_with, CbspError, CrossBinaryResult};
 use cbsp_par::Pool;
 use cbsp_profile::ExecPoint;
 use cbsp_program::{Binary, Input};
@@ -51,9 +58,14 @@ use cbsp_sim::{
     record_trace, simulate_sliced_both, slice_trace, BothSlicings, EventTrace, IntervalSim,
     LevelStats, MemoryConfig, SimStats, SlicedTrace, TraceSlice,
 };
+use cbsp_simpoint::{SimPointConfig, SimPointResult};
+use std::borrow::Cow;
 
 use crate::blob::{derived_key, Blob};
-use crate::store::{content_hash, corrupt, read_through, stage_key, ArtifactStore, StageKey};
+use crate::orchestrator::Digests;
+use crate::store::{
+    content_hash, corrupt, key_part, read_through, stage_key, ArtifactStore, StageKey,
+};
 use serde::Value;
 
 /// Stage name whole recorded traces are stored under, by
@@ -71,11 +83,17 @@ pub const TRACE_SLICE_STAGE: &str = "trace_slice";
 /// always evicts them.
 pub const REPLAY_STAGE: &str = "replay";
 
+/// Stage name FLI leases are stored under: the per-binary SimPoint
+/// clusterings of one evaluation, written by
+/// [`TraceCache::fli_simpoints`]. Like [`REPLAY_STAGE`], no run
+/// manifest references them, so `gc` always evicts them.
+pub const FLI_STAGE: &str = "fli";
+
 /// Every lease namespace. Artifacts in these stages are never
 /// referenced by run manifests — `gc` always evicts them, and the
-/// trace cache re-materializes slices and replay leases on next use —
-/// while everything else in the store is a pipeline-stage artifact.
-pub const LEASE_STAGES: [&str; 3] = [TRACE_STAGE, TRACE_SLICE_STAGE, REPLAY_STAGE];
+/// trace cache re-materializes slices and leases on next use — while
+/// everything else in the store is a pipeline-stage artifact.
+pub const LEASE_STAGES: [&str; 4] = [TRACE_STAGE, TRACE_SLICE_STAGE, REPLAY_STAGE, FLI_STAGE];
 
 /// Content key of the trace for `(binary, input)`.
 pub fn trace_key(binary: &Binary, input: &Input) -> StageKey {
@@ -117,9 +135,9 @@ pub fn trace_slice_key(
     )
 }
 
-/// Content key of the replay lease for `binaries` on `input`, each
-/// simulated under `config` and sliced at its own `boundaries` list and
-/// at `fli_target` instructions.
+/// Content key of the replay lease for the binaries and input of
+/// `digests`, each simulated under `config` and sliced at its own
+/// `boundaries` list and at `fli_target` instructions.
 ///
 /// Every input that shapes the results is keyed, by the rule
 /// [`trace_slice_key`] follows: the input (which events exist), the
@@ -127,18 +145,18 @@ pub fn trace_slice_key(
 /// per binary, in order, its digest and its boundary list (where its
 /// marker intervals cut).
 fn replay_key(
-    binaries: &[&Binary],
-    input: &Input,
+    digests: &Digests,
     config: &MemoryConfig,
     boundaries: &[Vec<ExecPoint>],
     fli_target: u64,
 ) -> StageKey {
-    let per_binary = binaries
+    let per_binary = digests
+        .binaries
         .iter()
         .zip(boundaries)
-        .map(|(binary, cuts)| {
+        .map(|(digest, cuts)| {
             Value::Array(vec![
-                Value::Str(content_hash(*binary)),
+                Value::Str(digest.clone()),
                 Value::Str(content_hash(cuts)),
             ])
         })
@@ -146,12 +164,43 @@ fn replay_key(
     stage_key(
         REPLAY_STAGE,
         &[
-            Value::Str(content_hash(input)),
+            Value::Str(digests.input.clone()),
             Value::Str(content_hash(config)),
             Value::UInt(fli_target),
             Value::Array(per_binary),
         ],
     )
+}
+
+/// Content key of the FLI lease for the binaries and input of
+/// `digests`, each profiled at `interval_target`-instruction intervals
+/// and clustered under `config`: the binary digests in order, the input
+/// digest, the interval target and the configuration with `threads`
+/// normalized to 0, as the `simpoint` stage key does (clustering is
+/// bit-identical at any thread count).
+fn fli_key(digests: &Digests, interval_target: u64, config: &SimPointConfig) -> StageKey {
+    let mut inputs: Vec<Value> = digests
+        .binaries
+        .iter()
+        .map(|digest| Value::Str(digest.clone()))
+        .collect();
+    inputs.push(Value::Str(digests.input.clone()));
+    inputs.push(Value::UInt(interval_target));
+    inputs.push(key_part(&SimPointConfig {
+        threads: 0,
+        ..*config
+    }));
+    stage_key(FLI_STAGE, &inputs)
+}
+
+/// `digests`, or the digests of `binaries` and `input` hashed here when
+/// the caller holds none.
+fn digests_or_hash<'d>(
+    digests: Option<&'d Digests>,
+    binaries: &[&Binary],
+    input: &Input,
+) -> Cow<'d, Digests> {
+    digests.map_or_else(|| Cow::Owned(Digests::of(binaries, input)), Cow::Borrowed)
 }
 
 // ---------------------------------------------------------------------
@@ -474,9 +523,9 @@ fn read_blob<T>(
 // The cache
 // ---------------------------------------------------------------------
 
-/// A cache of replay leases and sliced traces, backed by an optional
-/// store. It holds nothing in memory: every hit is read back from the
-/// store, and without a store every call simulates.
+/// A cache of replay leases, FLI leases and sliced traces, backed by
+/// an optional store. It holds nothing in memory: every hit is read
+/// back from the store, and without a store every call computes.
 #[derive(Debug)]
 pub struct TraceCache<'s> {
     store: Option<&'s ArtifactStore>,
@@ -529,8 +578,10 @@ impl<'s> TraceCache<'s> {
     /// simulates nothing (`sim/replay_cache_hits`); a miss simulates the
     /// binaries in parallel over `pool` and writes the lease
     /// (`sim/replay_cache_misses`). Without a store tier every call
-    /// simulates. Each binary is hashed once per call, and only when
-    /// there is a store tier.
+    /// simulates. The key derives from `digests`, the [`Digests`] of
+    /// `binaries` and `input` when the caller holds them; with `None`
+    /// each binary is hashed here, once, and only when there is a store
+    /// tier.
     ///
     /// # Errors
     ///
@@ -544,10 +595,12 @@ impl<'s> TraceCache<'s> {
     /// `fli_target` is zero, or if some boundary is never reached by
     /// its binary's execution (same contract as
     /// [`cbsp_sim::simulate_sliced_both`]).
+    #[allow(clippy::too_many_arguments)]
     pub fn replay_sliced_both_all(
         &self,
         binaries: &[&Binary],
         input: &Input,
+        digests: Option<&Digests>,
         config: &MemoryConfig,
         boundaries: &[Vec<ExecPoint>],
         fli_target: u64,
@@ -566,7 +619,8 @@ impl<'s> TraceCache<'s> {
         let Some(store) = self.store else {
             return Ok(simulate());
         };
-        let key = replay_key(binaries, input, config, boundaries, fli_target);
+        let digests = digests_or_hash(digests, binaries, input);
+        let key = replay_key(&digests, config, boundaries, fli_target);
         let (sims, hit) = read_through(
             Some(store),
             |store| {
@@ -592,7 +646,8 @@ impl<'s> TraceCache<'s> {
     /// True and SimPoint-estimated CPI of every binary of `cross`, in
     /// input order: the detailed simulations of
     /// [`TraceCache::replay_sliced_both_all`] at `cross.boundaries` and
-    /// `interval_target`, each binary's marker intervals weighted by
+    /// `interval_target` (keyed on `digests` the same way), each
+    /// binary's marker intervals weighted by
     /// [`CpiEstimate::from_marker_intervals`]. With the memory
     /// configuration and interval target of an evaluation of the same
     /// binaries, this reads that evaluation's replay lease and simulates
@@ -609,10 +664,12 @@ impl<'s> TraceCache<'s> {
     /// `cross.boundaries` differ in length, if `interval_target` is
     /// zero, or if some boundary of `cross` is never reached by its
     /// binary (as when `binaries` are not `cross`'s).
+    #[allow(clippy::too_many_arguments)]
     pub fn estimate_cpi(
         &self,
         binaries: &[&Binary],
         input: &Input,
+        digests: Option<&Digests>,
         config: &MemoryConfig,
         cross: &CrossBinaryResult,
         interval_target: u64,
@@ -621,6 +678,7 @@ impl<'s> TraceCache<'s> {
         let sims = self.replay_sliced_both_all(
             binaries,
             input,
+            digests,
             config,
             &cross.boundaries,
             interval_target,
@@ -631,6 +689,77 @@ impl<'s> TraceCache<'s> {
             .enumerate()
             .map(|(b, sim)| CpiEstimate::from_marker_intervals(cross, b, &sim.stats, &sim.marker))
             .collect())
+    }
+
+    /// The per-binary (FLI) SimPoint baseline of one evaluation, in
+    /// input order: each binary profiled at fixed
+    /// `interval_target`-instruction intervals and clustered under
+    /// `config` ([`run_per_binary`]), the binaries side by side over
+    /// `pool`, each clustering with its share of the thread budget
+    /// (`config.threads` is ignored).
+    ///
+    /// With a store tier the clusterings are a lease, one JSON envelope
+    /// for all the binaries under [`FLI_STAGE`], keyed like the replay
+    /// lease on `digests` (or the binaries hashed here once, with
+    /// `None`): a hit reads it back and profiles and clusters nothing
+    /// (`simpoint/fli_cache_hits`); a miss computes and writes the lease
+    /// (`simpoint/fli_cache_misses`). Without a store tier every call
+    /// computes and nothing is hashed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CbspError::StoreIo`] on store failure. A damaged
+    /// lease, or one that does not hold one clustering per binary, is
+    /// treated as a miss and repaired in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `interval_target` is zero.
+    pub fn fli_simpoints(
+        &self,
+        binaries: &[&Binary],
+        input: &Input,
+        digests: Option<&Digests>,
+        interval_target: u64,
+        config: &SimPointConfig,
+        pool: &Pool,
+    ) -> Result<Vec<SimPointResult>, CbspError> {
+        let compute = || {
+            let config = SimPointConfig {
+                threads: pool.split(binaries.len()).threads(),
+                ..*config
+            };
+            pool.run_indexed(binaries.len(), |b| {
+                run_per_binary(binaries[b], input, interval_target, &config).simpoint
+            })
+        };
+        let Some(store) = self.store else {
+            return Ok(compute());
+        };
+        let digests = digests_or_hash(digests, binaries, input);
+        let key = fli_key(&digests, interval_target, config);
+        let (simpoints, hit) = read_through(
+            Some(store),
+            |store| {
+                let stored = store.get::<Vec<SimPointResult>>(FLI_STAGE, &key)?;
+                match stored {
+                    Some(s) if s.len() != binaries.len() => Err(corrupt(
+                        &key,
+                        format!("{} clusterings for {} binaries", s.len(), binaries.len()),
+                    )),
+                    stored => Ok(stored),
+                }
+            },
+            || {
+                cbsp_trace::add("simpoint/fli_cache_misses", 1);
+                Ok(compute())
+            },
+            |store, simpoints| store.put(FLI_STAGE, &key, simpoints),
+        )?;
+        if hit {
+            cbsp_trace::add("simpoint/fli_cache_hits", 1);
+        }
+        Ok(simpoints)
     }
 
     /// Returns the per-simpoint slice manifest for `(binary, input)`
@@ -1089,6 +1218,7 @@ mod tests {
             .replay_sliced_both_all(
                 &refs,
                 &Input::test(),
+                None,
                 config,
                 cuts,
                 fli_target,
@@ -1116,7 +1246,12 @@ mod tests {
 
     fn lease_key(bins: &[Binary], config: &MemoryConfig, cuts: &[Vec<ExecPoint>]) -> StageKey {
         let refs: Vec<&Binary> = bins.iter().collect();
-        replay_key(&refs, &Input::test(), config, cuts, FLI_TARGET)
+        replay_key(
+            &Digests::of(&refs, &Input::test()),
+            config,
+            cuts,
+            FLI_TARGET,
+        )
     }
 
     #[test]
@@ -1249,6 +1384,249 @@ mod tests {
         assert_eq!(again, cold);
         assert_eq!(counters.get("sim/replay_cache_misses"), Some(&1));
         assert_simulated_once(&again, &counters);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The replay key derived from digests is the key earlier versions
+    /// derived by hashing the binaries inside the lookup, so a store
+    /// they filled still serves every replay lease. The hex is the key
+    /// such a version wrote for this lease; changing the gzip workload,
+    /// the compiler or the key document re-keys every lease and moves
+    /// it. A lookup that hashes here (`None`) and one handed the
+    /// digests find the same lease.
+    #[test]
+    fn replay_key_from_digests_is_the_hashing_key() {
+        let _lock = cbsp_trace::test_lock();
+        let (bins, cuts) = four_binaries();
+        let refs: Vec<&Binary> = bins.iter().collect();
+        let config = MemoryConfig::table1();
+        let digests = Digests::of(&refs, &Input::test());
+        assert_eq!(
+            replay_key(&digests, &config, &cuts, FLI_TARGET).as_hex(),
+            "0565a68778da1314d60a0463d0d6f9c94c8db91c141876126cfad4d308510217"
+        );
+
+        let (store, dir) = temp_store("replay-digests");
+        let (cold, _) = lease_call(Some(&store), &bins, &config, &cuts, FLI_TARGET);
+        cbsp_trace::enable();
+        cbsp_trace::reset();
+        let warm = TraceCache::new(Some(&store))
+            .replay_sliced_both_all(
+                &refs,
+                &Input::test(),
+                Some(&digests),
+                &config,
+                &cuts,
+                FLI_TARGET,
+                &Pool::new(2),
+            )
+            .expect("replays");
+        let counters = cbsp_trace::snapshot().counters;
+        cbsp_trace::disable();
+        cbsp_trace::reset();
+        assert_eq!(warm, cold);
+        assert_eq!(counters.get("sim/replay_cache_hits"), Some(&1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One [`TraceCache::fli_simpoints`] call through a fresh cache over
+    /// `store` on a `threads`-thread pool, with the counters it
+    /// recorded.
+    fn fli_call(
+        store: Option<&ArtifactStore>,
+        refs: &[&Binary],
+        input: &Input,
+        target: u64,
+        config: &SimPointConfig,
+        threads: usize,
+    ) -> (Vec<SimPointResult>, std::collections::BTreeMap<String, u64>) {
+        let cache = TraceCache::new(store);
+        let config = SimPointConfig { threads, ..*config };
+        cbsp_trace::enable();
+        cbsp_trace::reset();
+        let simpoints = cache
+            .fli_simpoints(refs, input, None, target, &config, &Pool::new(threads))
+            .expect("clusters");
+        let counters = cbsp_trace::snapshot().counters;
+        cbsp_trace::disable();
+        cbsp_trace::reset();
+        (simpoints, counters)
+    }
+
+    fn fli_lease_key(refs: &[&Binary]) -> StageKey {
+        let digests = Digests::of(refs, &Input::test());
+        fli_key(&digests, FLI_TARGET, &SimPointConfig::default())
+    }
+
+    #[test]
+    fn fli_lease_hits_only_on_identical_inputs() {
+        let _lock = cbsp_trace::test_lock();
+        let (bins, _) = four_binaries();
+        let refs: Vec<&Binary> = bins.iter().collect();
+        let input = Input::test();
+        let config = SimPointConfig::default();
+        let (store, dir) = temp_store("fli-keys");
+
+        let (cold, counters) = fli_call(Some(&store), &refs, &input, FLI_TARGET, &config, 1);
+        assert_eq!(cold.len(), 4);
+        assert_eq!(counters.get("simpoint/fli_cache_misses"), Some(&1));
+        assert_eq!(counters.get("simpoint/fli_cache_hits"), None);
+        assert!(counters.contains_key("simpoint/kmeans_runs"));
+        let key = fli_lease_key(&refs);
+        assert!(store.contains(&key), "the lease is one JSON envelope");
+        assert!(!store.contains_blob(&key));
+
+        // A lease written at one thread reads back identically at three:
+        // one envelope read, no k-means.
+        let (warm, counters) = fli_call(Some(&store), &refs, &input, FLI_TARGET, &config, 3);
+        assert_eq!(warm, cold);
+        assert_eq!(counters.get("simpoint/fli_cache_hits"), Some(&1));
+        assert_eq!(counters.get("simpoint/fli_cache_misses"), None);
+        assert_eq!(counters.get("simpoint/kmeans_runs"), None);
+
+        // Without a store tier every call clusters, to the same result.
+        let (plain, counters) = fli_call(None, &refs, &input, FLI_TARGET, &config, 2);
+        assert_eq!(plain, cold);
+        assert_eq!(counters.get("simpoint/fli_cache_misses"), None);
+        assert!(counters.contains_key("simpoint/kmeans_runs"));
+
+        // Every input that shapes the result re-keys the lease: the
+        // binary set, the input, the interval target, and every field
+        // of the configuration but `threads`.
+        let other_input = Input::new("test", input.seed + 1, Scale::Test);
+        let mut cases: Vec<(&str, &[&Binary], &Input, u64, SimPointConfig)> = vec![
+            ("binary set", &refs[..3], &input, FLI_TARGET, config),
+            ("input", &refs, &other_input, FLI_TARGET, config),
+            ("interval target", &refs, &input, FLI_TARGET / 2, config),
+        ];
+        let early = cbsp_simpoint::RepresentativePolicy::Earliest { tolerance: 0.1 };
+        for (what, changed) in [
+            ("max_k", SimPointConfig { max_k: 6, ..config }),
+            (
+                "projection_dims",
+                SimPointConfig {
+                    projection_dims: 8,
+                    ..config
+                },
+            ),
+            (
+                "bic_threshold",
+                SimPointConfig {
+                    bic_threshold: 0.8,
+                    ..config
+                },
+            ),
+            (
+                "restarts",
+                SimPointConfig {
+                    restarts: 3,
+                    ..config
+                },
+            ),
+            (
+                "max_iters",
+                SimPointConfig {
+                    max_iters: 50,
+                    ..config
+                },
+            ),
+            (
+                "seed",
+                SimPointConfig {
+                    seed: config.seed + 1,
+                    ..config
+                },
+            ),
+            (
+                "representative",
+                SimPointConfig {
+                    representative: early,
+                    ..config
+                },
+            ),
+            (
+                "accelerated",
+                SimPointConfig {
+                    accelerated: !config.accelerated,
+                    ..config
+                },
+            ),
+        ] {
+            cases.push((what, &refs, &input, FLI_TARGET, changed));
+        }
+        for (what, refs, input, target, config) in cases {
+            let (_, counters) = fli_call(Some(&store), refs, input, target, &config, 2);
+            assert_eq!(
+                counters.get("simpoint/fli_cache_misses"),
+                Some(&1),
+                "{what}"
+            );
+            assert_eq!(counters.get("simpoint/fli_cache_hits"), None, "{what}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn damaged_fli_lease_is_repaired_as_a_miss() {
+        let _lock = cbsp_trace::test_lock();
+        let (bins, _) = four_binaries();
+        let refs: Vec<&Binary> = bins.iter().collect();
+        let (input, config) = (Input::test(), SimPointConfig::default());
+        let (store, dir) = temp_store("fli-repair");
+        let (cold, _) = fli_call(Some(&store), &refs, &input, FLI_TARGET, &config, 2);
+        let key = fli_lease_key(&refs);
+        let path = store.object_path(&key);
+        let good = std::fs::read(&path).expect("lease envelope exists");
+
+        let check = |what: &str| {
+            let (simpoints, counters) =
+                fli_call(Some(&store), &refs, &input, FLI_TARGET, &config, 2);
+            assert_eq!(simpoints, cold, "{what}");
+            assert_eq!(counters.get("store/repairs"), Some(&1), "{what}");
+            assert_eq!(
+                counters.get("simpoint/fli_cache_misses"),
+                Some(&1),
+                "{what}"
+            );
+            let rewritten = std::fs::read(&path).expect("lease rewritten");
+            assert!(rewritten == good, "{what}: repaired in place");
+        };
+        let mut flipped = good.clone();
+        let middle = flipped.len() / 2;
+        flipped[middle] ^= 0x01;
+        for (what, bytes) in [
+            ("flipped byte", flipped),
+            ("truncation", good[..good.len() / 2].to_vec()),
+        ] {
+            std::fs::write(&path, bytes).expect("damages the lease");
+            check(what);
+        }
+        // A checksum-valid lease that holds too few clusterings.
+        store
+            .put(FLI_STAGE, &key, &cold[..3].to_vec())
+            .expect("forges a checksum-valid lease");
+        check("three clusterings for four binaries");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn gc_evicts_fli_leases() {
+        let _lock = cbsp_trace::test_lock();
+        let (bins, _) = four_binaries();
+        let refs: Vec<&Binary> = bins.iter().collect();
+        let (input, config) = (Input::test(), SimPointConfig::default());
+        let (store, dir) = temp_store("fli-gc");
+        let (cold, _) = fli_call(Some(&store), &refs, &input, FLI_TARGET, &config, 2);
+        let key = fli_lease_key(&refs);
+        assert!(store.contains(&key));
+        assert_eq!(store.stats().expect("stats").stage(FLI_STAGE).artifacts, 1);
+        assert_eq!(store.stats().expect("stats").pipeline().artifacts, 0);
+        let report = store.gc().expect("gc runs");
+        assert_eq!(report.removed, 1);
+        assert!(!store.contains(&key), "no manifest references a lease");
+        let (again, counters) = fli_call(Some(&store), &refs, &input, FLI_TARGET, &config, 2);
+        assert_eq!(again, cold);
+        assert_eq!(counters.get("simpoint/fli_cache_misses"), Some(&1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

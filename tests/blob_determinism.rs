@@ -58,6 +58,7 @@ fn estimate(
         .estimate_cpi(
             &binaries.iter().collect::<Vec<_>>(),
             &Input::test(),
+            None,
             &MemoryConfig::table1(),
             cross,
             INTERVAL,
@@ -263,7 +264,15 @@ fn old_store_envelopes_are_plain_misses() {
     check("estimate_cpi", &old, &[], false, |cache| {
         let refs: Vec<&Binary> = binaries.iter().collect();
         let estimates = cache
-            .estimate_cpi(&refs, &input, &config, &cross, INTERVAL, &Pool::new(2))
+            .estimate_cpi(
+                &refs,
+                &input,
+                None,
+                &config,
+                &cross,
+                INTERVAL,
+                &Pool::new(2),
+            )
             .expect("estimates");
         bits(&estimates)
     });
