@@ -7,9 +7,9 @@
 //! evaluated on several memory-system designs.
 
 use cbsp_core::{relative_error, run_cross_binary, CbspConfig};
-use cbsp_program::{compile, workloads, Binary, CompileTarget, Input, Scale};
+use cbsp_program::{workloads, Scale};
 use cbsp_sim::{simulate_marker_sliced, CacheLevelConfig, MemoryConfig};
-use cbsp_store::CpiEstimate;
+use cbsp_store::{CpiEstimate, Prepared};
 use std::fmt::Write as _;
 
 /// A named architecture variant.
@@ -83,21 +83,15 @@ pub fn sweep_benchmark(
     interval_target: u64,
     archs: &[ArchVariant],
 ) -> ArchSweepRow {
-    let prog = workloads::by_name(name)
-        .unwrap_or_else(|| panic!("unknown benchmark {name}"))
-        .build(scale);
-    let input = Input::for_scale(scale);
-    let binaries: Vec<Binary> = CompileTarget::ALL_FOUR
-        .iter()
-        .map(|&t| compile(&prog, t))
-        .collect();
+    let workload = workloads::by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
+    let prepared = Prepared::of(&workload, scale);
+    let input = prepared.input();
     // Simulation points chosen ONCE — no simulator involved.
     let config = CbspConfig {
         interval_target,
         ..CbspConfig::default()
     };
-    let result = run_cross_binary(&binaries.iter().collect::<Vec<_>>(), &input, &config)
-        .expect("pipeline succeeds");
+    let result = run_cross_binary(&prepared.refs(), input, &config).expect("pipeline succeeds");
 
     // Each (arch, binary) cell is one detailed simulation of the binary.
     let mut cpi_err = Vec::with_capacity(archs.len());
@@ -106,9 +100,9 @@ pub fn sweep_benchmark(
     let mut best_est = (f64::INFINITY, usize::MAX, usize::MAX);
     for (ai, arch) in archs.iter().enumerate() {
         let mut err = 0.0;
-        for (b, bin) in binaries.iter().enumerate() {
+        for (b, bin) in prepared.binaries().iter().enumerate() {
             let (full, ivs) =
-                simulate_marker_sliced(bin, &input, &arch.config, &result.boundaries[b]);
+                simulate_marker_sliced(bin, input, &arch.config, &result.boundaries[b]);
             let est = CpiEstimate::from_marker_intervals(&result, b, &full, &ivs).estimated_cpi;
             err += relative_error(full.cpi(), est);
             if b == 1 {

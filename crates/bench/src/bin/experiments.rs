@@ -37,9 +37,9 @@
 //! prints its table.
 
 use cbsp_bench::{
-    bench_gate, evaluate_benchmark_with, mpki_eval, phase_bias, render_lanes, report,
-    run_ablations, run_suite_opts, standard_archs, sweep_benchmark, BenchGateReport, BenchPair,
-    BenchRun, EndToEndMetric, Pair, SuiteResults,
+    bench_gate, evaluate_benchmark, mpki_eval, phase_bias, render_lanes, report, run_ablations,
+    run_suite, standard_archs, sweep_benchmark, BenchGateReport, BenchPair, BenchRun,
+    EndToEndMetric, Pair, SuiteResults,
 };
 use cbsp_program::Scale;
 use cbsp_sim::MemoryConfig;
@@ -331,7 +331,7 @@ fn main() {
                 )
             };
             eprintln!("evaluating {name} at {:?} scale...", opts.scale);
-            let run = evaluate_benchmark_with(name, opts.scale, opts.interval, &mem, store);
+            let run = evaluate_benchmark(name, opts.scale, opts.interval, &mem, store);
             let t = phase_bias(&run, pair, 3);
             print!("{}", report::phase_table(&t, labels));
             return;
@@ -349,7 +349,7 @@ fn main() {
             );
             for name in names {
                 eprintln!("  evaluating {name}...");
-                let run = evaluate_benchmark_with(name, opts.scale, opts.interval, &mem, store);
+                let run = evaluate_benchmark(name, opts.scale, opts.interval, &mem, store);
                 let m = mpki_eval(&run);
                 println!(
                     "{:<10} {:>10.3} {:>7.2}% {:>7.2}%",
@@ -487,7 +487,7 @@ fn main() {
                 "accuracy gate: rerunning suite at {scale:?} scale, interval {}...",
                 reference.interval_target
             );
-            let mut current = run_suite_opts(
+            let mut current = run_suite(
                 &opts.benchmarks,
                 scale,
                 reference.interval_target,
@@ -561,7 +561,7 @@ fn main() {
         "running suite at {:?} scale, interval target {}...",
         opts.scale, opts.interval
     );
-    let results = run_suite_opts(
+    let results = run_suite(
         &opts.benchmarks,
         opts.scale,
         opts.interval,
@@ -596,7 +596,7 @@ fn main() {
                 ("gcc", Pair::P32u64u, ("32u", "64u")),
                 ("apsi", Pair::P32o64o, ("32o", "64o")),
             ] {
-                let run = evaluate_benchmark_with(name, opts.scale, opts.interval, &mem, store);
+                let run = evaluate_benchmark(name, opts.scale, opts.interval, &mem, store);
                 let t = phase_bias(&run, pair, 3);
                 println!("{}", report::phase_table(&t, labels));
             }

@@ -14,7 +14,7 @@
 use crate::experiment::BenchmarkRun;
 use cbsp_core::{relative_error, run_cross_binary, CbspConfig};
 use cbsp_par::Pool;
-use cbsp_program::{Binary, Input, Scale};
+use cbsp_program::Scale;
 use cbsp_simpoint::{EstimatorConfig, SimPointConfig};
 use cbsp_store::{ArtifactStore, CachePolicy, CpiEstimate, Orchestrator};
 use serde::{Deserialize, Serialize};
@@ -83,8 +83,9 @@ impl EstimatorLane {
 }
 
 /// Evaluates every `estimators` lane on one completed benchmark run,
-/// reusing its detailed simulations. Returns one [`LaneBenchmark`] per
-/// estimator, index-aligned with `estimators`.
+/// reusing its binaries, their digests and its detailed simulations.
+/// Returns one [`LaneBenchmark`] per estimator, index-aligned with
+/// `estimators`.
 ///
 /// # Panics
 ///
@@ -100,8 +101,6 @@ pub fn lane_rows(
     pool: &Pool,
     estimators: &[EstimatorConfig],
 ) -> Vec<LaneBenchmark> {
-    let input = Input::for_scale(scale);
-    let bin_refs: Vec<&Binary> = run.binaries.iter().collect();
     estimators
         .iter()
         .map(|&estimator| {
@@ -129,13 +128,12 @@ pub fn lane_rows(
                             run.eval.name,
                             estimator.tag()
                         );
-                        orch.run_cross_binary(&bin_refs, &input, &config, &description)
+                        orch.run_prepared(&run.prepared, &config, &description)
                             .expect("same-program binaries")
                             .0
                     }
-                    None => {
-                        run_cross_binary(&bin_refs, &input, &config).expect("same-program binaries")
-                    }
+                    None => run_cross_binary(&run.prepared.refs(), run.prepared.input(), &config)
+                        .expect("same-program binaries"),
                 };
                 assert_eq!(
                     lane_cross.boundaries, run.cross.boundaries,
@@ -217,7 +215,7 @@ mod tests {
     #[test]
     fn lanes_share_slicing_and_default_matches_base() {
         let _guard = cbsp_trace::test_lock();
-        let run = evaluate_benchmark("gzip", Scale::Train, 20_000, &MemoryConfig::table1());
+        let run = evaluate_benchmark("gzip", Scale::Train, 20_000, &MemoryConfig::table1(), None);
         let estimators: Vec<EstimatorConfig> = ["bbv", "bbv+mav", "stratified"]
             .iter()
             .map(|t| EstimatorConfig::parse(t).expect("known tag"))
@@ -259,7 +257,7 @@ mod tests {
             &TraceCache::new(Some(&store)),
             &pool,
         );
-        let refs: Vec<&Binary> = run.binaries.iter().collect();
+        let refs = run.prepared.refs();
         for tag in ["bbv", "bbv+mav", "stratified"] {
             let estimator = EstimatorConfig::parse(tag).expect("known tag");
             let config = CbspConfig {
@@ -267,11 +265,12 @@ mod tests {
                 estimator,
                 ..CbspConfig::default()
             };
-            let cross = run_cross_binary(&refs, &Input::test(), &config).expect("pipeline runs");
+            let cross =
+                run_cross_binary(&refs, run.prepared.input(), &config).expect("pipeline runs");
             cbsp_trace::enable();
             cbsp_trace::reset();
             let estimates = TraceCache::new(Some(&store))
-                .estimate_cpi(&refs, &Input::test(), None, &mem, &cross, 20_000, &pool)
+                .estimate_cpi(&run.prepared, &mem, &cross, 20_000, &pool)
                 .expect("estimates");
             let counters = cbsp_trace::snapshot().counters;
             cbsp_trace::disable();

@@ -7,15 +7,10 @@ use cbsp_core::{
     weighted_metric_with, CbspConfig, CrossBinaryResult,
 };
 use cbsp_par::Pool;
-use cbsp_program::{
-    compile, compile_cost_estimate_ns, workloads, Binary, CompileTarget, Input, Scale,
-};
+use cbsp_program::{workloads, Scale};
 use cbsp_sim::{IntervalSim, MemoryConfig, SimStats};
 use cbsp_simpoint::{SimPointConfig, SimPointResult};
-use cbsp_store::{
-    pipeline_keys_from_digests, ArtifactStore, CachePolicy, CpiEstimate, Digests, Orchestrator,
-    TraceCache,
-};
+use cbsp_store::{ArtifactStore, CachePolicy, CpiEstimate, Orchestrator, Prepared, TraceCache};
 use serde::{Deserialize, Serialize};
 
 /// The four standard binaries, in paper order.
@@ -175,8 +170,8 @@ pub struct PhaseBias {
 /// Everything needed to evaluate one benchmark (kept so callers can
 /// also inspect intermediate artifacts).
 pub struct BenchmarkRun {
-    /// The four compiled binaries.
-    pub binaries: Vec<Binary>,
+    /// The four compiled binaries and their input.
+    pub prepared: Prepared,
     /// The cross-binary pipeline output.
     pub cross: CrossBinaryResult,
     /// Per-binary FLI clusterings: each binary's fixed-length intervals
@@ -190,28 +185,14 @@ pub struct BenchmarkRun {
     pub eval: BenchmarkEval,
 }
 
-/// Runs the complete evaluation of one benchmark.
-///
-/// # Panics
-///
-/// Panics if `name` is not in the workload suite.
-pub fn evaluate_benchmark(
-    name: &str,
-    scale: Scale,
-    interval_target: u64,
-    mem: &MemoryConfig,
-) -> BenchmarkRun {
-    evaluate_benchmark_with(name, scale, interval_target, mem, None)
-}
-
-/// [`evaluate_benchmark`] with an optional artifact store: when given,
-/// pipeline stages are served from / written to the store, so repeated
-/// experiment runs (or runs sharing benchmarks) skip recomputation.
+/// Runs the complete evaluation of one benchmark over `store` (or
+/// none) on every core: [`evaluate_benchmark_cached`] with a
+/// [`TraceCache`] over the same store.
 ///
 /// # Panics
 ///
 /// Panics if `name` is not in the workload suite or the store fails.
-pub fn evaluate_benchmark_with(
+pub fn evaluate_benchmark(
     name: &str,
     scale: Scale,
     interval_target: u64,
@@ -230,20 +211,22 @@ pub fn evaluate_benchmark_with(
     )
 }
 
-/// [`evaluate_benchmark_with`] with an explicit [`TraceCache`] and
+/// [`evaluate_benchmark`] with an explicit [`TraceCache`] and
 /// parallelism: the cross-binary pipeline, the per-binary FLI
-/// analyses, and the detailed simulations all fan out over `pool`
-/// (compilation too, when the program is big enough to pay for it),
-/// and results are bit-identical at any pool size. Each binary is
-/// simulated once, straight from the interpreter, into both detailed
-/// slicings ([`TraceCache::replay_sliced_both_all`]). When the cache
-/// has a store tier, those simulations and the FLI clusterings
+/// analyses, and the detailed simulations all fan out over `pool`,
+/// and results are bit-identical at any pool size. When `store` is
+/// given, pipeline stages are served from and written to it. Each
+/// binary is simulated once, straight from the interpreter, into both
+/// detailed slicings ([`TraceCache::replay_sliced_both_all`]). When the
+/// cache has a store tier, those simulations and the FLI clusterings
 /// ([`TraceCache::fli_simpoints`]) are leases: a later evaluation of
 /// the same binaries, input and configuration reads them back instead
 /// of simulating, profiling and clustering. Pass a cache without a
 /// persistent tier to keep pipeline-stage caching while opting out of
-/// every lease. With a store, the binaries and the input are hashed
-/// once, and every stage and lease key derives from those [`Digests`].
+/// every lease. The binaries and input are one [`Prepared`], kept as
+/// [`BenchmarkRun::prepared`]: with a store they are hashed once, and
+/// every stage and lease key derives from those digests; without one
+/// nothing is hashed.
 ///
 /// # Panics
 ///
@@ -258,19 +241,7 @@ pub fn evaluate_benchmark_cached(
     pool: &Pool,
 ) -> BenchmarkRun {
     let workload = workloads::by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-    let prog = workload.build(scale);
-    let input = Input::for_scale(scale);
-    // Compiling four binaries takes microseconds: the work-size gate
-    // keeps it off the pool unless the program is big enough to pay
-    // for the fan-out.
-    let compile_ns = compile_cost_estimate_ns(&prog) * CompileTarget::ALL_FOUR.len() as u64;
-    let binaries: Vec<Binary> = pool
-        .for_work(compile_ns)
-        .run_indexed(CompileTarget::ALL_FOUR.len(), |i| {
-            compile(&prog, CompileTarget::ALL_FOUR[i])
-        });
-    let bin_refs: Vec<&Binary> = binaries.iter().collect();
-    let digests = store.map(|_| Digests::of(&bin_refs, &input));
+    let prepared = Prepared::of(&workload, scale);
 
     // Cross-binary (VLI) pipeline; the pipeline's internal stages use
     // the same thread budget.
@@ -282,17 +253,16 @@ pub fn evaluate_benchmark_cached(
         },
         ..CbspConfig::default()
     };
-    let cross = match store.zip(digests.as_ref()) {
-        Some((store, digests)) => {
-            let keys = pipeline_keys_from_digests(&bin_refs, digests, &config)
-                .expect("same-program binaries");
+    let cross = match store {
+        Some(store) => {
             let description = format!("bench {name} scale={scale:?} interval={interval_target}");
             Orchestrator::new(store, CachePolicy::ReadWrite)
-                .run_keyed(&bin_refs, &input, &config, &keys, &description)
+                .run_prepared(&prepared, &config, &description)
                 .expect("same-program binaries")
                 .0
         }
-        None => run_cross_binary(&bin_refs, &input, &config).expect("same-program binaries"),
+        None => run_cross_binary(&prepared.refs(), prepared.input(), &config)
+            .expect("same-program binaries"),
     };
 
     // Per-binary (FLI) pipeline: four independent analyses side by
@@ -300,14 +270,7 @@ pub fn evaluate_benchmark_cached(
     // a store tier they are a lease, so a warm evaluation runs no
     // k-means.
     let per_binary = traces
-        .fli_simpoints(
-            &bin_refs,
-            &input,
-            digests.as_ref(),
-            interval_target,
-            &config.simpoint,
-            pool,
-        )
+        .fli_simpoints(&prepared, interval_target, &config.simpoint, pool)
         .expect("trace store usable");
 
     // Detailed simulation, sliced both ways: one run of each binary
@@ -315,15 +278,7 @@ pub fn evaluate_benchmark_cached(
     // replay lease, so a warm evaluation reads them back and simulates
     // nothing.
     let sims = traces
-        .replay_sliced_both_all(
-            &bin_refs,
-            &input,
-            digests.as_ref(),
-            mem,
-            &cross.boundaries,
-            interval_target,
-            pool,
-        )
+        .replay_sliced_both_all(&prepared, mem, &cross.boundaries, interval_target, pool)
         .expect("trace store usable");
     let mut true_stats = [SimStats::default(); 4];
     let mut vli_interval_stats = Vec::with_capacity(4);
@@ -396,7 +351,7 @@ pub fn evaluate_benchmark_cached(
     };
 
     BenchmarkRun {
-        binaries,
+        prepared,
         cross,
         per_binary,
         vli_interval_stats,
@@ -544,7 +499,7 @@ mod tests {
         let _guard = cbsp_trace::test_lock();
         // Train scale: Test-scale runs are so short that the init phase
         // dominates the interval population and estimates get noisy.
-        let run = evaluate_benchmark("gzip", Scale::Train, 20_000, &MemoryConfig::table1());
+        let run = evaluate_benchmark("gzip", Scale::Train, 20_000, &MemoryConfig::table1(), None);
         let e = &run.eval;
         for b in 0..4 {
             assert!(e.true_stats[b].cpi() > 1.0, "binary {b} CPI");
@@ -631,7 +586,7 @@ mod tests {
     #[test]
     fn phase_bias_tables_are_well_formed() {
         let _guard = cbsp_trace::test_lock();
-        let run = evaluate_benchmark("apsi", Scale::Test, 20_000, &MemoryConfig::table1());
+        let run = evaluate_benchmark("apsi", Scale::Test, 20_000, &MemoryConfig::table1(), None);
         let t = phase_bias(&run, Pair::P32o64o, 3);
         assert!(!t.vli[0].is_empty());
         assert_eq!(t.vli[0].len(), t.vli[1].len());

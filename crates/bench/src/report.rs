@@ -264,6 +264,8 @@ mod tests {
             20_000,
             &MemoryConfig::table1(),
             1,
+            None,
+            &[],
         );
         for s in [fig1(&r), fig2(&r), fig3(&r), fig4(&r), fig5(&r)] {
             assert!(s.contains("gzip"));
@@ -274,7 +276,7 @@ mod tests {
     #[test]
     fn phase_table_renders() {
         let _guard = cbsp_trace::test_lock();
-        let run = evaluate_benchmark("apsi", Scale::Test, 20_000, &MemoryConfig::table1());
+        let run = evaluate_benchmark("apsi", Scale::Test, 20_000, &MemoryConfig::table1(), None);
         let t = phase_bias(&run, crate::experiment::Pair::P32o64o, 3);
         let s = phase_table(&t, ("32o", "64o"));
         assert!(s.contains("VLI"));

@@ -6,10 +6,10 @@
 //! lucky seed.
 
 use cbsp_core::{run_cross_binary, CbspConfig};
-use cbsp_program::{compile, workloads, Binary, CompileTarget, Input, Scale};
+use cbsp_program::{workloads, Scale};
 use cbsp_sim::{simulate_marker_sliced, MemoryConfig};
 use cbsp_simpoint::SimPointConfig;
-use cbsp_store::CpiEstimate;
+use cbsp_store::{CpiEstimate, Prepared};
 use std::fmt::Write as _;
 
 /// Stability of one benchmark's estimates across seeds.
@@ -61,14 +61,9 @@ impl SeedRow {
 /// seeds (profiling and simulation are deterministic; only the
 /// clustering randomness varies).
 pub fn seed_stability(name: &str, scale: Scale, interval_target: u64, seeds: usize) -> SeedRow {
-    let prog = workloads::by_name(name)
-        .unwrap_or_else(|| panic!("unknown benchmark {name}"))
-        .build(scale);
-    let input = Input::for_scale(scale);
-    let binaries: Vec<Binary> = CompileTarget::ALL_FOUR
-        .iter()
-        .map(|&t| compile(&prog, t))
-        .collect();
+    let workload = workloads::by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
+    let prepared = Prepared::of(&workload, scale);
+    let input = prepared.input();
     let mem = MemoryConfig::table1();
 
     let mut est_speedups = Vec::with_capacity(seeds);
@@ -83,13 +78,12 @@ pub fn seed_stability(name: &str, scale: Scale, interval_target: u64, seeds: usi
             },
             ..CbspConfig::default()
         };
-        let result = run_cross_binary(&binaries.iter().collect::<Vec<_>>(), &input, &config)
-            .expect("pipeline succeeds");
+        let result = run_cross_binary(&prepared.refs(), input, &config).expect("pipeline succeeds");
         let mut est_cycles = [0.0f64; 4];
         let mut true_cycles = [0.0f64; 4];
         let mut err = 0.0;
-        for (b, bin) in binaries.iter().enumerate() {
-            let (full, ivs) = simulate_marker_sliced(bin, &input, &mem, &result.boundaries[b]);
+        for (b, bin) in prepared.binaries().iter().enumerate() {
+            let (full, ivs) = simulate_marker_sliced(bin, input, &mem, &result.boundaries[b]);
             let est = CpiEstimate::from_marker_intervals(&result, b, &full, &ivs).estimated_cpi;
             est_cycles[b] = est * full.instructions as f64;
             true_cycles[b] = full.cycles as f64;

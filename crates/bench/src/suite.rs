@@ -48,37 +48,14 @@ impl SuiteResults {
 }
 
 /// Runs the evaluation for `names` (or the full suite when empty),
-/// spreading benchmarks over `threads` worker threads.
+/// spreading benchmarks over `threads` worker threads. With `store`,
+/// workers serve pipeline stages and leases from the shared store where
+/// possible and write what they compute, so re-running an experiment
+/// (or overlapping benchmark selections) reuses prior work. Each entry
+/// of `estimators` adds a head-to-head lane to
+/// [`SuiteResults::estimators`], re-using every benchmark's detailed
+/// simulations (only clustering reruns per lane).
 pub fn run_suite(
-    names: &[String],
-    scale: Scale,
-    interval_target: u64,
-    mem: &MemoryConfig,
-    threads: usize,
-) -> SuiteResults {
-    run_suite_with(names, scale, interval_target, mem, threads, None)
-}
-
-/// [`run_suite`] with an optional shared artifact store: workers serve
-/// pipeline stages from the store where possible and write what they
-/// compute, so re-running an experiment (or overlapping benchmark
-/// selections) reuses prior work.
-pub fn run_suite_with(
-    names: &[String],
-    scale: Scale,
-    interval_target: u64,
-    mem: &MemoryConfig,
-    threads: usize,
-    store: Option<&ArtifactStore>,
-) -> SuiteResults {
-    run_suite_opts(names, scale, interval_target, mem, threads, store, &[])
-}
-
-/// [`run_suite_with`] with estimator lanes: each entry of `estimators`
-/// adds a head-to-head lane to [`SuiteResults::estimators`], re-using
-/// every benchmark's detailed simulations (only clustering reruns per
-/// lane).
-pub fn run_suite_opts(
     names: &[String],
     scale: Scale,
     interval_target: u64,
@@ -157,7 +134,15 @@ mod tests {
     fn subset_suite_runs_and_aggregates() {
         let _guard = cbsp_trace::test_lock();
         let names = vec!["gzip".to_string(), "swim".to_string()];
-        let r = run_suite(&names, Scale::Test, 20_000, &MemoryConfig::table1(), 2);
+        let r = run_suite(
+            &names,
+            Scale::Test,
+            20_000,
+            &MemoryConfig::table1(),
+            2,
+            None,
+            &[],
+        );
         assert_eq!(r.benchmarks.len(), 2);
         assert_eq!(r.benchmarks[0].name, "gzip");
         assert_eq!(r.benchmarks[1].name, "swim");
@@ -178,6 +163,8 @@ mod tests {
             10_000,
             &MemoryConfig::table1(),
             1,
+            None,
+            &[],
         );
     }
 }

@@ -9,10 +9,11 @@
 //! functional-warming default of [`cbsp_sim::simulate_regions`].
 
 use cbsp_core::{run_cross_binary, CbspConfig};
-use cbsp_program::{compile, workloads, Binary, CompileTarget, Input, Scale};
+use cbsp_program::{workloads, Scale};
 use cbsp_sim::{
     estimate_cpi_from_regions, simulate_full, simulate_regions_with, MemoryConfig, Warmup,
 };
+use cbsp_store::Prepared;
 use std::fmt::Write as _;
 
 /// Result row for one benchmark.
@@ -43,27 +44,21 @@ impl WarmupRow {
 /// Runs the study on one benchmark (the optimized 32-bit binary, using
 /// cross-binary region files).
 pub fn warmup_benchmark(name: &str, scale: Scale, interval_target: u64) -> WarmupRow {
-    let prog = workloads::by_name(name)
-        .unwrap_or_else(|| panic!("unknown benchmark {name}"))
-        .build(scale);
-    let input = Input::for_scale(scale);
-    let binaries: Vec<Binary> = CompileTarget::ALL_FOUR
-        .iter()
-        .map(|&t| compile(&prog, t))
-        .collect();
+    let workload = workloads::by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
+    let prepared = Prepared::of(&workload, scale);
+    let input = prepared.input();
     let config = CbspConfig {
         interval_target,
         ..CbspConfig::default()
     };
-    let result = run_cross_binary(&binaries.iter().collect::<Vec<_>>(), &input, &config)
-        .expect("pipeline succeeds");
+    let result = run_cross_binary(&prepared.refs(), input, &config).expect("pipeline succeeds");
     let mem = MemoryConfig::table1();
     let b = 1; // the 32o binary
-    let file = result.pinpoints_for(b, &binaries[b], &input);
-    let bin = &binaries[b];
-    let warm = simulate_regions_with(bin, &input, &mem, &file, Warmup::Functional);
-    let cold = simulate_regions_with(bin, &input, &mem, &file, Warmup::Cold);
-    let full = simulate_full(bin, &input, &mem);
+    let bin = &prepared.binaries()[b];
+    let file = result.pinpoints_for(b, bin, input);
+    let warm = simulate_regions_with(bin, input, &mem, &file, Warmup::Functional);
+    let cold = simulate_regions_with(bin, input, &mem, &file, Warmup::Cold);
+    let full = simulate_full(bin, input, &mem);
     WarmupRow {
         name: name.to_string(),
         true_cpi: full.cpi(),

@@ -7,14 +7,10 @@ use cbsp_core::{
 };
 use cbsp_par::Pool;
 use cbsp_profile::{parse_bb, write_bb, PinPointsFile, ProcHotness};
-use cbsp_program::{
-    compile, compile_cost_estimate_ns, workloads, Binary, CompileTarget, Input, OptLevel, Width,
-};
+use cbsp_program::{compile, workloads, Binary, CompileTarget, OptLevel, Width};
 use cbsp_sim::{estimate_cpi_from_regions, simulate_full, simulate_regions, MemoryConfig};
 use cbsp_simpoint::{analyze, EstimatorConfig, SimPointConfig};
-use cbsp_store::{
-    pipeline_keys_from_digests, ArtifactStore, Digests, Orchestrator, RunReport, TraceCache,
-};
+use cbsp_store::{ArtifactStore, Orchestrator, Prepared, RunReport, TraceCache};
 
 /// `cbsp list` — the benchmark suite.
 pub fn list(_opts: &Opts) -> Result<(), String> {
@@ -181,36 +177,28 @@ pub fn simpoint(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// What a store-backed [`run_pipeline`] returns beside the result: the
-/// store, the digests of the binaries and input (hashed once; every
-/// key of the run derives from them) and the run's cache report.
-type Stored = (ArtifactStore, Digests, RunReport);
-
 /// The pipeline run `cross` and `estimate` share: through the artifact
 /// store at `--cache-dir` (every stage recomputed and written over
-/// under `--refresh 1`), returning what [`Stored`] holds beside the
-/// result. Under `--no-cache 1` it runs [`cbsp_core::run_cross_binary`]
-/// and never opens, or creates, the store.
+/// under `--refresh 1`), returning the store and the run's cache report
+/// beside the result. Under `--no-cache 1` it runs
+/// [`cbsp_core::run_cross_binary`] and never opens, or creates, the
+/// store.
 fn run_pipeline(
     opts: &Opts,
-    binaries: &[Binary],
-    input: &Input,
+    prepared: &Prepared,
     config: &CbspConfig,
     description: &str,
-) -> Result<(CrossBinaryResult, Option<Stored>), String> {
-    let refs: Vec<&Binary> = binaries.iter().collect();
+) -> Result<(CrossBinaryResult, Option<(ArtifactStore, RunReport)>), String> {
     let Some(policy) = opts.cache_policy()? else {
-        let result =
-            cbsp_core::run_cross_binary(&refs, input, config).map_err(|e| e.to_string())?;
+        let result = cbsp_core::run_cross_binary(&prepared.refs(), prepared.input(), config)
+            .map_err(|e| e.to_string())?;
         return Ok((result, None));
     };
     let store = ArtifactStore::open(opts.cache_dir()).map_err(|e| e.to_string())?;
-    let digests = Digests::of(&refs, input);
-    let keys = pipeline_keys_from_digests(&refs, &digests, config).map_err(|e| e.to_string())?;
     let (result, report) = Orchestrator::new(&store, policy)
-        .run_keyed(&refs, input, config, &keys, description)
+        .run_prepared(prepared, config, description)
         .map_err(|e| e.to_string())?;
-    Ok((result, Some((store, digests, report))))
+    Ok((result, Some((store, report))))
 }
 
 /// `cbsp cross <benchmark> [--interval N] [--scale S] [--threads N]
@@ -227,8 +215,6 @@ pub fn cross(opts: &Opts) -> Result<(), String> {
     let name = opts.positional(0, "benchmark name")?;
     let workload = workloads::by_name(name).ok_or_else(|| format!("unknown benchmark {name}"))?;
     let scale = opts.scale()?;
-    let program = workload.build(scale);
-    let input = opts.input()?;
     let estimator = parse_estimator(opts)?;
     let config = CbspConfig {
         interval_target: opts.flag_or("interval", 100_000u64)?,
@@ -243,18 +229,7 @@ pub fn cross(opts: &Opts) -> Result<(), String> {
     let out_dir = opts.flag("out-dir").unwrap_or(".");
     std::fs::create_dir_all(out_dir).map_err(|e| format!("creating {out_dir}: {e}"))?;
 
-    let pool = Pool::new(config.simpoint.threads);
-    // Compiling all four binaries is microseconds of work; the
-    // work-size gate keeps it off the pool unless the program is big
-    // enough to amortize the fan-out.
-    let binaries: Vec<Binary> = {
-        let _span = cbsp_trace::span_labeled("stage/compile", || name.to_string());
-        let est = compile_cost_estimate_ns(&program) * CompileTarget::ALL_FOUR.len() as u64;
-        pool.for_work(est)
-            .run_indexed(CompileTarget::ALL_FOUR.len(), |i| {
-                compile(&program, CompileTarget::ALL_FOUR[i])
-            })
-    };
+    let prepared = Prepared::of(&workload, scale);
     let mut description = if config.estimator.is_default() {
         format!(
             "cross {name} scale={scale:?} interval={}",
@@ -270,10 +245,10 @@ pub fn cross(opts: &Opts) -> Result<(), String> {
     if let Some(fuzzy) = &config.fuzzy {
         description.push_str(&format!(" fuzzy-map={}", fuzzy.threshold));
     }
-    let (result, cached) = run_pipeline(opts, &binaries, &input, &config, &description)?;
+    let (result, cached) = run_pipeline(opts, &prepared, &config, &description)?;
     match cached {
         None => println!("cache: bypassed (--no-cache)"),
-        Some((_, _, report)) => {
+        Some((_, report)) => {
             let summary: Vec<String> = report
                 .stage_summary()
                 .iter()
@@ -340,10 +315,10 @@ pub fn cross(opts: &Opts) -> Result<(), String> {
             stats.mapped_fraction() * 100.0
         );
     }
-    for (b, bin) in binaries.iter().enumerate() {
+    for (b, bin) in prepared.binaries().iter().enumerate() {
         let bin_path = format!("{out_dir}/{}.json", bin.label());
         write_json(&bin_path, bin)?;
-        let pp = result.pinpoints_for(b, bin, &input);
+        let pp = result.pinpoints_for(b, bin, prepared.input());
         let pp_path = format!("{out_dir}/{}.pinpoints.json", bin.label());
         write_json(&pp_path, &pp)?;
         println!("  {} -> {bin_path}, {pp_path}", bin.label());
@@ -508,8 +483,6 @@ pub fn estimate(opts: &Opts) -> Result<(), String> {
     let name = opts.positional(0, "benchmark name")?;
     let workload = workloads::by_name(name).ok_or_else(|| format!("unknown benchmark {name}"))?;
     let scale = opts.scale()?;
-    let program = workload.build(scale);
-    let input = opts.input()?;
     let estimator = parse_estimator(opts)?;
     let config = CbspConfig {
         interval_target: opts.flag_or("interval", 100_000u64)?,
@@ -520,18 +493,13 @@ pub fn estimate(opts: &Opts) -> Result<(), String> {
         },
         ..CbspConfig::default()
     };
-    let binaries: Vec<Binary> = CompileTarget::ALL_FOUR
-        .iter()
-        .map(|&t| compile(&program, t))
-        .collect();
+    let prepared = Prepared::of(&workload, scale);
     let description = format!("estimate {name} scale={scale:?}");
-    let (result, cached) = run_pipeline(opts, &binaries, &input, &config, &description)?;
+    let (result, cached) = run_pipeline(opts, &prepared, &config, &description)?;
     // Under `--no-cache 1` the binaries are simulated in memory too.
-    let estimates = TraceCache::new(cached.as_ref().map(|(store, _, _)| store))
+    let estimates = TraceCache::new(cached.as_ref().map(|(store, _)| store))
         .estimate_cpi(
-            &binaries.iter().collect::<Vec<_>>(),
-            &input,
-            cached.as_ref().map(|(_, digests, _)| digests),
+            &prepared,
             &MemoryConfig::default(),
             &result,
             config.interval_target,
@@ -549,7 +517,7 @@ pub fn estimate(opts: &Opts) -> Result<(), String> {
         "{:<10} {:>12} {:>10} {:>12} {:>10} {:>10}",
         "binary", "instructions", "true CPI", "estimated", "rel error", "CI ±"
     );
-    for (bin, est) in binaries.iter().zip(estimates) {
+    for (bin, est) in prepared.binaries().iter().zip(estimates) {
         let rel = if est.true_cpi > 0.0 {
             (est.estimated_cpi - est.true_cpi).abs() / est.true_cpi
         } else {

@@ -300,37 +300,27 @@ fn cross_serves_warm_run_from_cache() {
     // and the replay and FLI leases of an experiment evaluation. They
     // are reported apart from the pipeline stages and the estimator
     // lanes, and gc evicts them.
-    let prog = cbsp_program::workloads::by_name("mcf")
-        .expect("in suite")
-        .build(cbsp_program::Scale::Test);
-    let bins: Vec<_> = cbsp_program::CompileTarget::ALL_FOUR
-        .iter()
-        .map(|&t| cbsp_program::compile(&prog, t))
-        .collect();
-    let refs: Vec<_> = bins.iter().collect();
+    let mcf = cbsp_store::Prepared::of(
+        &cbsp_program::workloads::by_name("mcf").expect("in suite"),
+        cbsp_program::Scale::Test,
+    );
     let store = cbsp_store::ArtifactStore::open(dir.join("store")).expect("store opens");
     let traces = cbsp_store::TraceCache::new(Some(&store));
-    for bin in &bins {
-        traces
-            .get_or_record(bin, &cbsp_program::Input::test())
-            .expect("records");
+    for bin in mcf.binaries() {
+        traces.get_or_record(bin, mcf.input()).expect("records");
     }
     traces
         .replay_sliced_both_all(
-            &refs,
-            &cbsp_program::Input::test(),
-            None,
+            &mcf,
             &cbsp_sim::MemoryConfig::table1(),
-            &vec![Vec::new(); refs.len()],
+            &vec![Vec::new(); mcf.binaries().len()],
             20_000,
             &cbsp_par::Pool::new(1),
         )
         .expect("simulates");
     traces
         .fli_simpoints(
-            &refs,
-            &cbsp_program::Input::test(),
-            None,
+            &mcf,
             20_000,
             &cbsp_simpoint::SimPointConfig::default(),
             &cbsp_par::Pool::new(1),

@@ -116,12 +116,12 @@ impl Pool {
     /// there, so a fan-out of any size only adds overhead. Otherwise
     /// returns `self` unchanged.
     ///
-    /// Stages with statically predictable cost (e.g. compiling a
-    /// source program whose statement count is known) use this to skip
-    /// pool fan-out entirely instead of paying more in spawn and queue
-    /// wait than the work itself costs: a compile fan-out of 4 jobs of
-    /// ~15 µs each pays ~100 µs of spawn overhead, and on a single
-    /// hardware thread every fan-out is pure overhead.
+    /// Stages whose cost can be estimated up front (the map stages,
+    /// from instruction and boundary counts) use this to skip pool
+    /// fan-out entirely instead of paying more in spawn and queue wait
+    /// than the work itself costs: 4 jobs of ~15 µs each pay ~100 µs
+    /// of spawn overhead, and on a single hardware thread every
+    /// fan-out is pure overhead.
     pub fn for_work(&self, estimated_serial_ns: u64) -> Pool {
         if estimated_serial_ns < PARALLEL_WORK_THRESHOLD_NS || available_threads() == 1 {
             Pool::serial()

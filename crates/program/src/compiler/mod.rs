@@ -156,19 +156,6 @@ pub fn compile(source: &SourceProgram, target: CompileTarget) -> Binary {
     compile_with(source, target, CompileOptions::default())
 }
 
-/// Rough serial cost, in nanoseconds, of one [`compile`] of `source`.
-///
-/// Lowering is a linear pass over the statement tree (validation,
-/// layout, inlining, splitting are all O(statements)), measured at
-/// roughly 100–300 ns per statement; 500 ns/statement is a safe upper
-/// bound that still keeps whole-suite compile fan-outs (hundreds of
-/// statements, a handful of targets) classified as too small to
-/// parallelize. Feed `estimate × targets` to `Pool::for_work` in
-/// `cbsp-par` — which is exactly what the CLI and bench drivers do.
-pub fn compile_cost_estimate_ns(source: &SourceProgram) -> u64 {
-    source.stmt_count() as u64 * 500
-}
-
 /// Compiles `source` for `target` with explicit options.
 ///
 /// # Panics

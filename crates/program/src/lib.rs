@@ -50,9 +50,7 @@ pub use binary::{
     BinLoop, BinProc, Binary, CloneRole, DataLayout, LStmt, LoweredLoop, StaticBlock,
 };
 pub use builder::{BodyBuilder, KernelBuilder, ProgramBuilder};
-pub use compiler::{
-    compile, compile_cost_estimate_ns, compile_with, CompileOptions, CompileTarget, OptLevel, Width,
-};
+pub use compiler::{compile, compile_with, CompileOptions, CompileTarget, OptLevel, Width};
 pub use exec::{run, ExecSummary, Marker, NullSink, TraceSink};
 pub use ids::{ArrayId, BinLoopId, BinProcId, BlockId, Line, LoopId, ProcId};
 pub use input::{Input, Scale};

@@ -248,24 +248,6 @@ impl SourceProgram {
         self.procedures.iter().map(|p| count(&p.body)).sum()
     }
 
-    /// Total number of statements in the program (static count,
-    /// including nested loop and branch bodies). This is the input
-    /// size the compiler lowers, so it doubles as a compile-cost
-    /// predictor for work-size gating of parallel compile fan-outs.
-    pub fn stmt_count(&self) -> usize {
-        fn count(stmts: &[Stmt]) -> usize {
-            stmts
-                .iter()
-                .map(|s| match s {
-                    Stmt::Loop(l) => 1 + count(&l.body),
-                    Stmt::If(i) => 1 + count(&i.then_body) + count(&i.else_body),
-                    _ => 1,
-                })
-                .sum()
-        }
-        self.procedures.iter().map(|p| count(&p.body)).sum()
-    }
-
     /// Verifies internal consistency: callee ids in range, loop/array
     /// ids unique and in range, lines unique. Returns a description of
     /// the first violation found.

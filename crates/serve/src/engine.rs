@@ -13,7 +13,7 @@
 //! - **Binaries** ([`Prepared`]), per `(benchmark, scale)`: compiling
 //!   four binaries and hashing them for their stage keys is most of a
 //!   warm request's preparation, so the first request pays it and
-//!   every later one derives its keys from the stored digests.
+//!   every later one derives its keys from the digests it kept.
 //! - **Runs** ([`CachedRun`]), per map-stage digest — a content hash
 //!   over binaries, input, and config, so a hit is exactly a
 //!   byte-identical rerun. The store alone still costs a disk read
@@ -27,50 +27,18 @@ use crate::protocol::{fault, get, obj, param_str, param_str_or, param_u64_or, Er
 use cbsp_core::{mapping_stats, CbspConfig, CbspError, CrossBinaryResult, FuzzyConfig};
 use cbsp_par::Pool;
 use cbsp_program::workloads::{self, Workload};
-use cbsp_program::{compile, Binary, CompileTarget, Input, Scale};
+use cbsp_program::Scale;
 use cbsp_sim::MemoryConfig;
 use cbsp_simpoint::{EstimatorConfig, SimPointResult};
 use cbsp_store::{
-    content_hash, pipeline_keys_from_digests, stage_namespaces, ArtifactStore, CachePolicy,
-    CpiEstimate, Digests, Orchestrator, PipelineKeys, RunReport, TraceCache,
+    content_hash, stage_namespaces, ArtifactStore, CachePolicy, CpiEstimate, Orchestrator,
+    PipelineKeys, Prepared, RunReport, TraceCache,
 };
 use serde::Value;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
-
-/// One benchmark's four binaries at one scale, compiled, with the
-/// content digests its stage keys derive from — a pure function of
-/// `(benchmark, scale)`, which the engine computes once per daemon.
-#[derive(Debug)]
-pub(crate) struct Prepared {
-    input: Input,
-    binaries: Vec<Binary>,
-    /// The binaries' and the input's content digests.
-    digests: Digests,
-}
-
-impl Prepared {
-    fn build(workload: &Workload, scale: Scale) -> Prepared {
-        let program = workload.build(scale);
-        let binaries: Vec<Binary> = CompileTarget::ALL_FOUR
-            .iter()
-            .map(|&t| compile(&program, t))
-            .collect();
-        let input = Input::for_scale(scale);
-        Prepared {
-            digests: Digests::of(&binaries.iter().collect::<Vec<_>>(), &input),
-            input,
-            binaries,
-        }
-    }
-
-    /// The binaries as the pipeline's `&[&Binary]`.
-    fn refs(&self) -> Vec<&Binary> {
-        self.binaries.iter().collect()
-    }
-}
 
 /// A fully resolved pipeline request: the benchmark's compiled
 /// binaries, config fixed, stage keys derived. Everything needed to
@@ -281,8 +249,7 @@ pub(crate) fn prepare_spec(
     };
 
     let prepared = engine.prepared(&workload, scale);
-    let keys = pipeline_keys_from_digests(&prepared.refs(), &prepared.digests, &config)
-        .map_err(internal)?;
+    let keys = prepared.keys(&config).map_err(internal)?;
     Ok(PipelineSpec {
         benchmark,
         scale_name,
@@ -307,15 +274,16 @@ impl Engine {
         }
     }
 
-    /// `workload`'s binaries at `scale`, from the memo or compiled and
-    /// hashed here. A fill runs outside the lock; a racing fill computed
-    /// the same value, and the first one inserted wins.
+    /// `workload`'s binaries at `scale`, from the memo or compiled here
+    /// (their digests are hashed by the first request that keys them).
+    /// A fill runs outside the lock; a racing fill computed the same
+    /// value, and the first one inserted wins.
     fn prepared(&self, workload: &Workload, scale: Scale) -> Arc<Prepared> {
         let key = (workload.name, scale);
         if let Some(hit) = self.prepared.lock().expect("prepared lock").get(&key) {
             return Arc::clone(hit);
         }
-        let fresh = Arc::new(Prepared::build(workload, scale));
+        let fresh = Arc::new(Prepared::of(workload, scale));
         let mut memo = self.prepared.lock().expect("prepared lock");
         Arc::clone(memo.entry(key).or_insert(fresh))
     }
@@ -343,18 +311,24 @@ impl Engine {
     /// keeps them on the run. Every input of that lease derives from
     /// the run's digest, so later requests answer from memory. The
     /// lease key derives from the kept digests: no request hashes a
-    /// binary. A failure is returned, never kept, and the next request
-    /// retries.
+    /// binary. A request whose deadline passed by the time it would
+    /// compute them answers `timeout` without reading or simulating
+    /// anything. A failure is returned, never kept, and the next
+    /// request retries.
     pub fn execute_estimate(&self, spec: &PipelineSpec, deadline: Instant) -> Reply {
         let run = self.run_cross(spec, deadline)?;
         let estimates = match run.estimates.get() {
             Some(estimates) => estimates,
             None => {
+                if Instant::now() >= deadline {
+                    return Err(fault(
+                        ErrorCode::Timeout,
+                        "deadline passed before the estimates were computed",
+                    ));
+                }
                 let fresh = TraceCache::new(Some(&self.store))
                     .estimate_cpi(
-                        &spec.prepared.refs(),
-                        &spec.prepared.input,
-                        Some(&spec.prepared.digests),
+                        &spec.prepared,
                         &MemoryConfig::default(),
                         &run.cross,
                         spec.config.interval_target,
@@ -365,8 +339,8 @@ impl Engine {
                 run.estimates.get_or_init(|| fresh)
             }
         };
-        let mut binaries = Vec::with_capacity(spec.prepared.binaries.len());
-        for (bin, est) in spec.prepared.binaries.iter().zip(estimates) {
+        let mut binaries = Vec::with_capacity(spec.prepared.binaries().len());
+        for (bin, est) in spec.prepared.binaries().iter().zip(estimates) {
             binaries.push(obj(vec![
                 ("label", Value::Str(bin.label())),
                 ("true_cpi", Value::Float(est.true_cpi)),
@@ -471,8 +445,9 @@ impl Engine {
     /// config, and the pipeline is deterministic at any thread count,
     /// so a cached run is byte-for-byte what a recomputation would
     /// produce — the cache can ignore the thread budget and `deadline`.
-    /// A miss runs the orchestrator on `spec.keys` (the thread count is
-    /// not in them), so it hashes nothing either.
+    /// A miss runs the orchestrator on `spec.prepared`, whose digests
+    /// the request already hashed (the thread count is not in them), so
+    /// it hashes nothing either.
     fn run_cross(&self, spec: &PipelineSpec, deadline: Instant) -> Result<Arc<CachedRun>, Fault> {
         use std::sync::atomic::Ordering;
         let cache_key = spec.keys.map.as_hex().to_string();
@@ -495,15 +470,8 @@ impl Engine {
         let orch = Orchestrator::new(&self.store, CachePolicy::ReadWrite)
             .with_cancel(Arc::new(move || Instant::now() >= deadline));
         let description = format!("serve: {}/{}", spec.benchmark, spec.scale_name);
-        let prepared = &spec.prepared;
         let (cross, report) = orch
-            .run_keyed(
-                &prepared.refs(),
-                &prepared.input,
-                &config,
-                &spec.keys,
-                &description,
-            )
+            .run_prepared(&spec.prepared, &config, &description)
             .map_err(|e| match e {
                 CbspError::Cancelled { stage } => fault(
                     ErrorCode::Timeout,
@@ -581,8 +549,10 @@ fn internal(e: impl std::fmt::Display) -> Fault {
 
 #[cfg(test)]
 mod tests {
-    use super::{prepare_spec, ArtifactStore, Engine, Input, ResultCache, RESULT_CACHE_CAP};
+    use super::{prepare_spec, ArtifactStore, Engine, ErrorCode, ResultCache, RESULT_CACHE_CAP};
+    use cbsp_program::Input;
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn prepared_binaries_are_one_entry_per_benchmark_and_scale() {
@@ -626,6 +596,33 @@ mod tests {
         // Another scale of the same benchmark is another entry.
         prepare(r#"{"benchmark":"gzip","scale":"train"}"#).expect("prepares");
         assert_eq!(entries(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An `estimate.cpi` whose deadline passes after its pipeline run
+    /// answers `timeout` before it reads or simulates a replay lease,
+    /// even when the run is resident.
+    #[test]
+    fn an_expired_estimate_times_out_before_its_replay_lease() {
+        let dir = std::env::temp_dir().join(format!("cbsp-serve-expired-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let engine = Engine::new(ArtifactStore::open(&dir).expect("store opens"), 1);
+        let params = r#"{"benchmark":"gzip","scale":"test","interval":20000}"#;
+        let params = serde_json::parse(params).expect("params parse");
+        let spec = prepare_spec(&engine, &params, false).expect("prepares");
+        let far = Instant::now() + Duration::from_secs(3600);
+        engine
+            .execute_pipeline(&spec, far)
+            .expect("the run is resident");
+
+        let reply = engine.execute_estimate(&spec, Instant::now());
+        assert!(matches!(reply, Err((ErrorCode::Timeout, _))), "{reply:?}");
+        let replays = engine
+            .store
+            .stats()
+            .expect("stats")
+            .stage(cbsp_store::REPLAY_STAGE);
+        assert_eq!(replays.artifacts, 0, "no replay lease was simulated");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -451,23 +451,16 @@ fn results_are_byte_identical_across_thread_counts() {
 
     // And the served result matches what the library computes directly
     // (the CLI's `--no-cache 1` path): same content hash.
-    let program = cbsp_program::workloads::by_name("equake")
-        .expect("in suite")
-        .build(cbsp_program::Scale::Test);
-    let binaries: Vec<_> = cbsp_program::CompileTarget::ALL_FOUR
-        .iter()
-        .map(|&t| cbsp_program::compile(&program, t))
-        .collect();
+    let equake = cbsp_store::Prepared::of(
+        &cbsp_program::workloads::by_name("equake").expect("in suite"),
+        cbsp_program::Scale::Test,
+    );
     let config = cbsp_core::CbspConfig {
         interval_target: 20_000,
         ..cbsp_core::CbspConfig::default()
     };
-    let cross = cbsp_core::run_cross_binary(
-        &binaries.iter().collect::<Vec<_>>(),
-        &cbsp_program::Input::test(),
-        &config,
-    )
-    .expect("pipeline runs");
+    let cross = cbsp_core::run_cross_binary(&equake.refs(), equake.input(), &config)
+        .expect("pipeline runs");
     let served = assert_ok(&frames[0]);
     assert_eq!(
         field(&served, "result.result_hash"),
@@ -478,9 +471,7 @@ fn results_are_byte_identical_across_thread_counts() {
     // at Table 1, bit for bit.
     let library = cbsp_store::TraceCache::new(None)
         .estimate_cpi(
-            &binaries.iter().collect::<Vec<_>>(),
-            &cbsp_program::Input::test(),
-            None,
+            &equake,
             &cbsp_sim::MemoryConfig::default(),
             &cross,
             20_000,

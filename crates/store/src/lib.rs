@@ -26,8 +26,11 @@
 //!   simulations, which every CPI estimate of the same binaries reads
 //!   too ([`TraceCache::estimate_cpi`]), and its per-binary FLI
 //!   clusterings ([`TraceCache::fli_simpoints`]), plus the slice
-//!   manifests the end-to-end benchmark's probe cuts. Every key of one
-//!   evaluation derives from its [`Digests`], hashed once.
+//!   manifests the end-to-end benchmark's probe cuts.
+//! * [`Prepared`] — one program's binaries and their input, the unit
+//!   every run and lease is keyed on. It hashes them once, on first
+//!   use, and every stage and lease key of its runs derives from those
+//!   digests.
 //!
 //! Every cached lookup in the crate, stage or lease, follows one
 //! repair-as-miss contract: a damaged artifact counts as a miss, is
@@ -36,24 +39,18 @@
 //! ## Example
 //!
 //! ```
-//! use cbsp_program::{workloads, compile, CompileTarget, Input, Scale};
+//! use cbsp_program::{workloads, Scale};
 //! use cbsp_core::CbspConfig;
-//! use cbsp_store::{ArtifactStore, CachePolicy, Orchestrator};
+//! use cbsp_store::{ArtifactStore, CachePolicy, Orchestrator, Prepared};
 //!
 //! let dir = std::env::temp_dir().join(format!("cbsp-store-doc-{}", std::process::id()));
 //! let store = ArtifactStore::open(&dir).expect("store opens");
-//! let prog = workloads::by_name("swim").expect("in suite").build(Scale::Test);
-//! let bins: Vec<_> = CompileTarget::ALL_FOUR.iter().map(|&t| compile(&prog, t)).collect();
-//! let refs: Vec<_> = bins.iter().collect();
+//! let swim = Prepared::of(&workloads::by_name("swim").expect("in suite"), Scale::Test);
 //! let config = CbspConfig { interval_target: 20_000, ..CbspConfig::default() };
 //!
 //! let orch = Orchestrator::new(&store, CachePolicy::ReadWrite);
-//! let (first, cold) = orch
-//!     .run_cross_binary(&refs, &Input::test(), &config, "swim/test")
-//!     .expect("pipeline runs");
-//! let (second, warm) = orch
-//!     .run_cross_binary(&refs, &Input::test(), &config, "swim/test")
-//!     .expect("pipeline runs");
+//! let (first, cold) = orch.run_prepared(&swim, &config, "swim/test").expect("pipeline runs");
+//! let (second, warm) = orch.run_prepared(&swim, &config, "swim/test").expect("pipeline runs");
 //! assert_eq!(first, second);
 //! assert_eq!(cold.hits(), 0);
 //! assert_eq!(warm.misses(), 0);
@@ -73,8 +70,8 @@ pub use blob::{
     derived_key, Blob, BLOB_FORMAT_VERSION, BLOB_HEADER_LEN, BLOB_MAGIC, BLOB_STAGE_MAX,
 };
 pub use orchestrator::{
-    pipeline_keys, pipeline_keys_from_digests, stage_namespaces, CachePolicy, Digests,
-    Orchestrator, PipelineKeys, RunReport, StageNamespaces, StageOutcome, STAGE_ORDER,
+    pipeline_keys, stage_namespaces, CachePolicy, Orchestrator, PipelineKeys, Prepared, RunReport,
+    StageNamespaces, StageOutcome, STAGE_ORDER,
 };
 pub use sha256::{hex_digest, Sha256};
 pub use store::{

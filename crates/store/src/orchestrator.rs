@@ -19,10 +19,11 @@
 use cbsp_core::{
     run_stages, validate_binaries, CbspConfig, CbspError, CrossBinaryResult, Stage, StageHook,
 };
-use cbsp_program::{Binary, Input};
+use cbsp_program::workloads::Workload;
+use cbsp_program::{compile, Binary, CompileTarget, Input, Scale};
 use cbsp_simpoint::{EstimatorConfig, SimPointConfig};
 use serde::Value;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::sha256::hex_digest;
 use crate::store::{
@@ -92,24 +93,83 @@ pub fn stage_namespaces(estimator: &EstimatorConfig, fuzzy: bool) -> StageNamesp
 /// The content digests every key of a run derives from: each binary's
 /// and the input's [`content_hash`]. Hashing the binaries is most of
 /// the cost of deriving a key (about 0.3 ms for four Train binaries),
-/// so a caller that keys several lookups on one set of binaries — an
-/// evaluation's stages and leases, or `cbsp-serve`'s repeated
-/// requests — hashes them once and passes these along.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Digests {
+/// so a [`Prepared`] hashes its binaries once, on first use, and every
+/// stage and lease key of its runs derives from here.
+#[derive(Debug)]
+pub(crate) struct Digests {
     /// `content_hash` of each binary, in binary order.
     pub binaries: Vec<String>,
     /// `content_hash` of the input.
     pub input: String,
 }
 
-impl Digests {
-    /// Hashes `binaries` and `input`.
-    pub fn of(binaries: &[&Binary], input: &Input) -> Digests {
-        Digests {
-            binaries: binaries.iter().map(|b| content_hash(*b)).collect(),
-            input: content_hash(input),
+/// One program's binaries and the input they run on: the unit every
+/// pipeline run, replay lease and FLI lease is keyed on. It keeps the
+/// content digests of both, hashed on first use — a store-less run
+/// never hashes, and every keyed lookup after the first hashes nothing.
+#[derive(Debug)]
+pub struct Prepared {
+    binaries: Vec<Binary>,
+    input: Input,
+    digests: OnceLock<Digests>,
+}
+
+impl Prepared {
+    /// `workload`'s four standard binaries
+    /// ([`CompileTarget::ALL_FOUR`] order) at `scale`, on the scale's
+    /// standard input. Compiling all four takes microseconds, so it
+    /// runs serially, inside one `stage/compile` span.
+    pub fn of(workload: &Workload, scale: Scale) -> Prepared {
+        let program = workload.build(scale);
+        let binaries = {
+            let _span = cbsp_trace::span_labeled("stage/compile", || workload.name.to_string());
+            CompileTarget::ALL_FOUR
+                .iter()
+                .map(|&t| compile(&program, t))
+                .collect()
+        };
+        Prepared::new(binaries, Input::for_scale(scale))
+    }
+
+    /// Any binary set on `input` (custom compile options, a subset of
+    /// the four targets, hand-built programs).
+    pub fn new(binaries: Vec<Binary>, input: Input) -> Prepared {
+        Prepared {
+            binaries,
+            input,
+            digests: OnceLock::new(),
         }
+    }
+
+    /// The binaries, in order.
+    pub fn binaries(&self) -> &[Binary] {
+        &self.binaries
+    }
+
+    /// The binaries as the pipeline's `&[&Binary]`.
+    pub fn refs(&self) -> Vec<&Binary> {
+        self.binaries.iter().collect()
+    }
+
+    /// The input the binaries run on.
+    pub fn input(&self) -> &Input {
+        &self.input
+    }
+
+    /// [`pipeline_keys`] of these binaries and input under `config`,
+    /// from the kept digests.
+    ///
+    /// # Errors
+    ///
+    /// As [`pipeline_keys`]: the binaries are validated on every call.
+    pub fn keys(&self, config: &CbspConfig) -> Result<PipelineKeys, CbspError> {
+        self.digests().keys(&self.refs(), config)
+    }
+
+    /// The content digests, hashed here on first use.
+    pub(crate) fn digests(&self) -> &Digests {
+        self.digests
+            .get_or_init(|| Digests::of(&self.refs(), &self.input))
     }
 }
 
@@ -134,9 +194,9 @@ pub struct PipelineKeys {
 }
 
 /// Derives the full key chain for a pipeline run without executing any
-/// stage. The same derivation [`Orchestrator::run_cross_binary`] uses,
-/// exposed so callers can probe the store (or deduplicate work) by
-/// content digest alone.
+/// stage. The same derivation [`Orchestrator::run_cross_binary`] and
+/// [`Prepared::keys`] use, exposed so callers can probe the store (or
+/// deduplicate work) by content digest alone.
 ///
 /// The `simpoint` key normalizes `threads` to 0: thread count is an
 /// execution knob with no effect on the result (clustering is
@@ -160,90 +220,83 @@ pub fn pipeline_keys(
     input: &Input,
     config: &CbspConfig,
 ) -> Result<PipelineKeys, CbspError> {
-    pipeline_keys_from_digests(binaries, &Digests::of(binaries, input), config)
+    Digests::of(binaries, input).keys(binaries, config)
 }
 
-/// [`pipeline_keys`] from precomputed [`Digests`] of `binaries` and the
-/// run's input: a caller that reuses the same binaries (`cbsp-serve`
-/// keeps each benchmark's) or keys more than the pipeline from them
-/// (an experiment evaluation's leases) hashes them once and derives
-/// every key from here.
-///
-/// # Errors
-///
-/// As [`pipeline_keys`]: `binaries` are validated on every call.
-///
-/// # Panics
-///
-/// Panics if `digests` does not hold one digest per binary.
-pub fn pipeline_keys_from_digests(
-    binaries: &[&Binary],
-    digests: &Digests,
-    config: &CbspConfig,
-) -> Result<PipelineKeys, CbspError> {
-    let bin_hashes = &digests.binaries;
-    assert_eq!(binaries.len(), bin_hashes.len(), "one digest per binary");
-    validate_binaries(binaries, config)?;
-    let ns = stage_namespaces(&config.estimator, config.fuzzy.is_some());
-    let input_hash = digests.input.clone();
-    let hash_parts: Vec<Value> = bin_hashes.iter().map(|h| Value::Str(h.clone())).collect();
-
-    let profile: Vec<StageKey> = bin_hashes
-        .iter()
-        .map(|h| {
-            stage_key(
-                "profile",
-                &[Value::Str(h.clone()), Value::Str(input_hash.clone())],
-            )
-        })
-        .collect();
-
-    let mut mappable_inputs = hash_parts.clone();
-    mappable_inputs.push(Value::Str(input_hash.clone()));
-    let mappable = stage_key("mappable", &mappable_inputs);
-
-    let vli = stage_key(
-        &ns.vli,
-        &[
-            Value::Str(bin_hashes[config.primary].clone()),
-            Value::Str(input_hash.clone()),
-            Value::UInt(config.interval_target),
-            Value::UInt(config.primary as u64),
-            Value::Str(mappable.as_hex().to_string()),
-        ],
-    );
-
-    let key_config = SimPointConfig {
-        threads: 0,
-        representative: config.estimator.selector,
-        ..config.simpoint
-    };
-    let simpoint = stage_key(
-        &ns.simpoint,
-        &[Value::Str(vli.as_hex().to_string()), key_part(&key_config)],
-    );
-
-    let mut map_inputs = hash_parts;
-    map_inputs.push(Value::Str(input_hash));
-    map_inputs.push(Value::UInt(config.primary as u64));
-    map_inputs.push(Value::Str(mappable.as_hex().to_string()));
-    map_inputs.push(Value::Str(vli.as_hex().to_string()));
-    map_inputs.push(Value::Str(simpoint.as_hex().to_string()));
-    // The fuzzy config (acceptance threshold) changes only the matching
-    // decisions of the map stage, so it enters only this key — fuzzy
-    // runs at different thresholds share every upstream artifact.
-    if let Some(fuzzy) = &config.fuzzy {
-        map_inputs.push(key_part(fuzzy));
+impl Digests {
+    /// Hashes `binaries` and `input`.
+    fn of(binaries: &[&Binary], input: &Input) -> Digests {
+        Digests {
+            binaries: binaries.iter().map(|b| content_hash(*b)).collect(),
+            input: content_hash(input),
+        }
     }
-    let map = stage_key(&ns.map, &map_inputs);
 
-    Ok(PipelineKeys {
-        profile,
-        mappable,
-        vli,
-        simpoint,
-        map,
-    })
+    /// [`pipeline_keys`] of `binaries`, whose digests these are.
+    fn keys(&self, binaries: &[&Binary], config: &CbspConfig) -> Result<PipelineKeys, CbspError> {
+        let bin_hashes = &self.binaries;
+        validate_binaries(binaries, config)?;
+        let ns = stage_namespaces(&config.estimator, config.fuzzy.is_some());
+        let input_hash = self.input.clone();
+        let hash_parts: Vec<Value> = bin_hashes.iter().map(|h| Value::Str(h.clone())).collect();
+
+        let profile: Vec<StageKey> = bin_hashes
+            .iter()
+            .map(|h| {
+                stage_key(
+                    "profile",
+                    &[Value::Str(h.clone()), Value::Str(input_hash.clone())],
+                )
+            })
+            .collect();
+
+        let mut mappable_inputs = hash_parts.clone();
+        mappable_inputs.push(Value::Str(input_hash.clone()));
+        let mappable = stage_key("mappable", &mappable_inputs);
+
+        let vli = stage_key(
+            &ns.vli,
+            &[
+                Value::Str(bin_hashes[config.primary].clone()),
+                Value::Str(input_hash.clone()),
+                Value::UInt(config.interval_target),
+                Value::UInt(config.primary as u64),
+                Value::Str(mappable.as_hex().to_string()),
+            ],
+        );
+
+        let key_config = SimPointConfig {
+            threads: 0,
+            representative: config.estimator.selector,
+            ..config.simpoint
+        };
+        let simpoint = stage_key(
+            &ns.simpoint,
+            &[Value::Str(vli.as_hex().to_string()), key_part(&key_config)],
+        );
+
+        let mut map_inputs = hash_parts;
+        map_inputs.push(Value::Str(input_hash));
+        map_inputs.push(Value::UInt(config.primary as u64));
+        map_inputs.push(Value::Str(mappable.as_hex().to_string()));
+        map_inputs.push(Value::Str(vli.as_hex().to_string()));
+        map_inputs.push(Value::Str(simpoint.as_hex().to_string()));
+        // The fuzzy config (acceptance threshold) changes only the matching
+        // decisions of the map stage, so it enters only this key — fuzzy
+        // runs at different thresholds share every upstream artifact.
+        if let Some(fuzzy) = &config.fuzzy {
+            map_inputs.push(key_part(fuzzy));
+        }
+        let map = stage_key(&ns.map, &map_inputs);
+
+        Ok(PipelineKeys {
+            profile,
+            mappable,
+            vli,
+            simpoint,
+            map,
+        })
+    }
 }
 
 /// How the orchestrator uses the store. Running without a store is
@@ -374,15 +427,31 @@ impl<'s> Orchestrator<'s> {
         self.run_keyed(binaries, input, config, &keys, description)
     }
 
-    /// [`Orchestrator::run_cross_binary`] with the stage keys already
-    /// derived: `keys` must be `pipeline_keys(binaries, input, config)`,
-    /// which a caller holding the [`Digests`] derives through
-    /// [`pipeline_keys_from_digests`] without hashing a binary.
+    /// [`Orchestrator::run_cross_binary`] on `prepared`'s binaries and
+    /// input, its stage keys derived from the digests it keeps.
     ///
     /// # Errors
     ///
     /// As [`Orchestrator::run_cross_binary`].
-    pub fn run_keyed(
+    pub fn run_prepared(
+        &self,
+        prepared: &Prepared,
+        config: &CbspConfig,
+        description: &str,
+    ) -> Result<(CrossBinaryResult, RunReport), CbspError> {
+        let keys = prepared.keys(config)?;
+        self.run_keyed(
+            &prepared.refs(),
+            prepared.input(),
+            config,
+            &keys,
+            description,
+        )
+    }
+
+    /// The run both entry points share: `keys` are `binaries`' and
+    /// `input`'s under `config`.
+    fn run_keyed(
         &self,
         binaries: &[&Binary],
         input: &Input,
@@ -567,13 +636,79 @@ mod tests {
     }
 
     #[test]
-    fn precomputed_digests_still_validate_the_binaries() {
+    fn a_prepared_set_of_two_programs_fails_its_keys() {
         let mut bins = binaries("swim");
         bins[3] = binaries("gzip").swap_remove(3);
-        let refs: Vec<&Binary> = bins.iter().collect();
-        let digests = Digests::of(&refs, &Input::test());
-        let derived = pipeline_keys_from_digests(&refs, &digests, &CbspConfig::default());
+        let prepared = Prepared::new(bins, Input::test());
+        let derived = prepared.keys(&CbspConfig::default());
         assert!(matches!(derived, Err(CbspError::ProgramMismatch { .. })));
+    }
+
+    /// The keys a [`Prepared`] derives from its kept digests are the
+    /// library's keys for every estimator lane and the fuzzy lane.
+    #[test]
+    fn prepared_keys_are_the_library_keys_on_every_lane() {
+        let prepared = Prepared::of(&workloads::by_name("swim").expect("in suite"), Scale::Test);
+        let refs = prepared.refs();
+        let mut configs: Vec<CbspConfig> = EstimatorConfig::KNOWN_TAGS
+            .iter()
+            .map(|tag| CbspConfig {
+                estimator: EstimatorConfig::parse(tag).expect("known tag"),
+                ..CbspConfig::default()
+            })
+            .collect();
+        configs.push(CbspConfig {
+            fuzzy: Some(cbsp_core::FuzzyConfig::default()),
+            ..CbspConfig::default()
+        });
+        for config in &configs {
+            let library = pipeline_keys(&refs, &Input::test(), config).expect("keys derive");
+            assert_eq!(prepared.keys(config).expect("keys derive"), library);
+        }
+    }
+
+    /// A [`Prepared`] hashes its binaries and input only for a store: a
+    /// store-less pipeline run and lease calls leave its digests
+    /// unhashed, and a store-backed run hashes them once, which its cold
+    /// and warm leases and every later key of the same value reuse.
+    #[test]
+    fn prepared_digests_are_hashed_once_and_only_for_a_store() {
+        use crate::traces::TraceCache;
+        let _lock = cbsp_trace::test_lock();
+        let gzip = Prepared::of(&workloads::by_name("gzip").expect("in suite"), Scale::Test);
+        let config = CbspConfig {
+            interval_target: 20_000,
+            ..CbspConfig::default()
+        };
+        let (mem, pool) = (cbsp_sim::MemoryConfig::table1(), cbsp_par::Pool::new(2));
+        let leases = |cache: &TraceCache, cross: &CrossBinaryResult| {
+            let target = config.interval_target;
+            let fli = cache.fli_simpoints(&gzip, target, &config.simpoint, &pool);
+            let sims = cache.replay_sliced_both_all(&gzip, &mem, &cross.boundaries, target, &pool);
+            (fli.expect("clusters"), sims.expect("simulates"))
+        };
+
+        let cross = cbsp_core::run_cross_binary(&gzip.refs(), gzip.input(), &config).expect("runs");
+        let plain = leases(&TraceCache::new(None), &cross);
+        assert!(
+            gzip.digests.get().is_none(),
+            "a store-less run hashes nothing"
+        );
+
+        let dir = std::env::temp_dir().join(format!("cbsp-prepared-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ArtifactStore::open(&dir).expect("store opens");
+        let (stored, _) = Orchestrator::new(&store, CachePolicy::ReadWrite)
+            .run_prepared(&gzip, &config, "prepared")
+            .expect("runs");
+        let hashed: *const Digests = gzip.digests.get().expect("a store-backed run hashes");
+        let cache = TraceCache::new(Some(&store));
+        assert_eq!(leases(&cache, &stored), plain, "cold leases");
+        assert_eq!(leases(&cache, &stored), plain, "warm leases");
+        gzip.keys(&config).expect("keys derive");
+        assert!(std::ptr::eq(hashed, gzip.digests()), "hashed once");
+        assert_eq!(stored, cross);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

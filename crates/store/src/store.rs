@@ -463,9 +463,11 @@ impl ArtifactStore {
         Ok(path)
     }
 
-    /// Reads all run manifests (unparseable ones are skipped: they
-    /// cannot serve as gc roots, which only makes gc more aggressive,
-    /// never wrong).
+    /// Reads all run manifests, oldest first and, among runs that
+    /// finished in the same second, by run key, so two stores filled by
+    /// the same commands list them alike. Unparseable manifests are
+    /// skipped: they cannot serve as gc roots, which only makes gc more
+    /// aggressive, never wrong.
     ///
     /// # Errors
     ///
@@ -487,7 +489,7 @@ impl ArtifactStore {
                 out.push(m);
             }
         }
-        out.sort_by_key(|m| m.finished_unix);
+        out.sort_by(|a, b| (a.finished_unix, &a.run_key).cmp(&(b.finished_unix, &b.run_key)));
         Ok(out)
     }
 
@@ -621,6 +623,32 @@ mod tests {
             }
             other => panic!("expected ArtifactCorrupt, got {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn manifests_of_one_second_list_in_run_key_order() {
+        let dir = std::env::temp_dir().join(format!("cbsp-store-order-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ArtifactStore::open(&dir).expect("store opens");
+        let manifest = |run_key: &str, finished_unix: u64| RunManifest {
+            schema: SCHEMA_VERSION,
+            run_key: run_key.to_string(),
+            description: format!("run {run_key}"),
+            finished_unix,
+            stages: Vec::new(),
+        };
+        for key in ["c3", "a1", "e5", "b2", "d4"] {
+            store.write_manifest(&manifest(key, 7)).expect("writes");
+        }
+        store.write_manifest(&manifest("f0", 6)).expect("writes");
+        let listed: Vec<String> = store
+            .manifests()
+            .expect("lists")
+            .into_iter()
+            .map(|m| m.run_key)
+            .collect();
+        assert_eq!(listed, ["f0", "a1", "b2", "c3", "d4", "e5"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -59,10 +59,9 @@ use cbsp_sim::{
     LevelStats, MemoryConfig, SimStats, SlicedTrace, TraceSlice,
 };
 use cbsp_simpoint::{SimPointConfig, SimPointResult};
-use std::borrow::Cow;
 
 use crate::blob::{derived_key, Blob};
-use crate::orchestrator::Digests;
+use crate::orchestrator::Prepared;
 use crate::store::{
     content_hash, corrupt, key_part, read_through, stage_key, ArtifactStore, StageKey,
 };
@@ -135,8 +134,8 @@ pub fn trace_slice_key(
     )
 }
 
-/// Content key of the replay lease for the binaries and input of
-/// `digests`, each simulated under `config` and sliced at its own
+/// Content key of the replay lease for `prepared`'s binaries and input,
+/// each binary simulated under `config` and sliced at its own
 /// `boundaries` list and at `fli_target` instructions.
 ///
 /// Every input that shapes the results is keyed, by the rule
@@ -145,11 +144,12 @@ pub fn trace_slice_key(
 /// per binary, in order, its digest and its boundary list (where its
 /// marker intervals cut).
 fn replay_key(
-    digests: &Digests,
+    prepared: &Prepared,
     config: &MemoryConfig,
     boundaries: &[Vec<ExecPoint>],
     fli_target: u64,
 ) -> StageKey {
+    let digests = prepared.digests();
     let per_binary = digests
         .binaries
         .iter()
@@ -172,13 +172,14 @@ fn replay_key(
     )
 }
 
-/// Content key of the FLI lease for the binaries and input of
-/// `digests`, each profiled at `interval_target`-instruction intervals
-/// and clustered under `config`: the binary digests in order, the input
+/// Content key of the FLI lease for `prepared`'s binaries and input,
+/// each binary profiled at `interval_target`-instruction intervals and
+/// clustered under `config`: the binary digests in order, the input
 /// digest, the interval target and the configuration with `threads`
 /// normalized to 0, as the `simpoint` stage key does (clustering is
 /// bit-identical at any thread count).
-fn fli_key(digests: &Digests, interval_target: u64, config: &SimPointConfig) -> StageKey {
+fn fli_key(prepared: &Prepared, interval_target: u64, config: &SimPointConfig) -> StageKey {
+    let digests = prepared.digests();
     let mut inputs: Vec<Value> = digests
         .binaries
         .iter()
@@ -191,16 +192,6 @@ fn fli_key(digests: &Digests, interval_target: u64, config: &SimPointConfig) -> 
         ..*config
     }));
     stage_key(FLI_STAGE, &inputs)
-}
-
-/// `digests`, or the digests of `binaries` and `input` hashed here when
-/// the caller holds none.
-fn digests_or_hash<'d>(
-    digests: Option<&'d Digests>,
-    binaries: &[&Binary],
-    input: &Input,
-) -> Cow<'d, Digests> {
-    digests.map_or_else(|| Cow::Owned(Digests::of(binaries, input)), Cow::Borrowed)
 }
 
 // ---------------------------------------------------------------------
@@ -568,20 +559,19 @@ impl<'s> TraceCache<'s> {
         Ok(trace)
     }
 
-    /// The detailed simulations of one evaluation: each binary simulated
-    /// once under `config` into both its marker slicing at
-    /// `boundaries[b]` and its fixed `fli_target`-instruction slicing
-    /// ([`cbsp_sim::simulate_sliced_both`]), in input order.
+    /// The detailed simulations of one evaluation: each of `prepared`'s
+    /// binaries simulated once on its input under `config` into both its
+    /// marker slicing at `boundaries[b]` and its fixed
+    /// `fli_target`-instruction slicing
+    /// ([`cbsp_sim::simulate_sliced_both`]), in binary order.
     ///
     /// With a store tier the results are a lease, one blob for all the
-    /// binaries under [`REPLAY_STAGE`]: a hit reads it back and
-    /// simulates nothing (`sim/replay_cache_hits`); a miss simulates the
-    /// binaries in parallel over `pool` and writes the lease
+    /// binaries under [`REPLAY_STAGE`], keyed on `prepared`'s digests: a
+    /// hit reads it back and simulates nothing
+    /// (`sim/replay_cache_hits`); a miss simulates the binaries in
+    /// parallel over `pool` and writes the lease
     /// (`sim/replay_cache_misses`). Without a store tier every call
-    /// simulates. The key derives from `digests`, the [`Digests`] of
-    /// `binaries` and `input` when the caller holds them; with `None`
-    /// each binary is hashed here, once, and only when there is a store
-    /// tier.
+    /// simulates and nothing is hashed.
     ///
     /// # Errors
     ///
@@ -595,17 +585,15 @@ impl<'s> TraceCache<'s> {
     /// `fli_target` is zero, or if some boundary is never reached by
     /// its binary's execution (same contract as
     /// [`cbsp_sim::simulate_sliced_both`]).
-    #[allow(clippy::too_many_arguments)]
     pub fn replay_sliced_both_all(
         &self,
-        binaries: &[&Binary],
-        input: &Input,
-        digests: Option<&Digests>,
+        prepared: &Prepared,
         config: &MemoryConfig,
         boundaries: &[Vec<ExecPoint>],
         fli_target: u64,
         pool: &Pool,
     ) -> Result<Vec<BothSlicings>, CbspError> {
+        let (binaries, input) = (prepared.binaries(), prepared.input());
         assert_eq!(
             binaries.len(),
             boundaries.len(),
@@ -613,14 +601,13 @@ impl<'s> TraceCache<'s> {
         );
         let simulate = || {
             pool.run_indexed(binaries.len(), |b| {
-                simulate_sliced_both(binaries[b], input, config, &boundaries[b], fli_target)
+                simulate_sliced_both(&binaries[b], input, config, &boundaries[b], fli_target)
             })
         };
         let Some(store) = self.store else {
             return Ok(simulate());
         };
-        let digests = digests_or_hash(digests, binaries, input);
-        let key = replay_key(&digests, config, boundaries, fli_target);
+        let key = replay_key(prepared, config, boundaries, fli_target);
         let (sims, hit) = read_through(
             Some(store),
             |store| {
@@ -644,15 +631,14 @@ impl<'s> TraceCache<'s> {
     }
 
     /// True and SimPoint-estimated CPI of every binary of `cross`, in
-    /// input order: the detailed simulations of
-    /// [`TraceCache::replay_sliced_both_all`] at `cross.boundaries` and
-    /// `interval_target` (keyed on `digests` the same way), each
-    /// binary's marker intervals weighted by
-    /// [`CpiEstimate::from_marker_intervals`]. With the memory
-    /// configuration and interval target of an evaluation of the same
-    /// binaries, this reads that evaluation's replay lease and simulates
-    /// nothing; estimator lanes share the VLI cutting, so they share the
-    /// lease too.
+    /// binary order: the detailed simulations of
+    /// [`TraceCache::replay_sliced_both_all`] of `prepared` at
+    /// `cross.boundaries` and `interval_target`, each binary's marker
+    /// intervals weighted by [`CpiEstimate::from_marker_intervals`].
+    /// With the memory configuration and interval target of an
+    /// evaluation of the same binaries, this reads that evaluation's
+    /// replay lease and simulates nothing; estimator lanes share the
+    /// VLI cutting, so they share the lease too.
     ///
     /// # Errors
     ///
@@ -660,25 +646,20 @@ impl<'s> TraceCache<'s> {
     ///
     /// # Panics
     ///
-    /// As [`TraceCache::replay_sliced_both_all`]: if `binaries` and
+    /// As [`TraceCache::replay_sliced_both_all`]: if `prepared` and
     /// `cross.boundaries` differ in length, if `interval_target` is
     /// zero, or if some boundary of `cross` is never reached by its
-    /// binary (as when `binaries` are not `cross`'s).
-    #[allow(clippy::too_many_arguments)]
+    /// binary (as when the binaries are not `cross`'s).
     pub fn estimate_cpi(
         &self,
-        binaries: &[&Binary],
-        input: &Input,
-        digests: Option<&Digests>,
+        prepared: &Prepared,
         config: &MemoryConfig,
         cross: &CrossBinaryResult,
         interval_target: u64,
         pool: &Pool,
     ) -> Result<Vec<CpiEstimate>, CbspError> {
         let sims = self.replay_sliced_both_all(
-            binaries,
-            input,
-            digests,
+            prepared,
             config,
             &cross.boundaries,
             interval_target,
@@ -692,19 +673,18 @@ impl<'s> TraceCache<'s> {
     }
 
     /// The per-binary (FLI) SimPoint baseline of one evaluation, in
-    /// input order: each binary profiled at fixed
-    /// `interval_target`-instruction intervals and clustered under
-    /// `config` ([`run_per_binary`]), the binaries side by side over
-    /// `pool`, each clustering with its share of the thread budget
+    /// binary order: each of `prepared`'s binaries profiled on its input
+    /// at fixed `interval_target`-instruction intervals and clustered
+    /// under `config` ([`run_per_binary`]), the binaries side by side
+    /// over `pool`, each clustering with its share of the thread budget
     /// (`config.threads` is ignored).
     ///
     /// With a store tier the clusterings are a lease, one JSON envelope
     /// for all the binaries under [`FLI_STAGE`], keyed like the replay
-    /// lease on `digests` (or the binaries hashed here once, with
-    /// `None`): a hit reads it back and profiles and clusters nothing
-    /// (`simpoint/fli_cache_hits`); a miss computes and writes the lease
-    /// (`simpoint/fli_cache_misses`). Without a store tier every call
-    /// computes and nothing is hashed.
+    /// lease on `prepared`'s digests: a hit reads it back and profiles
+    /// and clusters nothing (`simpoint/fli_cache_hits`); a miss computes
+    /// and writes the lease (`simpoint/fli_cache_misses`). Without a
+    /// store tier every call computes and nothing is hashed.
     ///
     /// # Errors
     ///
@@ -717,27 +697,25 @@ impl<'s> TraceCache<'s> {
     /// Panics if `interval_target` is zero.
     pub fn fli_simpoints(
         &self,
-        binaries: &[&Binary],
-        input: &Input,
-        digests: Option<&Digests>,
+        prepared: &Prepared,
         interval_target: u64,
         config: &SimPointConfig,
         pool: &Pool,
     ) -> Result<Vec<SimPointResult>, CbspError> {
+        let (binaries, input) = (prepared.binaries(), prepared.input());
         let compute = || {
             let config = SimPointConfig {
                 threads: pool.split(binaries.len()).threads(),
                 ..*config
             };
             pool.run_indexed(binaries.len(), |b| {
-                run_per_binary(binaries[b], input, interval_target, &config).simpoint
+                run_per_binary(&binaries[b], input, interval_target, &config).simpoint
             })
         };
         let Some(store) = self.store else {
             return Ok(compute());
         };
-        let digests = digests_or_hash(digests, binaries, input);
-        let key = fli_key(&digests, interval_target, config);
+        let key = fli_key(prepared, interval_target, config);
         let (simpoints, hit) = read_through(
             Some(store),
             |store| {
@@ -1184,19 +1162,14 @@ mod tests {
 
     /// The four binaries of gzip at Test scale, each with its own
     /// boundary list.
-    fn four_binaries() -> (Vec<Binary>, Vec<Vec<ExecPoint>>) {
-        let prog = workloads::by_name("gzip")
-            .expect("in suite")
-            .build(Scale::Test);
-        let bins: Vec<Binary> = CompileTarget::ALL_FOUR
-            .iter()
-            .map(|&t| compile(&prog, t))
-            .collect();
-        let cuts = bins
+    fn four_binaries() -> (Prepared, Vec<Vec<ExecPoint>>) {
+        let gzip = Prepared::of(&workloads::by_name("gzip").expect("in suite"), Scale::Test);
+        let cuts = gzip
+            .binaries()
             .iter()
             .map(|b| boundaries_and_selection(b, &Input::test()).0)
             .collect();
-        (bins, cuts)
+        (gzip, cuts)
     }
 
     const FLI_TARGET: u64 = 20_000;
@@ -1205,25 +1178,16 @@ mod tests {
     /// cache over `store`, with the counters it recorded.
     fn lease_call(
         store: Option<&ArtifactStore>,
-        bins: &[Binary],
+        bins: &Prepared,
         config: &MemoryConfig,
         cuts: &[Vec<ExecPoint>],
         fli_target: u64,
     ) -> (Vec<BothSlicings>, std::collections::BTreeMap<String, u64>) {
-        let refs: Vec<&Binary> = bins.iter().collect();
         let cache = TraceCache::new(store);
         cbsp_trace::enable();
         cbsp_trace::reset();
         let sims = cache
-            .replay_sliced_both_all(
-                &refs,
-                &Input::test(),
-                None,
-                config,
-                cuts,
-                fli_target,
-                &Pool::new(2),
-            )
+            .replay_sliced_both_all(bins, config, cuts, fli_target, &Pool::new(2))
             .expect("replays");
         let counters = cbsp_trace::snapshot().counters;
         cbsp_trace::disable();
@@ -1244,14 +1208,8 @@ mod tests {
         assert_eq!(counters.get("sim/instructions"), Some(&instructions));
     }
 
-    fn lease_key(bins: &[Binary], config: &MemoryConfig, cuts: &[Vec<ExecPoint>]) -> StageKey {
-        let refs: Vec<&Binary> = bins.iter().collect();
-        replay_key(
-            &Digests::of(&refs, &Input::test()),
-            config,
-            cuts,
-            FLI_TARGET,
-        )
+    fn lease_key(bins: &Prepared, config: &MemoryConfig, cuts: &[Vec<ExecPoint>]) -> StageKey {
+        replay_key(bins, config, cuts, FLI_TARGET)
     }
 
     #[test]
@@ -1387,46 +1345,20 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The replay key derived from digests is the key earlier versions
-    /// derived by hashing the binaries inside the lookup, so a store
-    /// they filled still serves every replay lease. The hex is the key
-    /// such a version wrote for this lease; changing the gzip workload,
-    /// the compiler or the key document re-keys every lease and moves
-    /// it. A lookup that hashes here (`None`) and one handed the
-    /// digests find the same lease.
+    /// The replay key derived from a [`Prepared`]'s digests is the key
+    /// earlier versions derived by hashing the binaries inside the
+    /// lookup, so a store they filled still serves every replay lease.
+    /// The hex is the key such a version wrote for this lease; changing
+    /// the gzip workload, the compiler or the key document re-keys every
+    /// lease and moves it.
     #[test]
     fn replay_key_from_digests_is_the_hashing_key() {
         let _lock = cbsp_trace::test_lock();
         let (bins, cuts) = four_binaries();
-        let refs: Vec<&Binary> = bins.iter().collect();
-        let config = MemoryConfig::table1();
-        let digests = Digests::of(&refs, &Input::test());
         assert_eq!(
-            replay_key(&digests, &config, &cuts, FLI_TARGET).as_hex(),
+            replay_key(&bins, &MemoryConfig::table1(), &cuts, FLI_TARGET).as_hex(),
             "0565a68778da1314d60a0463d0d6f9c94c8db91c141876126cfad4d308510217"
         );
-
-        let (store, dir) = temp_store("replay-digests");
-        let (cold, _) = lease_call(Some(&store), &bins, &config, &cuts, FLI_TARGET);
-        cbsp_trace::enable();
-        cbsp_trace::reset();
-        let warm = TraceCache::new(Some(&store))
-            .replay_sliced_both_all(
-                &refs,
-                &Input::test(),
-                Some(&digests),
-                &config,
-                &cuts,
-                FLI_TARGET,
-                &Pool::new(2),
-            )
-            .expect("replays");
-        let counters = cbsp_trace::snapshot().counters;
-        cbsp_trace::disable();
-        cbsp_trace::reset();
-        assert_eq!(warm, cold);
-        assert_eq!(counters.get("sim/replay_cache_hits"), Some(&1));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// One [`TraceCache::fli_simpoints`] call through a fresh cache over
@@ -1434,8 +1366,7 @@ mod tests {
     /// recorded.
     fn fli_call(
         store: Option<&ArtifactStore>,
-        refs: &[&Binary],
-        input: &Input,
+        bins: &Prepared,
         target: u64,
         config: &SimPointConfig,
         threads: usize,
@@ -1445,7 +1376,7 @@ mod tests {
         cbsp_trace::enable();
         cbsp_trace::reset();
         let simpoints = cache
-            .fli_simpoints(refs, input, None, target, &config, &Pool::new(threads))
+            .fli_simpoints(bins, target, &config, &Pool::new(threads))
             .expect("clusters");
         let counters = cbsp_trace::snapshot().counters;
         cbsp_trace::disable();
@@ -1453,39 +1384,37 @@ mod tests {
         (simpoints, counters)
     }
 
-    fn fli_lease_key(refs: &[&Binary]) -> StageKey {
-        let digests = Digests::of(refs, &Input::test());
-        fli_key(&digests, FLI_TARGET, &SimPointConfig::default())
+    fn fli_lease_key(bins: &Prepared) -> StageKey {
+        fli_key(bins, FLI_TARGET, &SimPointConfig::default())
     }
 
     #[test]
     fn fli_lease_hits_only_on_identical_inputs() {
         let _lock = cbsp_trace::test_lock();
         let (bins, _) = four_binaries();
-        let refs: Vec<&Binary> = bins.iter().collect();
         let input = Input::test();
         let config = SimPointConfig::default();
         let (store, dir) = temp_store("fli-keys");
 
-        let (cold, counters) = fli_call(Some(&store), &refs, &input, FLI_TARGET, &config, 1);
+        let (cold, counters) = fli_call(Some(&store), &bins, FLI_TARGET, &config, 1);
         assert_eq!(cold.len(), 4);
         assert_eq!(counters.get("simpoint/fli_cache_misses"), Some(&1));
         assert_eq!(counters.get("simpoint/fli_cache_hits"), None);
         assert!(counters.contains_key("simpoint/kmeans_runs"));
-        let key = fli_lease_key(&refs);
+        let key = fli_lease_key(&bins);
         assert!(store.contains(&key), "the lease is one JSON envelope");
         assert!(!store.contains_blob(&key));
 
         // A lease written at one thread reads back identically at three:
         // one envelope read, no k-means.
-        let (warm, counters) = fli_call(Some(&store), &refs, &input, FLI_TARGET, &config, 3);
+        let (warm, counters) = fli_call(Some(&store), &bins, FLI_TARGET, &config, 3);
         assert_eq!(warm, cold);
         assert_eq!(counters.get("simpoint/fli_cache_hits"), Some(&1));
         assert_eq!(counters.get("simpoint/fli_cache_misses"), None);
         assert_eq!(counters.get("simpoint/kmeans_runs"), None);
 
         // Without a store tier every call clusters, to the same result.
-        let (plain, counters) = fli_call(None, &refs, &input, FLI_TARGET, &config, 2);
+        let (plain, counters) = fli_call(None, &bins, FLI_TARGET, &config, 2);
         assert_eq!(plain, cold);
         assert_eq!(counters.get("simpoint/fli_cache_misses"), None);
         assert!(counters.contains_key("simpoint/kmeans_runs"));
@@ -1493,11 +1422,15 @@ mod tests {
         // Every input that shapes the result re-keys the lease: the
         // binary set, the input, the interval target, and every field
         // of the configuration but `threads`.
-        let other_input = Input::new("test", input.seed + 1, Scale::Test);
-        let mut cases: Vec<(&str, &[&Binary], &Input, u64, SimPointConfig)> = vec![
-            ("binary set", &refs[..3], &input, FLI_TARGET, config),
-            ("input", &refs, &other_input, FLI_TARGET, config),
-            ("interval target", &refs, &input, FLI_TARGET / 2, config),
+        let three = Prepared::new(bins.binaries()[..3].to_vec(), input.clone());
+        let other_input = Prepared::new(
+            bins.binaries().to_vec(),
+            Input::new("test", input.seed + 1, Scale::Test),
+        );
+        let mut cases: Vec<(&str, &Prepared, u64, SimPointConfig)> = vec![
+            ("binary set", &three, FLI_TARGET, config),
+            ("input", &other_input, FLI_TARGET, config),
+            ("interval target", &bins, FLI_TARGET / 2, config),
         ];
         let early = cbsp_simpoint::RepresentativePolicy::Earliest { tolerance: 0.1 };
         for (what, changed) in [
@@ -1552,10 +1485,10 @@ mod tests {
                 },
             ),
         ] {
-            cases.push((what, &refs, &input, FLI_TARGET, changed));
+            cases.push((what, &bins, FLI_TARGET, changed));
         }
-        for (what, refs, input, target, config) in cases {
-            let (_, counters) = fli_call(Some(&store), refs, input, target, &config, 2);
+        for (what, bins, target, config) in cases {
+            let (_, counters) = fli_call(Some(&store), bins, target, &config, 2);
             assert_eq!(
                 counters.get("simpoint/fli_cache_misses"),
                 Some(&1),
@@ -1570,17 +1503,15 @@ mod tests {
     fn damaged_fli_lease_is_repaired_as_a_miss() {
         let _lock = cbsp_trace::test_lock();
         let (bins, _) = four_binaries();
-        let refs: Vec<&Binary> = bins.iter().collect();
-        let (input, config) = (Input::test(), SimPointConfig::default());
+        let config = SimPointConfig::default();
         let (store, dir) = temp_store("fli-repair");
-        let (cold, _) = fli_call(Some(&store), &refs, &input, FLI_TARGET, &config, 2);
-        let key = fli_lease_key(&refs);
+        let (cold, _) = fli_call(Some(&store), &bins, FLI_TARGET, &config, 2);
+        let key = fli_lease_key(&bins);
         let path = store.object_path(&key);
         let good = std::fs::read(&path).expect("lease envelope exists");
 
         let check = |what: &str| {
-            let (simpoints, counters) =
-                fli_call(Some(&store), &refs, &input, FLI_TARGET, &config, 2);
+            let (simpoints, counters) = fli_call(Some(&store), &bins, FLI_TARGET, &config, 2);
             assert_eq!(simpoints, cold, "{what}");
             assert_eq!(counters.get("store/repairs"), Some(&1), "{what}");
             assert_eq!(
@@ -1613,18 +1544,17 @@ mod tests {
     fn gc_evicts_fli_leases() {
         let _lock = cbsp_trace::test_lock();
         let (bins, _) = four_binaries();
-        let refs: Vec<&Binary> = bins.iter().collect();
-        let (input, config) = (Input::test(), SimPointConfig::default());
+        let config = SimPointConfig::default();
         let (store, dir) = temp_store("fli-gc");
-        let (cold, _) = fli_call(Some(&store), &refs, &input, FLI_TARGET, &config, 2);
-        let key = fli_lease_key(&refs);
+        let (cold, _) = fli_call(Some(&store), &bins, FLI_TARGET, &config, 2);
+        let key = fli_lease_key(&bins);
         assert!(store.contains(&key));
         assert_eq!(store.stats().expect("stats").stage(FLI_STAGE).artifacts, 1);
         assert_eq!(store.stats().expect("stats").pipeline().artifacts, 0);
         let report = store.gc().expect("gc runs");
         assert_eq!(report.removed, 1);
         assert!(!store.contains(&key), "no manifest references a lease");
-        let (again, counters) = fli_call(Some(&store), &refs, &input, FLI_TARGET, &config, 2);
+        let (again, counters) = fli_call(Some(&store), &bins, FLI_TARGET, &config, 2);
         assert_eq!(again, cold);
         assert_eq!(counters.get("simpoint/fli_cache_misses"), Some(&1));
         let _ = std::fs::remove_dir_all(&dir);

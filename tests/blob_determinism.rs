@@ -10,7 +10,7 @@
 
 use cbsp_par::Pool;
 use cbsp_store::{
-    trace_key, trace_slice_key, ArtifactStore, CpiEstimate, StageKey, TraceCache,
+    trace_key, trace_slice_key, ArtifactStore, CpiEstimate, Prepared, StageKey, TraceCache,
     TRACE_SLICE_STAGE, TRACE_STAGE,
 };
 use cross_binary_simpoints::core::{stratified_ci, weighted_cpi_with};
@@ -56,9 +56,7 @@ fn estimate(
 ) -> Vec<CpiEstimate> {
     TraceCache::new(store)
         .estimate_cpi(
-            &binaries.iter().collect::<Vec<_>>(),
-            &Input::test(),
-            None,
+            &Prepared::new(binaries.to_vec(), Input::test()),
             &MemoryConfig::table1(),
             cross,
             INTERVAL,
@@ -262,17 +260,9 @@ fn old_store_envelopes_are_plain_misses() {
             .expect("materializes")
     });
     check("estimate_cpi", &old, &[], false, |cache| {
-        let refs: Vec<&Binary> = binaries.iter().collect();
+        let prepared = Prepared::new(binaries.clone(), input.clone());
         let estimates = cache
-            .estimate_cpi(
-                &refs,
-                &input,
-                None,
-                &config,
-                &cross,
-                INTERVAL,
-                &Pool::new(2),
-            )
+            .estimate_cpi(&prepared, &config, &cross, INTERVAL, &Pool::new(2))
             .expect("estimates");
         bits(&estimates)
     });
