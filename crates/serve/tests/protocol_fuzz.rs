@@ -104,6 +104,19 @@ fn sendable(s: &str) -> bool {
     !s.contains('\n') && !s.contains('\r') && !s.trim().is_empty()
 }
 
+/// A frame nested deeper than the parser's recursion limit is a
+/// `parse` error, not a stack overflow on the connection thread: 20,000
+/// open brackets fit one frame and would nest 20,000 levels.
+#[test]
+fn deeply_nested_frame_is_a_parse_error() {
+    let response = roundtrip(&"[".repeat(20_000));
+    assert!(
+        response.starts_with(r#"{"id":null,"ok":false,"v":1,"error":{"code":"parse","#),
+        "expected a parse error: {response}"
+    );
+    assert!(response.contains("recursion limit"), "{response}");
+}
+
 proptest! {
     /// Arbitrary text frames: typed error (or, for the rare accidental
     /// valid request, a success) — never a hang, never a dead connection.

@@ -17,18 +17,22 @@
 //! <root>/manifests/<run>.json         human-readable run manifests
 //! ```
 //!
-//! An artifact file is a JSON envelope:
+//! An artifact file is a JSON envelope in one canonical form, compact
+//! with its fields in this order:
 //!
 //! ```text
-//! { "schema": 3, "stage": "vli", "key": "<64 hex>",
-//!   "checksum": "<sha256 of canonical payload>", "payload": ... }
+//! {"schema":3,"stage":"vli","key":"<64 hex>",
+//!  "checksum":"<sha256 of the payload's canonical JSON>","payload":...}
 //! ```
 //!
-//! `get` re-serializes the parsed payload canonically and compares its
-//! SHA-256 with the stored checksum, so truncation or on-disk
-//! modification is detected and reported as a typed
-//! [`CbspError::ArtifactCorrupt`] — never a panic, and never silently
-//! wrong data.
+//! `get` checks the schema, stage and key, then requires the file to be
+//! exactly the head rebuilt from those fields and the checksum, the
+//! payload text and `}`, and compares the SHA-256 of the payload text
+//! as stored with the checksum. Every byte of the file is covered by a
+//! check and nothing is re-serialized: truncation, on-disk modification
+//! and any other form of the envelope (a pretty-printed one, say) are
+//! reported as a typed [`CbspError::ArtifactCorrupt`] — never a panic,
+//! and never silently wrong data.
 //!
 //! Every write replaces the file through write-then-rename, whether the
 //! key was absent, damaged or already holds the same bytes, so each
@@ -249,6 +253,17 @@ pub(crate) fn corrupt(key: &StageKey, detail: impl Into<String>) -> CbspError {
     }
 }
 
+/// The canonical envelope up to its payload:
+/// `{"schema":…,"stage":…,"key":…,"checksum":…,"payload":`. An artifact
+/// file is this head, the payload's canonical JSON and `}`.
+fn envelope_head(stage: &str, key: &StageKey, checksum: &str) -> String {
+    format!(
+        "{{\"schema\":{SCHEMA_VERSION},\"stage\":{},\"key\":\"{key}\",\"checksum\":{},\"payload\":",
+        canonical_json(stage),
+        canonical_json(checksum),
+    )
+}
+
 /// The repair-as-miss contract, for every tier and every artifact: a
 /// damaged stored artifact counts as a miss, is recomputed, and is
 /// written over.
@@ -352,18 +367,14 @@ impl ArtifactStore {
         value: &T,
     ) -> Result<(), CbspError> {
         let _span = cbsp_trace::span_labeled("store/put", || stage.to_string());
-        let payload = serde_json::to_value(value).expect("serialization cannot fail");
-        let checksum = hex_digest(canonical_json(&payload).as_bytes());
-        let envelope = Value::Object(vec![
-            ("schema".to_string(), Value::UInt(u64::from(SCHEMA_VERSION))),
-            ("stage".to_string(), Value::Str(stage.to_string())),
-            ("key".to_string(), Value::Str(key.as_hex().to_string())),
-            ("checksum".to_string(), Value::Str(checksum)),
-            ("payload".to_string(), payload),
-        ]);
-        let text = serde_json::to_string(&envelope).expect("serialization cannot fail");
-        write_then_rename(&self.object_path(key), &[text.as_bytes()])?;
-        cbsp_trace::add("store/bytes_written", text.len() as u64);
+        let payload = canonical_json(value);
+        let head = envelope_head(stage, key, &hex_digest(payload.as_bytes()));
+        let parts = [head.as_bytes(), payload.as_bytes(), b"}"];
+        write_then_rename(&self.object_path(key), &parts)?;
+        cbsp_trace::add(
+            "store/bytes_written",
+            parts.iter().map(|p| p.len() as u64).sum(),
+        );
         Ok(())
     }
 
@@ -374,7 +385,8 @@ impl ArtifactStore {
     /// # Errors
     ///
     /// * [`CbspError::ArtifactCorrupt`] — unparseable envelope, wrong
-    ///   stage/key binding, checksum mismatch, or undecodable payload;
+    ///   stage/key binding, an envelope not in canonical form, checksum
+    ///   mismatch, or undecodable payload;
     /// * [`CbspError::ArtifactVersionMismatch`] — schema version from a
     ///   different build;
     /// * [`CbspError::StoreIo`] — filesystem failure other than
@@ -432,12 +444,16 @@ impl ArtifactStore {
             _ => return Err(corrupt(key, "stored key does not match its filename")),
         }
         let checksum = match field("checksum")? {
-            Value::Str(s) => s.clone(),
+            Value::Str(s) => s,
             _ => return Err(corrupt(key, "checksum is not a string")),
         };
         let payload = field("payload")?;
-        let actual = hex_digest(canonical_json(payload).as_bytes());
-        if actual != checksum {
+        let stored = text
+            .strip_prefix(envelope_head(stage, key, checksum).as_str())
+            .and_then(|rest| rest.strip_suffix('}'))
+            .ok_or_else(|| corrupt(key, "envelope is not in canonical form"))?;
+        let actual = hex_digest(stored.as_bytes());
+        if actual != *checksum {
             return Err(corrupt(
                 key,
                 format!("checksum mismatch: stored {checksum}, computed {actual}"),
@@ -623,6 +639,50 @@ mod tests {
             }
             other => panic!("expected ArtifactCorrupt, got {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_non_canonical_envelope_is_corrupt_and_repaired_as_a_miss() {
+        let _lock = cbsp_trace::test_lock();
+        let dir = std::env::temp_dir().join(format!("cbsp-store-form-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ArtifactStore::open(&dir).expect("store opens");
+        let key = stage_key("vli", &[Value::UInt(2)]);
+        let payload = vec![0.5f64, 1.0, -2.25];
+        store.put("vli", &key, &payload).expect("writes");
+        let path = store.object_path(&key);
+        let canonical = std::fs::read(&path).expect("envelope exists");
+
+        // The same fields and payload, checksum still valid, re-emitted
+        // pretty-printed.
+        let envelope = serde_json::parse(std::str::from_utf8(&canonical).expect("UTF-8"))
+            .expect("envelope parses");
+        let pretty = serde_json::to_string_pretty(&envelope).expect("serializes");
+        assert_ne!(pretty.as_bytes(), canonical);
+        std::fs::write(&path, &pretty).expect("re-emits the envelope");
+
+        match store.get::<Vec<f64>>("vli", &key) {
+            Err(CbspError::ArtifactCorrupt { detail, .. }) => {
+                assert!(detail.contains("not in canonical form"), "{detail}");
+            }
+            other => panic!("expected ArtifactCorrupt, got {other:?}"),
+        }
+
+        cbsp_trace::enable();
+        cbsp_trace::reset();
+        let (value, hit) = read_through(
+            Some(&store),
+            |store| store.get::<Vec<f64>>("vli", &key),
+            || Ok(payload.clone()),
+            |store, value| store.put("vli", &key, value),
+        )
+        .expect("repairs");
+        let counters = cbsp_trace::snapshot().counters;
+        cbsp_trace::disable();
+        assert_eq!((value, hit), (payload, false));
+        assert_eq!(counters.get("store/repairs"), Some(&1));
+        assert_eq!(std::fs::read(&path).expect("rewritten"), canonical);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -74,12 +74,13 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Any single-byte mutation of the stored file either surfaces as
-    /// a typed error or decodes to the exact original value (a
-    /// mutation can be semantically invisible, e.g. changing a float
-    /// digit below f64 precision — the checksum covers the *decoded*
-    /// payload, so such a change is harmless by construction). Never a
-    /// panic, never silently different data.
+    /// Any single-byte mutation of the stored file surfaces as a typed
+    /// error. Every byte is covered by a check: the envelope's head is
+    /// rebuilt from its validated fields, the payload text as stored is
+    /// hashed against the checksum, and the file must end right after
+    /// it. So even a change the decoded value cannot show (a float
+    /// digit below f64 precision, say) is caught. Never a panic, never
+    /// silently different data.
     #[test]
     fn corrupted_artifact_is_a_typed_error(
         payload in json_value(),
@@ -103,9 +104,6 @@ proptest! {
             }
             Err(CbspError::ArtifactVersionMismatch { .. }) => {
                 // The mutation hit the schema-version digit.
-            }
-            Ok(Some(got)) => {
-                prop_assert_eq!(canonical_json(&got), canonical_json(&payload));
             }
             other => prop_assert!(false, "corruption not detected: {other:?}"),
         }
