@@ -12,7 +12,7 @@
 use cbsp_core::{relative_error, run_cross_binary, speedup, speedup_error, CbspConfig};
 use cbsp_program::{compile_with, workloads, Binary, CompileOptions, CompileTarget, Input, Scale};
 use cbsp_sim::{simulate_marker_sliced, MemoryConfig};
-use cbsp_simpoint::{RepresentativePolicy, SimPointConfig};
+use cbsp_simpoint::{EstimatorConfig, RepresentativePolicy, SimPointConfig};
 use cbsp_store::CpiEstimate;
 use std::fmt::Write as _;
 
@@ -93,9 +93,9 @@ pub fn standard_variants(base_interval: u64) -> Vec<Variant> {
     variants.push(Variant::new(
         "early_points(0.3)",
         CbspConfig {
-            simpoint: SimPointConfig {
-                representative: RepresentativePolicy::Earliest { tolerance: 0.3 },
-                ..base.simpoint
+            estimator: EstimatorConfig {
+                selector: RepresentativePolicy::Earliest { tolerance: 0.3 },
+                ..base.estimator
             },
             ..base
         },
@@ -130,6 +130,17 @@ pub struct VariantResult {
     pub k: f64,
 }
 
+/// `name`'s four binaries at `scale`, compiled with `variant`'s options.
+fn variant_binaries(name: &str, scale: Scale, variant: &Variant) -> Vec<Binary> {
+    let prog = workloads::by_name(name)
+        .unwrap_or_else(|| panic!("unknown benchmark {name}"))
+        .build(scale);
+    CompileTarget::ALL_FOUR
+        .iter()
+        .map(|&t| compile_with(&prog, t, variant.compile))
+        .collect()
+}
+
 /// Evaluates one variant on one benchmark, returning
 /// `(cpi errors per binary, speedup error, mappable, intervals, k)`.
 fn evaluate_variant(
@@ -138,14 +149,8 @@ fn evaluate_variant(
     variant: &Variant,
     mem: &MemoryConfig,
 ) -> ([f64; 4], f64, usize, usize, usize) {
-    let prog = workloads::by_name(name)
-        .unwrap_or_else(|| panic!("unknown benchmark {name}"))
-        .build(scale);
     let input = Input::for_scale(scale);
-    let binaries: Vec<Binary> = CompileTarget::ALL_FOUR
-        .iter()
-        .map(|&t| compile_with(&prog, t, variant.compile))
-        .collect();
+    let binaries = variant_binaries(name, scale, variant);
     let result = run_cross_binary(
         &binaries.iter().collect::<Vec<_>>(),
         &input,
@@ -253,6 +258,33 @@ mod tests {
         assert!(labels.contains(&"primary=32o"));
         assert!(labels.contains(&"inline_debug_lines"));
         assert!(vs.len() >= 10);
+    }
+
+    /// Every variant changes what the pipeline computes: it derives a
+    /// stage key the baseline does not. A knob the pipeline ignores
+    /// would derive the baseline's keys, and its row would silently
+    /// repeat the baseline's. fma3d, because preserving inline debug
+    /// lines changes only binaries with inlined loops.
+    #[test]
+    fn every_variant_derives_its_own_stage_keys() {
+        let _guard = cbsp_trace::test_lock();
+        let input = Input::for_scale(Scale::Test);
+        let keys = |variant: &Variant| {
+            let binaries = variant_binaries("fma3d", Scale::Test, variant);
+            let refs: Vec<&Binary> = binaries.iter().collect();
+            cbsp_store::pipeline_keys(&refs, &input, &variant.config).expect("keys derive")
+        };
+        let variants = standard_variants(20_000);
+        assert_eq!(variants[0].label, "baseline");
+        let baseline = keys(&variants[0]);
+        for variant in &variants[1..] {
+            assert_ne!(
+                keys(variant),
+                baseline,
+                "{} derives the baseline's stage keys",
+                variant.label
+            );
+        }
     }
 
     #[test]

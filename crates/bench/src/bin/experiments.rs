@@ -1,21 +1,7 @@
-//! Command-line driver regenerating the paper's tables and figures.
-//!
-//! ```text
-//! experiments [all|table1|fig1|fig2|fig3|fig4|fig5|table2|table3]
-//!             [--scale test|train|ref] [--interval N]
-//!             [--benchmarks a,b,c] [--threads N] [--json FILE]
-//!             [--cache-dir DIR]
-//! ```
-//!
-//! CI regression gates (exit 0 = pass, 1 = regression, 2 = usage):
-//!
-//! ```text
-//! experiments bench-gate PARENT_BIN CHANGE_BIN
-//! experiments accuracy-gate [--ref results_ref.json] [--tolerance 0.02]
-//!                           [--benchmarks a,b,c] [--cache-dir DIR]
-//!                           [--estimators bbv,bbv+mav,stratified]
-//!                           [--fuzzy[=THRESHOLD]]
-//! ```
+//! Command-line driver regenerating the paper's tables and figures,
+//! the extension studies of EXPERIMENTS.md, and the CI regression
+//! gates. [`USAGE`] lists every artifact and the flags it reads
+//! ([`FLAGS`]); any other flag is refused before anything runs.
 //!
 //! `bench-gate` runs every `BENCHMARK.json` workload with two
 //! `cbsp-benchmark` builds, a parent commit's and a change's, in 5
@@ -46,6 +32,119 @@ use cbsp_sim::MemoryConfig;
 use cbsp_simpoint::EstimatorConfig;
 use cbsp_store::ArtifactStore;
 use std::collections::BTreeMap;
+
+const USAGE: &str = "\
+experiments — the paper's tables and figures, the extension studies and
+the CI gates
+
+usage: experiments [ARTIFACT] [flags]      (ARTIFACT defaults to all)
+
+artifacts, each with the flags it reads:
+  all|fig1|fig2|fig3|fig4|fig5   one suite run, then every table and figure
+                                 (all) or one figure
+      [--scale test|train|ref] [--interval N] [--benchmarks a,b,c]
+      [--threads N] [--json FILE] [--cache-dir DIR] [--estimators a,b,c]
+  table1                         the memory-system configuration
+  table2|table3                  per-phase bias: gcc 32u/64u, apsi 32o/64o
+      [--scale S] [--interval N] [--cache-dir DIR]
+  mpki                           DRAM MPKI extrapolation
+      [--scale S] [--interval N] [--benchmarks a,b,c] [--cache-dir DIR]
+  ablation                       design-choice ablations
+      [--scale S] [--interval N] [--benchmarks a,b,c]
+  archsweep                      one point set across five designs
+      [--scale S] [--interval N] [--benchmarks a,b,c]
+  warmup                         functional vs cold warming
+      [--scale S] [--interval N] [--benchmarks a,b,c]
+  softmarkers                    software phase markers vs fixed intervals
+      [--scale S] [--interval N] [--benchmarks a,b,c]
+  seeds                          seed stability
+      [--scale S] [--interval N] [--benchmarks a,b,c]
+  fuzzy                          the fuzzy-mapping lane alone
+      [--fuzzy[=T]] [--scale S] [--interval N] [--benchmarks a,b,c]
+      [--threads N] [--json FILE]
+  accuracy-gate                  rerun the suite at a reference's scale and
+                                 interval; exit 1 on a regression
+      [--ref FILE] [--tolerance T] [--benchmarks a,b,c] [--threads N]
+      [--json FILE] [--cache-dir DIR] [--estimators a,b,c] [--fuzzy[=T]]
+  bench-gate PARENT_BIN CHANGE_BIN
+                                 BENCHMARK.json's workloads, parent vs change
+                                 cbsp-benchmark; exit 1 on a regression
+
+A flag the artifact does not read is a usage error (exit 2), reported
+before anything runs.
+";
+
+/// The flags the suite artifacts (`all`, `fig1`–`fig5`) read.
+const SUITE_FLAGS: &[&str] = &[
+    "scale",
+    "interval",
+    "benchmarks",
+    "threads",
+    "json",
+    "cache-dir",
+    "estimators",
+];
+
+/// The flags every extension study reads.
+const STUDY_FLAGS: &[&str] = &["scale", "interval", "benchmarks"];
+
+/// The flags each artifact reads, as [`USAGE`] lists them: the
+/// `|`-separated artifacts of one entry share its flags.
+const FLAGS: &[(&str, &[&str])] = &[
+    ("all|fig1|fig2|fig3|fig4|fig5", SUITE_FLAGS),
+    ("table1", &[]),
+    ("table2|table3", &["scale", "interval", "cache-dir"]),
+    ("mpki", &["scale", "interval", "benchmarks", "cache-dir"]),
+    ("ablation", STUDY_FLAGS),
+    ("archsweep", STUDY_FLAGS),
+    ("warmup", STUDY_FLAGS),
+    ("softmarkers", STUDY_FLAGS),
+    ("seeds", STUDY_FLAGS),
+    (
+        "fuzzy",
+        &[
+            "fuzzy",
+            "scale",
+            "interval",
+            "benchmarks",
+            "threads",
+            "json",
+        ],
+    ),
+    (
+        "accuracy-gate",
+        &[
+            "ref",
+            "tolerance",
+            "benchmarks",
+            "threads",
+            "json",
+            "cache-dir",
+            "estimators",
+            "fuzzy",
+        ],
+    ),
+    ("bench-gate", &[]),
+];
+
+/// Fails on an unknown artifact, or on the first of `given` (flag
+/// names) that `artifact` does not read.
+fn check_flags(artifact: &str, given: &[String]) -> Result<(), String> {
+    let Some((_, reads)) = FLAGS
+        .iter()
+        .find(|(names, _)| names.split('|').any(|name| name == artifact))
+    else {
+        return Err(format!(
+            "unknown artifact {artifact} (see experiments --help)"
+        ));
+    };
+    match given.iter().find(|flag| !reads.contains(&flag.as_str())) {
+        None => Ok(()),
+        Some(flag) => Err(format!(
+            "experiments {artifact} does not read --{flag} (see experiments --help)"
+        )),
+    }
+}
 
 struct Options {
     artifact: String,
@@ -81,8 +180,12 @@ fn parse_args() -> Options {
         tolerance: None,
     };
     let mut positional: Vec<String> = Vec::new();
+    let mut given: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
+        if let Some(flag) = a.strip_prefix("--") {
+            given.push(flag.split('=').next().unwrap_or(flag).to_string());
+        }
         match a.as_str() {
             "--scale" => {
                 opts.scale = match args.next().as_deref() {
@@ -160,12 +263,7 @@ fn parse_args() -> Options {
                 );
             }
             "--help" | "-h" => {
-                println!(
-                    "usage: experiments [all|table1|fig1..fig5|table2|table3|mpki|ablation|archsweep|warmup|softmarkers|seeds|fuzzy|accuracy-gate|bench-gate PARENT_BIN CHANGE_BIN] \
-                     [--scale test|train|ref] [--interval N] \
-                     [--benchmarks a,b,c] [--threads N] [--json FILE] [--cache-dir DIR] \
-                     [--estimators a,b,c] [--fuzzy[=T]] [--ref FILE] [--tolerance T]"
-                );
+                print!("{USAGE}");
                 std::process::exit(0);
             }
             name if !name.starts_with('-') => positional.push(name.to_string()),
@@ -175,6 +273,9 @@ fn parse_args() -> Options {
     let mut positional = positional.into_iter();
     if let Some(artifact) = positional.next() {
         opts.artifact = artifact;
+    }
+    if let Err(e) = check_flags(&opts.artifact, &given) {
+        die(&e);
     }
     opts.args = positional.collect();
     let expected = if opts.artifact == "bench-gate" { 2 } else { 0 };
@@ -601,6 +702,75 @@ fn main() {
                 println!("{}", report::phase_table(&t, labels));
             }
         }
-        other => die(&format!("unknown artifact {other}")),
+        other => unreachable!("check_flags admits no artifact {other}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{check_flags, FLAGS, USAGE};
+
+    /// Every `--flag` named in `text`, in order.
+    fn flags_in(text: &str) -> Vec<&str> {
+        text.split("--")
+            .skip(1)
+            .map(|rest| {
+                let end = rest
+                    .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                    .unwrap_or(rest.len());
+                &rest[..end]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn usage_and_the_flag_table_name_the_same_flags() {
+        let artifacts = USAGE
+            .split_once("the flags it reads:\n")
+            .and_then(|(_, rest)| rest.split_once("\n\n"))
+            .map(|(artifacts, _)| artifacts)
+            .expect("USAGE lists the artifacts in one block");
+        // Each artifact line and the deeper-indented lines under it.
+        let mut sections: Vec<(&str, String)> = Vec::new();
+        for line in artifacts.lines() {
+            if line.starts_with("  ") && !line.starts_with("   ") {
+                let names = line.split_whitespace().next().expect("artifact names");
+                sections.push((names, String::new()));
+            }
+            if let Some((_, text)) = sections.last_mut() {
+                text.push_str(line);
+            }
+        }
+        let usage: Vec<(&str, Vec<&str>)> = sections
+            .iter()
+            .map(|(names, text)| (*names, flags_in(text)))
+            .collect();
+        let table: Vec<(&str, Vec<&str>)> = FLAGS
+            .iter()
+            .map(|(names, reads)| (*names, reads.to_vec()))
+            .collect();
+        assert_eq!(usage, table);
+    }
+
+    #[test]
+    fn flags_an_artifact_does_not_read_are_refused() {
+        let given = |flags: &[&str]| flags.iter().map(|f| f.to_string()).collect::<Vec<_>>();
+        assert!(check_flags("fig3", &given(&["scale", "estimators", "cache-dir"])).is_ok());
+        assert!(check_flags("table1", &[]).is_ok());
+        for (artifact, flag) in [
+            ("seeds", "json"),
+            ("seeds", "cache-dir"),
+            ("seeds", "estimators"),
+            ("table2", "threads"),
+            ("mpki", "threads"),
+            ("table1", "cache-dir"),
+            ("bench-gate", "scale"),
+        ] {
+            let err = check_flags(artifact, &given(&[flag])).unwrap_err();
+            assert!(err.contains(&format!("--{flag}")), "{artifact}: {err}");
+        }
+        assert!(check_flags("fig9", &[])
+            .unwrap_err()
+            .contains("unknown artifact"));
     }
 }

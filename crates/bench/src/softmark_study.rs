@@ -10,7 +10,7 @@ use cbsp_core::{
 use cbsp_profile::MarkerRef;
 use cbsp_program::{compile, workloads, CompileTarget, Input, Scale};
 use cbsp_sim::{simulate_sliced_both, IntervalSim, MemoryConfig};
-use cbsp_simpoint::{analyze, SimPointConfig};
+use cbsp_simpoint::{analyze, RepresentativePolicy, SimPointConfig};
 use std::fmt::Write as _;
 
 /// Result row for one benchmark.
@@ -39,6 +39,7 @@ pub fn softmark_benchmark(name: &str, scale: Scale, interval_target: u64) -> Sof
     let bin = compile(&prog, CompileTarget::W64_O2);
     let mem = MemoryConfig::table1();
     let sp_config = SimPointConfig::default();
+    let nearest = RepresentativePolicy::NearestCentroid;
 
     // Marker-aligned slicing at the most regular candidate. Unlike the
     // VLI pitch, a phase marker's natural period may be much smaller
@@ -68,7 +69,7 @@ pub fn softmark_benchmark(name: &str, scale: Scale, interval_target: u64) -> Sof
     let fli_profile = cbsp_profile::profile_fli(&bin, &input, interval_target);
     let vectors: Vec<Vec<f64>> = fli_profile.iter().map(|i| i.bbv.clone()).collect();
     let instrs: Vec<u64> = fli_profile.iter().map(|i| i.instrs).collect();
-    let fli_sp = analyze(&vectors, &instrs, &sp_config);
+    let fli_sp = analyze(&vectors, &instrs, &sp_config, nearest);
     let fli_cpis: Vec<f64> = sim.fli.iter().map(IntervalSim::cpi).collect();
     let fli_err = relative_error(full.cpi(), weighted_cpi(&fli_sp.points, &fli_cpis));
 
@@ -85,7 +86,7 @@ pub fn softmark_benchmark(name: &str, scale: Scale, interval_target: u64) -> Sof
     let aligned = slice_at_marker(&bin, &input, best.marker);
     let vectors: Vec<Vec<f64>> = aligned.iter().map(|i| i.bbv.clone()).collect();
     let instrs: Vec<u64> = aligned.iter().map(|i| i.instrs).collect();
-    let aligned_sp = analyze(&vectors, &instrs, &sp_config);
+    let aligned_sp = analyze(&vectors, &instrs, &sp_config, nearest);
     let mut aligned_ivs = sim.marker;
     aligned_ivs.resize(aligned.len(), IntervalSim::default());
     let aligned_cpis: Vec<f64> = aligned_ivs.iter().map(IntervalSim::cpi).collect();

@@ -9,16 +9,16 @@ use cbsp_par::Pool;
 use cbsp_profile::{parse_bb, write_bb, PinPointsFile, ProcHotness};
 use cbsp_program::{compile, workloads, Binary, CompileTarget, OptLevel, Width};
 use cbsp_sim::{estimate_cpi_from_regions, simulate_full, simulate_regions, MemoryConfig};
-use cbsp_simpoint::{analyze, EstimatorConfig, SimPointConfig};
+use cbsp_simpoint::{analyze, EstimatorConfig, RepresentativePolicy, SimPointConfig};
 use cbsp_store::{ArtifactStore, Orchestrator, Prepared, RunReport, TraceCache};
 
 /// `cbsp list` — the benchmark suite.
 pub fn list(_opts: &Opts) -> Result<(), String> {
-    println!("available benchmarks ({}):", workloads::suite().len());
+    outln!("available benchmarks ({}):", workloads::suite().len());
     for w in workloads::suite() {
-        println!("  {:<10} {}", w.name, w.description);
+        outln!("  {:<10} {}", w.name, w.description);
     }
-    println!("\ntargets: 32u 32o 64u 64o   scales: test train ref");
+    outln!("\ntargets: 32u 32o 64u 64o   scales: test train ref");
     Ok(())
 }
 
@@ -54,7 +54,7 @@ pub fn compile_cmd(opts: &Opts) -> Result<(), String> {
         .map(str::to_string)
         .unwrap_or_else(|| format!("{}.json", binary.label()));
     write_json(&out, &binary)?;
-    println!(
+    outln!(
         "compiled {} -> {} ({} blocks, {} procs, {} loops)",
         binary.label(),
         out,
@@ -68,8 +68,8 @@ pub fn compile_cmd(opts: &Opts) -> Result<(), String> {
 /// `cbsp inspect <binary.json>` — symbol table, loops, layout.
 pub fn inspect(opts: &Opts) -> Result<(), String> {
     let binary: Binary = read_json(opts.positional(0, "binary file")?)?;
-    println!("binary {}", binary.label());
-    println!(
+    outln!("binary {}", binary.label());
+    outln!(
         "  target: {}-bit, {}",
         match binary.target.width {
             Width::W32 => 32,
@@ -81,16 +81,16 @@ pub fn inspect(opts: &Opts) -> Result<(), String> {
         }
     );
     let static_instrs: u64 = binary.blocks.iter().map(|b| b.instrs).sum();
-    println!(
+    outln!(
         "  {} basic blocks ({static_instrs} static instructions), {} arrays",
         binary.blocks.len(),
         binary.layout.arrays.len()
     );
-    println!("  procedures:");
+    outln!("  procedures:");
     for p in &binary.procs {
-        println!("    {} @ {}", p.name, p.line);
+        outln!("    {} @ {}", p.name, p.line);
     }
-    println!("  loops:");
+    outln!("  loops:");
     for (i, l) in binary.loops.iter().enumerate() {
         let line = l
             .line
@@ -102,10 +102,10 @@ pub fn inspect(opts: &Opts) -> Result<(), String> {
         } else {
             String::new()
         };
-        println!("    L{i} in {proc} @ {line}{unroll}");
+        outln!("    L{i} in {proc} @ {line}{unroll}");
     }
     if opts.flag("code").is_some() {
-        println!(
+        outln!(
             "
 {}",
             binary.disassemble()
@@ -127,7 +127,7 @@ pub fn profile(opts: &Opts) -> Result<(), String> {
         .unwrap_or_else(|| format!("{}.bb", binary.label()));
     std::fs::write(&out, write_bb(&intervals)).map_err(|e| format!("writing {out}: {e}"))?;
     let total: u64 = intervals.iter().map(|i| i.instrs).sum();
-    println!(
+    outln!(
         "profiled {}: {} intervals over {} instructions -> {}",
         binary.label(),
         intervals.len(),
@@ -153,26 +153,37 @@ pub fn simpoint(opts: &Opts) -> Result<(), String> {
     };
     let vectors: Vec<Vec<f64>> = intervals.iter().map(|i| i.bbv.clone()).collect();
     let instrs: Vec<u64> = intervals.iter().map(|i| i.instrs).collect();
-    let result = analyze(&vectors, &instrs, &config);
-    println!(
+    let result = analyze(
+        &vectors,
+        &instrs,
+        &config,
+        RepresentativePolicy::NearestCentroid,
+    );
+    outln!(
         "{} intervals -> {} phases (BIC over k=1..{}):",
         intervals.len(),
         result.k,
         config.max_k
     );
-    println!(
+    outln!(
         "{:>6} {:>9} {:>8} {:>12}",
-        "phase", "interval", "weight", "variance"
+        "phase",
+        "interval",
+        "weight",
+        "variance"
     );
     for p in &result.points {
-        println!(
+        outln!(
             "{:>6} {:>9} {:>8.4} {:>12.6}",
-            p.phase, p.interval, p.weight, p.variance
+            p.phase,
+            p.interval,
+            p.weight,
+            p.variance
         );
     }
     if let Some(out) = opts.flag("out") {
         write_json(out, &result)?;
-        println!("wrote {out}");
+        outln!("wrote {out}");
     }
     Ok(())
 }
@@ -247,14 +258,14 @@ pub fn cross(opts: &Opts) -> Result<(), String> {
     }
     let (result, cached) = run_pipeline(opts, &prepared, &config, &description)?;
     match cached {
-        None => println!("cache: bypassed (--no-cache)"),
+        None => outln!("cache: bypassed (--no-cache)"),
         Some((_, report)) => {
             let summary: Vec<String> = report
                 .stage_summary()
                 .iter()
                 .map(|(stage, hits, total)| format!("{stage} {hits}/{total}"))
                 .collect();
-            println!(
+            outln!(
                 "cache: {} of {} stage executions served from {} ({})",
                 report.hits(),
                 report.outcomes.len(),
@@ -264,7 +275,7 @@ pub fn cross(opts: &Opts) -> Result<(), String> {
         }
     }
 
-    println!(
+    outln!(
         "{name}: {} mappable points ({} proc entries, {} loop entries, {} loop bodies; {} procedures recovered)",
         result.mappable.points.len(),
         result.mappable.of_kind(PointKind::ProcEntry).count(),
@@ -272,7 +283,7 @@ pub fn cross(opts: &Opts) -> Result<(), String> {
         result.mappable.of_kind(PointKind::LoopBody).count(),
         result.recovered_procs,
     );
-    println!(
+    outln!(
         "marker density: {:.1} mappable executions per target interval{}",
         result
             .mappable
@@ -287,7 +298,7 @@ pub fn cross(opts: &Opts) -> Result<(), String> {
             ""
         }
     );
-    println!(
+    outln!(
         "{} intervals (avg {:.0} instructions), {} phases{}",
         result.interval_count(),
         result.vli.average_interval_size(),
@@ -304,7 +315,7 @@ pub fn cross(opts: &Opts) -> Result<(), String> {
     );
     if let Some(fuzzy) = &config.fuzzy {
         let stats = mapping_stats(&result.mappings);
-        println!(
+        outln!(
             "fuzzy mapping (threshold {}): {} exact, {} fuzzy (mean confidence {:.3}), \
              {} unmapped — {:.0}% of simpoints mapped",
             fuzzy.threshold,
@@ -321,7 +332,7 @@ pub fn cross(opts: &Opts) -> Result<(), String> {
         let pp = result.pinpoints_for(b, bin, prepared.input());
         let pp_path = format!("{out_dir}/{}.pinpoints.json", bin.label());
         write_json(&pp_path, &pp)?;
-        println!("  {} -> {bin_path}, {pp_path}", bin.label());
+        outln!("  {} -> {bin_path}, {pp_path}", bin.label());
     }
     Ok(())
 }
@@ -335,16 +346,20 @@ pub fn markers(opts: &Opts) -> Result<(), String> {
     let top = opts.flag_or("top", 10usize)?;
     let stats = marker_period_stats(&binary, &input);
     let picked = select_phase_markers(&stats, target / 2, 20.0, 0.5);
-    println!(
+    outln!(
         "{}: {} markers profiled, {} phase-marker candidates near {} instructions",
         binary.label(),
         stats.len(),
         picked.len(),
         target
     );
-    println!(
+    outln!(
         "{:<16} {:<20} {:>8} {:>14} {:>8}",
-        "marker", "construct", "execs", "mean period", "CV"
+        "marker",
+        "construct",
+        "execs",
+        "mean period",
+        "CV"
     );
     for s in picked.iter().take(top) {
         let construct = match s.marker {
@@ -357,7 +372,7 @@ pub fn markers(opts: &Opts) -> Result<(), String> {
             }
             cbsp_profile::MarkerRef::LoopBack(i) => format!("loop-body #{i}"),
         };
-        println!(
+        outln!(
             "{:<16} {:<20} {:>8} {:>14.0} {:>8.3}",
             s.marker.to_string(),
             construct,
@@ -373,7 +388,7 @@ pub fn markers(opts: &Opts) -> Result<(), String> {
 pub fn source(opts: &Opts) -> Result<(), String> {
     let name = opts.positional(0, "benchmark name")?;
     let workload = workloads::by_name(name).ok_or_else(|| format!("unknown benchmark {name}"))?;
-    print!("{}", workload.build(opts.scale()?));
+    out!("{}", workload.build(opts.scale()?));
     Ok(())
 }
 
@@ -383,18 +398,18 @@ pub fn hot(opts: &Opts) -> Result<(), String> {
     let input = opts.input()?;
     let top = opts.flag_or("top", 10usize)?;
     let h = ProcHotness::collect(&binary, &input);
-    println!(
+    outln!(
         "{} on {} input: {} instructions",
         binary.label(),
         input.name,
         h.total
     );
-    println!("{:<24} {:>14} {:>8}", "procedure", "instructions", "share");
+    outln!("{:<24} {:>14} {:>8}", "procedure", "instructions", "share");
     for (proc, instrs, frac) in h.ranking().into_iter().take(top) {
         if instrs == 0 {
             break;
         }
-        println!(
+        outln!(
             "{:<24} {:>14} {:>7.2}%",
             binary.procs[proc.index()].name,
             instrs,
@@ -416,12 +431,16 @@ pub fn simulate(opts: &Opts) -> Result<(), String> {
     let mem = MemoryConfig::table1();
 
     let regions = simulate_regions(&binary, &input, &mem, &file);
-    println!(
+    outln!(
         "{:>6} {:>8} {:>12} {:>10} {:>8}",
-        "phase", "weight", "instructions", "CPI", "reached"
+        "phase",
+        "weight",
+        "instructions",
+        "CPI",
+        "reached"
     );
     for r in &regions {
-        println!(
+        outln!(
             "{:>6} {:>8.4} {:>12} {:>10.3} {:>8}",
             r.phase,
             r.weight,
@@ -431,16 +450,16 @@ pub fn simulate(opts: &Opts) -> Result<(), String> {
         );
     }
     let est = estimate_cpi_from_regions(&regions);
-    println!("estimated whole-program CPI: {est:.4}");
+    outln!("estimated whole-program CPI: {est:.4}");
 
     if opts.flag("full").is_some() {
         let full = simulate_full(&binary, &input, &mem);
         let err = 100.0 * (full.cpi() - est).abs() / full.cpi();
-        println!(
+        outln!(
             "true whole-program CPI:      {:.4}  (estimate error {err:.2}%)",
             full.cpi()
         );
-        println!("full-simulation detail:\n{full}");
+        outln!("full-simulation detail:\n{full}");
     }
     Ok(())
 }
@@ -452,7 +471,7 @@ pub fn perbinary(opts: &Opts) -> Result<(), String> {
     let interval = opts.flag_or("interval", 100_000u64)?;
     let input = opts.input()?;
     let analysis = run_per_binary(&binary, &input, interval, &SimPointConfig::default());
-    println!(
+    outln!(
         "{}: {} intervals -> {} phases",
         binary.label(),
         analysis.interval_count(),
@@ -464,7 +483,7 @@ pub fn perbinary(opts: &Opts) -> Result<(), String> {
         .map(str::to_string)
         .unwrap_or_else(|| format!("{}.pinpoints.json", binary.label()));
     write_json(&out, &pp)?;
-    println!("wrote {out}");
+    outln!("wrote {out}");
     Ok(())
 }
 
@@ -506,16 +525,21 @@ pub fn estimate(opts: &Opts) -> Result<(), String> {
             &Pool::new(config.simpoint.threads),
         )
         .map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "{name}: {} intervals, {} phases, {} simulation points (estimator {})",
         result.interval_count(),
         result.simpoint.k,
         result.simpoint.points.len(),
         config.estimator.tag()
     );
-    println!(
+    outln!(
         "{:<10} {:>12} {:>10} {:>12} {:>10} {:>10}",
-        "binary", "instructions", "true CPI", "estimated", "rel error", "CI ±"
+        "binary",
+        "instructions",
+        "true CPI",
+        "estimated",
+        "rel error",
+        "CI ±"
     );
     for (bin, est) in prepared.binaries().iter().zip(estimates) {
         let rel = if est.true_cpi > 0.0 {
@@ -523,7 +547,7 @@ pub fn estimate(opts: &Opts) -> Result<(), String> {
         } else {
             0.0
         };
-        println!(
+        outln!(
             "{:<10} {:>12} {:>10.4} {:>12.4} {:>9.2}% {:>10.4}",
             bin.label(),
             est.instructions,
@@ -556,7 +580,7 @@ pub fn cache(opts: &Opts) -> Result<(), String> {
     match action {
         "stats" => {
             let stats = store.stats().map_err(|e| e.to_string())?;
-            println!(
+            outln!(
                 "store {}: {} artifacts, {} bytes, {} manifests",
                 opts.cache_dir(),
                 stats.artifacts,
@@ -564,32 +588,37 @@ pub fn cache(opts: &Opts) -> Result<(), String> {
                 stats.manifests
             );
             let pipeline = stats.pipeline();
-            println!(
+            outln!(
                 "  pipeline stages: {} artifacts, {} bytes",
-                pipeline.artifacts, pipeline.bytes
+                pipeline.artifacts,
+                pipeline.bytes
             );
             let traces = stats.stage(cbsp_store::TRACE_STAGE);
             let slices = stats.stage(cbsp_store::TRACE_SLICE_STAGE);
             let replays = stats.stage(cbsp_store::REPLAY_STAGE);
             let fli = stats.stage(cbsp_store::FLI_STAGE);
-            println!(
+            outln!(
                 "  trace cache:     {} artifacts, {} bytes (evicted by gc, unused by evaluations)",
-                traces.artifacts, traces.bytes
+                traces.artifacts,
+                traces.bytes
             );
-            println!(
+            outln!(
                 "  sliced traces:   {} artifacts, {} bytes (evicted by gc, unused by estimates)",
-                slices.artifacts, slices.bytes
+                slices.artifacts,
+                slices.bytes
             );
-            println!(
+            outln!(
                 "  replay leases:   {} artifacts, {} bytes (evicted by gc, re-simulated on use)",
-                replays.artifacts, replays.bytes
+                replays.artifacts,
+                replays.bytes
             );
-            println!(
+            outln!(
                 "  FLI leases:      {} artifacts, {} bytes (evicted by gc, re-clustered on use)",
-                fli.artifacts, fli.bytes
+                fli.artifacts,
+                fli.bytes
             );
             for (stage, s) in &stats.per_stage {
-                println!("  {stage:<10} {} artifacts, {} bytes", s.artifacts, s.bytes);
+                outln!("  {stage:<10} {} artifacts, {} bytes", s.artifacts, s.bytes);
             }
             // Lane breakdown: non-default estimator lanes cache their
             // stages under `stage@tag` namespaces (see
@@ -610,16 +639,17 @@ pub fn cache(opts: &Opts) -> Result<(), String> {
                 entry.artifacts += s.artifacts;
                 entry.bytes += s.bytes;
             }
-            println!("  by estimator lane:");
+            outln!("  by estimator lane:");
             for (lane, s) in &lanes {
-                println!(
+                outln!(
                     "    {lane:<14} {} artifacts, {} bytes",
-                    s.artifacts, s.bytes
+                    s.artifacts,
+                    s.bytes
                 );
             }
             for manifest in store.manifests().map_err(|e| e.to_string())? {
                 let hits = manifest.stages.iter().filter(|s| s.hit).count();
-                println!(
+                outln!(
                     "  run {}  {}  ({hits}/{} stage executions from cache)",
                     &manifest.run_key[..12.min(manifest.run_key.len())],
                     manifest.description,
@@ -630,14 +660,14 @@ pub fn cache(opts: &Opts) -> Result<(), String> {
         }
         "gc" => {
             let report = store.gc().map_err(|e| e.to_string())?;
-            println!(
+            outln!(
                 "gc {}: removed {} artifacts ({} bytes), kept {}",
                 opts.cache_dir(),
                 report.removed,
                 report.reclaimed_bytes,
                 report.kept
             );
-            println!(
+            outln!(
                 "note: removal includes every lease — recorded traces, sliced traces, replay \
                  leases and FLI leases (no manifest references them); replay leases are \
                  re-simulated and FLI leases re-clustered on next use"
@@ -670,10 +700,10 @@ pub fn serve(opts: &Opts) -> Result<(), String> {
         return Err("--max-inflight must be > 0".into());
     }
     let server = cbsp_serve::Server::start(config)?;
-    println!("cbsp-serve listening on {}", server.addr());
-    println!("  NDJSON protocol + GET /healthz, GET /metrics (docs/PROTOCOL.md)");
-    println!("  stop with: {{\"method\":\"server.shutdown\"}}");
+    outln!("cbsp-serve listening on {}", server.addr());
+    outln!("  NDJSON protocol + GET /healthz, GET /metrics (docs/PROTOCOL.md)");
+    outln!("  stop with: {{\"method\":\"server.shutdown\"}}");
     server.wait()?;
-    println!("drained; bye");
+    outln!("drained; bye");
     Ok(())
 }

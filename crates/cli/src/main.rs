@@ -16,6 +16,8 @@
 
 #![forbid(unsafe_code)]
 
+#[macro_use]
+mod out;
 mod commands;
 mod opts;
 
@@ -181,7 +183,7 @@ fn main() {
         "cache" => commands::cache(&opts),
         "serve" => commands::serve(&opts),
         "help" | "--help" | "-h" => {
-            print!("{USAGE}");
+            out!("{USAGE}");
             Ok(())
         }
         other => Err(format!("unknown command {other}\n\n{USAGE}")),

@@ -207,6 +207,47 @@ fn cross_then_simulate_regions() {
     assert!(!out.contains("false"), "unreached region:\n{out}");
 }
 
+/// A reader that goes away before `cbsp` prints (`cbsp cross … |
+/// head -1`) ends the printing, not the command: no panic, exit 0, and
+/// every file the command writes is still written.
+#[test]
+fn closed_stdout_ends_the_printing_but_not_the_command() {
+    let dir = temp_dir("closed-stdout");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cbsp"))
+        .args([
+            "cross",
+            "gzip",
+            "--scale",
+            "test",
+            "--interval",
+            "20000",
+            "--no-cache",
+            "1",
+            "--out-dir",
+            "out",
+            "--metrics-json",
+            "m.json",
+        ])
+        .current_dir(&dir)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("cbsp binary runs");
+    // The pipeline runs for a while before the first line, so the read
+    // end is closed before anything is printed.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("cbsp exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(dir.join("m.json").exists(), "metrics file written");
+    for label in ["gzip-32u", "gzip-32o", "gzip-64u", "gzip-64o"] {
+        assert!(dir.join(format!("out/{label}.json")).exists());
+        assert!(dir.join(format!("out/{label}.pinpoints.json")).exists());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn cross_serves_warm_run_from_cache() {
     let dir = temp_dir("cache");

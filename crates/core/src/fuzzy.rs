@@ -24,7 +24,7 @@
 //!    profiles built in a *shared observable space*: per-procedure-name
 //!    instruction mass plus per-array access mass (both survive
 //!    recompilation), extended with the MAV for `bbv+mav` estimator
-//!    lanes via the same [`FeatureBuilder`] seam the clustering uses.
+//!    lanes by the same [`FeatureKind::features`] the clustering uses.
 //!
 //! Every simulation point's outcome is recorded as a
 //! [`SimpointMapping`]: `Exact` (both endpoints translated), `Fuzzy`
@@ -42,7 +42,7 @@ use crate::vli::VliProfile;
 use cbsp_par::Pool;
 use cbsp_profile::{CallGraph, CallLoopProfile, ExecPoint, MarkerCounts, MarkerRef, MavBuilder};
 use cbsp_program::{run, Binary, BlockId, Input, Marker, TraceSink};
-use cbsp_simpoint::{FeatureBuilder, SimPointResult};
+use cbsp_simpoint::{FeatureKind, SimPointResult};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -378,7 +378,7 @@ impl SharedSpace {
 /// L1-normalizes the two profile families in place — name mass
 /// (`hot[..names]`) and array mass (`hot[names..]`) — to 0.5 each, so
 /// neither family's absolute scale dominates the cosine. A family with
-/// zero mass is left at zero (mirrors `BbvMavFeatures`).
+/// zero mass is left at zero (mirrors [`FeatureKind::BbvMav`]).
 fn normalize_families(hot: &mut [f64], names: usize) {
     let (name_family, array_family) = hot.split_at_mut(names);
     for family in [name_family, array_family] {
@@ -571,7 +571,7 @@ fn best_window(
     cum_hot: &[Vec<f64>],
     cum_mav: &[Vec<f64>],
     names: usize,
-    builder: &dyn FeatureBuilder,
+    features: FeatureKind,
     lo_chunk: usize,
     hi_chunk: usize,
     win: usize,
@@ -593,7 +593,7 @@ fn best_window(
         let mav: Vec<f64> = (0..mav_dims)
             .map(|d| cum_mav[c0 + win][d] - cum_mav[c0][d])
             .collect();
-        let feat = builder.features(&hot, &mav);
+        let feat = features.features(&hot, &mav);
         let sim = cosine_similarity(region_feat, &feat);
         top = top.max(sim);
         scores.push((c0, sim));
@@ -660,7 +660,7 @@ pub fn map_stage_fuzzy(
             let mappings = vec![SimpointMapping::Exact; simpoint.points.len()];
             return (vli.boundaries.clone(), slices, w, mappings);
         }
-        let builder = config.estimator.features.builder();
+        let features = config.estimator.features;
         let table = pair_table(
             binaries[primary],
             &profiles[primary],
@@ -750,14 +750,14 @@ pub fn map_stage_fuzzy(
                 let region_feat = {
                     let hot =
                         space.project_bbv(binaries[primary], &proc_dims_p, &vli.intervals[r].bbv);
-                    builder.features(&hot, vli.mav(r))
+                    features.features(&hot, vli.mav(r))
                 };
                 match best_window(
                     &region_feat,
                     &cum_hot,
                     &cum_mav,
                     space.names,
-                    builder.as_ref(),
+                    features,
                     lo_chunk,
                     hi_chunk,
                     win,
@@ -966,14 +966,13 @@ mod tests {
         let chunk = vec![0.5, 0.5];
         let cum = vec![vec![0.0, 0.0], vec![0.5, 0.5], vec![1.0, 1.0]];
         let cum_mav = vec![vec![]; 3];
-        let builder = cbsp_simpoint::FeatureKind::Bbv.builder();
         for expected in [0usize, 1] {
             let got = best_window(
                 &chunk,
                 &cum,
                 &cum_mav,
                 1,
-                builder.as_ref(),
+                FeatureKind::Bbv,
                 0,
                 2,
                 1,
@@ -991,8 +990,7 @@ mod tests {
         let region = vec![1.0, 0.0];
         let cum = vec![vec![0.0, 0.0], vec![0.0, 1.0]];
         let cum_mav = vec![vec![]; 2];
-        let builder = cbsp_simpoint::FeatureKind::Bbv.builder();
-        let (_, sim) = best_window(&region, &cum, &cum_mav, 1, builder.as_ref(), 0, 1, 1, 0)
+        let (_, sim) = best_window(&region, &cum, &cum_mav, 1, FeatureKind::Bbv, 0, 1, 1, 0)
             .expect("one window");
         assert!(sim < FuzzyConfig::DEFAULT_THRESHOLD);
     }

@@ -8,7 +8,7 @@
 
 use cbsp_profile::{profile_fli, Interval, PinPointsFile, RegionBound, SimRegion};
 use cbsp_program::{Binary, Input};
-use cbsp_simpoint::{analyze, SimPointConfig, SimPointResult};
+use cbsp_simpoint::{analyze, RepresentativePolicy, SimPointConfig, SimPointResult};
 
 /// Result of a per-binary (FLI) SimPoint analysis.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,7 +60,8 @@ impl PerBinaryResult {
     }
 }
 
-/// Runs classic per-binary SimPoint on one binary.
+/// Runs classic per-binary SimPoint on one binary, each phase
+/// represented by its centroid-nearest interval.
 ///
 /// # Panics
 ///
@@ -74,7 +75,12 @@ pub fn run_per_binary(
     let intervals = profile_fli(binary, input, interval_target);
     let vectors: Vec<Vec<f64>> = intervals.iter().map(|i| i.bbv.clone()).collect();
     let instrs: Vec<u64> = intervals.iter().map(|i| i.instrs).collect();
-    let simpoint = analyze(&vectors, &instrs, config);
+    let simpoint = analyze(
+        &vectors,
+        &instrs,
+        config,
+        RepresentativePolicy::NearestCentroid,
+    );
     PerBinaryResult {
         intervals,
         simpoint,

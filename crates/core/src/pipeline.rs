@@ -41,9 +41,8 @@ pub struct CbspConfig {
     /// with their relative instruction counts.
     pub primary: usize,
     /// Estimation methodology: which features feed the clustering and
-    /// how representatives are chosen. The estimator's selector is the
-    /// single source of truth for representative selection — it
-    /// overrides `simpoint.representative` in [`simpoint_stage`].
+    /// how representatives are chosen. `estimator.selector` is the
+    /// pipeline's only representative-selection setting.
     pub estimator: EstimatorConfig,
     /// Similarity-based fallback mapping for marker-loss binaries
     /// (ROADMAP item 4). `None` — the default — runs the exact
@@ -389,27 +388,21 @@ pub fn vli_stage(
 /// Pipeline step 4: SimPoint clustering of the primary's interval
 /// features. The estimator decides both the feature vectors (BBV, or
 /// BBV ⧺ MAV when the profile recorded accesses) and the
-/// representative-selection policy (`estimator.selector` overrides
-/// `config.representative`).
+/// representative-selection policy.
 pub fn simpoint_stage(
     vli: &VliProfile,
     config: &SimPointConfig,
     estimator: &EstimatorConfig,
 ) -> SimPointResult {
     let _span = cbsp_trace::span("stage/simpoint");
-    let builder = estimator.features.builder();
     let vectors: Vec<Vec<f64>> = vli
         .intervals
         .iter()
         .enumerate()
-        .map(|(i, iv)| builder.features(&iv.bbv, vli.mav(i)))
+        .map(|(i, iv)| estimator.features.features(&iv.bbv, vli.mav(i)))
         .collect();
     let instrs: Vec<u64> = vli.intervals.iter().map(|i| i.instrs).collect();
-    let effective = SimPointConfig {
-        representative: estimator.selector,
-        ..*config
-    };
-    analyze(&vectors, &instrs, &effective)
+    analyze(&vectors, &instrs, config, estimator.selector)
 }
 
 /// Pipeline steps 5–6: translate interval boundaries to every binary

@@ -1,9 +1,10 @@
 //! # cbsp-par — scoped thread pool with deterministic reduction
 //!
 //! The workspace's shared parallel substrate. Every hot path that fans
-//! out — the k×restart clustering grid, per-binary profiling, the
-//! Lloyd assignment loop, per-binary detailed simulation — goes through
-//! this crate instead of hand-rolled `std::thread::scope` worker loops.
+//! out — the k×restart clustering grid, per-binary profiling, vector
+//! normalization and projection, per-binary detailed simulation — goes
+//! through this crate instead of hand-rolled `std::thread::scope`
+//! worker loops.
 //!
 //! Two design rules make the parallelism safe to use anywhere in the
 //! pipeline:
@@ -24,8 +25,8 @@
 //! nestable — inner code running on a worker can itself hold a serial
 //! pool — at the cost of a per-call spawn (~tens of microseconds per
 //! thread), which the intended call sites (whole k-means runs, whole
-//! program simulations, Lloyd iterations over thousands of points)
-//! amortize comfortably. Calls with a single chunk or a single job
+//! program simulations, projections of thousands of vectors) amortize
+//! comfortably. Calls with a single chunk or a single job
 //! run inline on the caller's thread, so small inputs never pay for
 //! threads they cannot use.
 
@@ -237,29 +238,6 @@ impl Pool {
             fold(start..(start + chunk).min(n))
         })
     }
-
-    /// Deterministic chunked reduction over `0..n`: folds each chunk
-    /// serially with `fold`, then merges the partials in chunk order on
-    /// the caller's thread. Returns `None` when `n == 0`.
-    ///
-    /// This is the reduction primitive behind the parallel Lloyd update
-    /// step: per-chunk partial centroid sums merged left-to-right give
-    /// the same floating-point sum regardless of which worker computed
-    /// which chunk.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk` is zero; propagates panics from the closures.
-    pub fn reduce_chunks<A, F, M>(&self, n: usize, chunk: usize, fold: F, mut merge: M) -> Option<A>
-    where
-        A: Send,
-        F: Fn(Range<usize>) -> A + Sync,
-        M: FnMut(A, A) -> A,
-    {
-        let mut partials = self.map_chunks(n, chunk, fold).into_iter();
-        let first = partials.next()?;
-        Some(partials.fold(first, &mut merge))
-    }
 }
 
 /// The chunk layout [`Pool::map_chunks`] uses: consecutive
@@ -302,6 +280,16 @@ mod tests {
         assert_eq!(chunk_ranges(4, 4).collect::<Vec<_>>(), vec![0..4]);
     }
 
+    /// Sums `values` as chunk partials from [`Pool::map_chunks`] merged
+    /// in chunk order.
+    fn chunked_sum(pool: &Pool, values: &[f64]) -> f64 {
+        pool.map_chunks(values.len(), 64, |r| {
+            r.map(|i| values[i]).fold(0.0f64, |a, b| a + b)
+        })
+        .into_iter()
+        .fold(0.0, |a, b| a + b)
+    }
+
     #[test]
     fn reduction_is_bit_identical_across_thread_counts() {
         let _guard = cbsp_trace::test_lock();
@@ -311,30 +299,13 @@ mod tests {
         let values: Vec<f64> = (0..10_000)
             .map(|i| ((i * 2_654_435_761_usize) % 1_000_003) as f64 * 1e-7 + 1e9)
             .collect();
-        let sum_with = |threads: usize| {
-            Pool::new(threads)
-                .reduce_chunks(
-                    values.len(),
-                    64,
-                    |r| r.map(|i| values[i]).fold(0.0f64, |a, b| a + b),
-                    |a, b| a + b,
-                )
-                .expect("nonempty")
-        };
-        let s1 = sum_with(1);
+        let s1 = chunked_sum(&Pool::new(1), &values);
         for threads in [2, 3, 5, 8, 16] {
-            assert_eq!(s1.to_bits(), sum_with(threads).to_bits());
+            assert_eq!(
+                s1.to_bits(),
+                chunked_sum(&Pool::new(threads), &values).to_bits()
+            );
         }
-    }
-
-    #[test]
-    fn reduce_chunks_empty_is_none() {
-        let _guard = cbsp_trace::test_lock();
-        let pool = Pool::new(4);
-        assert_eq!(
-            pool.reduce_chunks(0, 8, |_| 0.0f64, |a: f64, b| a + b),
-            None
-        );
     }
 
     #[test]
@@ -404,21 +375,12 @@ mod tests {
     fn tracing_does_not_change_results() {
         let _guard = cbsp_trace::test_lock();
         let values: Vec<f64> = (0..5000).map(|i| (i as f64).sin() * 1e6).collect();
-        let sum = |pool: &Pool| {
-            pool.reduce_chunks(
-                values.len(),
-                64,
-                |r| r.map(|i| values[i]).fold(0.0f64, |a, b| a + b),
-                |a, b| a + b,
-            )
-            .expect("nonempty")
-        };
         let pool = Pool::new(8);
         cbsp_trace::disable();
-        let off = sum(&pool);
+        let off = chunked_sum(&pool, &values);
         cbsp_trace::enable();
         cbsp_trace::reset();
-        let on = sum(&pool);
+        let on = chunked_sum(&pool, &values);
         cbsp_trace::disable();
         cbsp_trace::reset();
         assert_eq!(off.to_bits(), on.to_bits());

@@ -1,4 +1,4 @@
-//! Pluggable estimation methodology: feature builders × selectors.
+//! Estimation methodology: feature kinds × representative policies.
 //!
 //! The paper fixes one methodology — cluster basic-block vectors, pick
 //! each cluster's centroid-nearest interval, weight by instruction
@@ -14,19 +14,19 @@
 //!   ([`RepresentativePolicy::Stratified`]).
 //!
 //! This module makes the methodology a first-class axis: a
-//! [`FeatureBuilder`] decides what vector each interval contributes to
-//! the clustering, a [`Selector`] decides which interval(s) represent a
-//! phase and with what within-phase share, and an [`EstimatorConfig`]
-//! names a (features, selector) pair. Canonical pairs have short tags
-//! (`bbv`, `bbv+mav`, `early`, `stratified`) used as CLI values, cache
-//! namespaces, and gate column names.
+//! [`FeatureKind`] decides what vector each interval contributes to the
+//! clustering ([`FeatureKind::features`]), a [`RepresentativePolicy`]
+//! decides which interval(s) represent a phase and with what
+//! within-phase share ([`RepresentativePolicy::select`]), and an
+//! [`EstimatorConfig`] names a (features, selector) pair. Canonical
+//! pairs have short tags (`bbv`, `bbv+mav`, `early`, `stratified`) used
+//! as CLI values, cache namespaces, and gate column names.
 //!
-//! Every selector is deterministic: members arrive in ascending
-//! interval order, all reductions use strict first-minimum ties, and no
+//! Every policy is deterministic: members arrive in ascending interval
+//! order, all reductions use strict first-minimum ties, and no
 //! randomness is involved — so all estimator lanes inherit the
 //! engine's bit-identical-at-any-thread-count contract.
 
-use crate::select::RepresentativePolicy;
 use serde::{Deserialize, Serialize};
 
 /// Which per-interval feature vector feeds the clustering.
@@ -60,11 +60,18 @@ impl FeatureKind {
         }
     }
 
-    /// The feature builder implementing this kind.
-    pub fn builder(&self) -> Box<dyn FeatureBuilder> {
+    /// Combines one interval's BBV and MAV into its clustering feature
+    /// vector. `mav` is empty when memory accesses were not recorded;
+    /// [`FeatureKind::BbvMav`] then falls back to the BBV alone.
+    pub fn features(&self, bbv: &[f64], mav: &[f64]) -> Vec<f64> {
         match self {
-            FeatureKind::Bbv => Box::new(BbvFeatures),
-            FeatureKind::BbvMav => Box::new(BbvMavFeatures),
+            FeatureKind::Bbv => bbv.to_vec(),
+            FeatureKind::BbvMav => {
+                let mut out = Vec::with_capacity(bbv.len() + mav.len());
+                scaled_into(&mut out, bbv, 0.5);
+                scaled_into(&mut out, mav, 0.5);
+                out
+            }
         }
     }
 
@@ -72,46 +79,6 @@ impl FeatureKind {
     /// profiling.
     pub fn wants_mav(&self) -> bool {
         matches!(self, FeatureKind::BbvMav)
-    }
-}
-
-/// Builds the per-interval feature vector fed to the clustering.
-pub trait FeatureBuilder {
-    /// Short name (matches [`FeatureKind::tag`]).
-    fn name(&self) -> &'static str;
-
-    /// Combines one interval's BBV and MAV into its feature vector.
-    /// `mav` is empty when memory accesses were not recorded; builders
-    /// that need it must tolerate that by falling back to the BBV.
-    fn features(&self, bbv: &[f64], mav: &[f64]) -> Vec<f64>;
-}
-
-/// BBV passthrough: the clustering sees exactly the profiled vector.
-pub struct BbvFeatures;
-
-impl FeatureBuilder for BbvFeatures {
-    fn name(&self) -> &'static str {
-        "bbv"
-    }
-
-    fn features(&self, bbv: &[f64], _mav: &[f64]) -> Vec<f64> {
-        bbv.to_vec()
-    }
-}
-
-/// BBV ⧺ MAV: each family L1-normalized to mass 0.5, concatenated.
-pub struct BbvMavFeatures;
-
-impl FeatureBuilder for BbvMavFeatures {
-    fn name(&self) -> &'static str {
-        "bbv+mav"
-    }
-
-    fn features(&self, bbv: &[f64], mav: &[f64]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(bbv.len() + mav.len());
-        scaled_into(&mut out, bbv, 0.5);
-        scaled_into(&mut out, mav, 0.5);
-        out
     }
 }
 
@@ -136,36 +103,6 @@ pub struct Chosen {
     pub share: f64,
 }
 
-/// Everything a [`Selector`] may look at for one phase.
-pub struct PhaseCtx<'a> {
-    /// Member interval indices, in ascending interval order.
-    pub members: &'a [usize],
-    /// Squared distance to the phase centroid, aligned with `members`.
-    pub dists: &'a [f64],
-    /// Global per-interval instruction counts.
-    pub instr_counts: &'a [u64],
-}
-
-impl PhaseCtx<'_> {
-    /// Instruction mass of `members[lo..hi]`.
-    fn mass(&self, lo: usize, hi: usize) -> f64 {
-        self.members[lo..hi]
-            .iter()
-            .map(|&i| self.instr_counts[i] as f64)
-            .sum()
-    }
-}
-
-/// Chooses which interval(s) represent a phase, and their shares.
-pub trait Selector {
-    /// Short name used in diagnostics.
-    fn name(&self) -> &'static str;
-
-    /// Selects representatives for one phase. Must be deterministic
-    /// and return at least one [`Chosen`] whose shares sum to 1.
-    fn select(&self, ctx: &PhaseCtx<'_>) -> Vec<Chosen>;
-}
-
 /// Index of the first minimum of `dists` (strict `<`: earliest wins).
 fn argmin_first(dists: &[f64]) -> usize {
     let mut best = 0;
@@ -177,120 +114,122 @@ fn argmin_first(dists: &[f64]) -> usize {
     best
 }
 
-/// SimPoint's default: the centroid-nearest member (paper §2.3 step 5).
-pub struct NearestCentroidSelector;
-
-impl Selector for NearestCentroidSelector {
-    fn name(&self) -> &'static str {
-        "nearest-centroid"
-    }
-
-    fn select(&self, ctx: &PhaseCtx<'_>) -> Vec<Chosen> {
-        let j = argmin_first(ctx.dists);
-        vec![Chosen {
-            interval: ctx.members[j],
-            share: 1.0,
-        }]
-    }
+/// How the representative interval of each phase is chosen.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub enum RepresentativePolicy {
+    /// The interval closest to the cluster centroid (SimPoint's
+    /// default, paper §2.3 step 5).
+    NearestCentroid,
+    /// The *earliest* interval whose distance to the centroid is within
+    /// `tolerance` (relative to the phase's distance spread) of the
+    /// best — SimPoint 3.0's "early simulation points" option
+    /// (Perelman et al., PACT 2003; the paper's reference \[13\]), which
+    /// trades a little representativeness for much less fast-forwarding
+    /// before each simulation region.
+    Earliest {
+        /// Allowed relative distance slack in `[0, 1]`.
+        tolerance: f64,
+    },
+    /// Per-cluster stratified sampling (arxiv 2603.22605): each phase
+    /// is split into up to `per_cluster` contiguous strata in interval
+    /// order, the centroid-nearest member of each stratum is selected,
+    /// and the phase weight is shared by stratum instruction mass. The
+    /// extra representatives trade slice replays for a variance-derived
+    /// confidence interval (see `cbsp_core::stratified_ci`).
+    Stratified {
+        /// Representatives per phase (clamped to the phase size).
+        per_cluster: usize,
+    },
 }
 
-/// SimPoint 3.0's early points: the earliest member within `tolerance`
-/// (relative to the phase's distance spread) of the best distance.
-pub struct EarliestSelector {
-    /// Allowed relative distance slack in `[0, 1]`.
-    pub tolerance: f64,
-}
-
-impl Selector for EarliestSelector {
-    fn name(&self) -> &'static str {
-        "early"
-    }
-
-    fn select(&self, ctx: &PhaseCtx<'_>) -> Vec<Chosen> {
-        let best_j = argmin_first(ctx.dists);
-        let best = ctx.dists[best_j];
-        let worst = ctx.dists.iter().copied().fold(best, f64::max);
-        let cutoff = best + self.tolerance.clamp(0.0, 1.0) * (worst - best);
-        let j = ctx
-            .dists
-            .iter()
-            .position(|&d| d <= cutoff + 1e-15)
-            .unwrap_or(best_j);
-        vec![Chosen {
-            interval: ctx.members[j],
-            share: 1.0,
-        }]
-    }
-}
-
-/// Two-phase stratified sampling (arxiv 2603.22605): split each phase
-/// into up to `per_cluster` contiguous strata (in interval order) and
-/// pick the centroid-nearest member of each stratum, sharing the phase
-/// weight by stratum instruction mass.
-///
-/// Degenerate-case contract (mirrors the k-means++
-/// degenerate-distribution audit in [`mod@crate::kmeans`]):
-///
-/// * a single-member phase yields exactly one representative with
-///   share 1,
-/// * `per_cluster` larger than the phase selects every member exactly
-///   once (never a duplicate, never a panic),
-/// * zero-variance phases (all distances equal) pick each stratum's
-///   earliest member — ties never depend on float noise or iteration
-///   order,
-/// * zero instruction mass falls back to stratum-size shares, so the
-///   shares still sum to 1 and stay well-defined.
-pub struct StratifiedSelector {
-    /// Representatives per phase (clamped to the phase size; min 1).
-    pub per_cluster: usize,
-}
-
-impl Selector for StratifiedSelector {
-    fn name(&self) -> &'static str {
-        "stratified"
-    }
-
-    fn select(&self, ctx: &PhaseCtx<'_>) -> Vec<Chosen> {
-        let n = ctx.members.len();
-        let m = self.per_cluster.clamp(1, n);
-        let phase_mass = ctx.mass(0, n);
-        let mut chosen = Vec::with_capacity(m);
-        for s in 0..m {
-            // Contiguous strata in interval order; never empty because
-            // m ≤ n makes each floor boundary advance by ≥ 1.
-            let lo = s * n / m;
-            let hi = (s + 1) * n / m;
-            let j = lo + argmin_first(&ctx.dists[lo..hi]);
-            let share = if phase_mass > 0.0 {
-                ctx.mass(lo, hi) / phase_mass
-            } else {
-                (hi - lo) as f64 / n as f64
-            };
-            chosen.push(Chosen {
-                interval: ctx.members[j],
-                share,
-            });
-        }
-        chosen
+// Not derived: the vendored serde derive parser does not understand a
+// `#[default]` variant attribute.
+#[allow(clippy::derivable_impls)]
+impl Default for RepresentativePolicy {
+    fn default() -> Self {
+        RepresentativePolicy::NearestCentroid
     }
 }
 
 impl RepresentativePolicy {
-    /// The selector implementing this policy.
-    pub fn selector(&self) -> Box<dyn Selector> {
+    /// Selects one phase's representatives and their shares (summing
+    /// to 1). `members` are the phase's interval indices in ascending
+    /// order, `dists` their squared distances to the phase centroid,
+    /// and `instr_counts` the instructions of every interval.
+    ///
+    /// Degenerate phases are well-defined (mirroring the k-means++
+    /// degenerate-distribution audit in [`mod@crate::kmeans`]):
+    ///
+    /// * a single-member phase yields exactly one representative with
+    ///   share 1,
+    /// * `per_cluster` larger than the phase selects every member
+    ///   exactly once (never a duplicate, never a panic),
+    /// * zero-variance phases (all distances equal) pick the earliest
+    ///   candidate — ties never depend on float noise or iteration
+    ///   order,
+    /// * zero instruction mass falls back to stratum-size shares, so
+    ///   the shares still sum to 1 and stay well-defined.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `members` is empty or `dists` is not aligned with it.
+    pub fn select(&self, members: &[usize], dists: &[f64], instr_counts: &[u64]) -> Vec<Chosen> {
+        assert_eq!(members.len(), dists.len(), "one distance per member");
+        let whole = |j: usize| {
+            vec![Chosen {
+                interval: members[j],
+                share: 1.0,
+            }]
+        };
         match *self {
-            RepresentativePolicy::NearestCentroid => Box::new(NearestCentroidSelector),
+            RepresentativePolicy::NearestCentroid => whole(argmin_first(dists)),
             RepresentativePolicy::Earliest { tolerance } => {
-                Box::new(EarliestSelector { tolerance })
+                let best_j = argmin_first(dists);
+                let best = dists[best_j];
+                let worst = dists.iter().copied().fold(best, f64::max);
+                let cutoff = best + tolerance.clamp(0.0, 1.0) * (worst - best);
+                whole(
+                    dists
+                        .iter()
+                        .position(|&d| d <= cutoff + 1e-15)
+                        .unwrap_or(best_j),
+                )
             }
             RepresentativePolicy::Stratified { per_cluster } => {
-                Box::new(StratifiedSelector { per_cluster })
+                let mass = |lo: usize, hi: usize| -> f64 {
+                    members[lo..hi]
+                        .iter()
+                        .map(|&i| instr_counts[i] as f64)
+                        .sum()
+                };
+                let n = members.len();
+                let m = per_cluster.clamp(1, n);
+                let phase_mass = mass(0, n);
+                (0..m)
+                    .map(|s| {
+                        // Contiguous strata in interval order; never
+                        // empty because m ≤ n makes each floor boundary
+                        // advance by ≥ 1.
+                        let lo = s * n / m;
+                        let hi = (s + 1) * n / m;
+                        let j = lo + argmin_first(&dists[lo..hi]);
+                        let share = if phase_mass > 0.0 {
+                            mass(lo, hi) / phase_mass
+                        } else {
+                            (hi - lo) as f64 / n as f64
+                        };
+                        Chosen {
+                            interval: members[j],
+                            share,
+                        }
+                    })
+                    .collect()
             }
         }
     }
 }
 
-/// A named (feature builder, selector) pair — the estimation
+/// A named (features, selector) pair — the estimation
 /// methodology as a selectable axis.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EstimatorConfig {
@@ -387,14 +326,6 @@ impl EstimatorConfig {
 mod tests {
     use super::*;
 
-    fn ctx<'a>(members: &'a [usize], dists: &'a [f64], instrs: &'a [u64]) -> PhaseCtx<'a> {
-        PhaseCtx {
-            members,
-            dists,
-            instr_counts: instrs,
-        }
-    }
-
     #[test]
     fn canonical_tags_round_trip() {
         for tag in EstimatorConfig::KNOWN_TAGS {
@@ -417,14 +348,15 @@ mod tests {
 
     #[test]
     fn bbv_features_pass_through() {
-        let b = FeatureKind::Bbv.builder();
-        assert_eq!(b.features(&[1.0, 2.0], &[9.0]), vec![1.0, 2.0]);
+        assert_eq!(
+            FeatureKind::Bbv.features(&[1.0, 2.0], &[9.0]),
+            vec![1.0, 2.0]
+        );
     }
 
     #[test]
     fn bbv_mav_features_balance_both_families() {
-        let b = FeatureKind::BbvMav.builder();
-        let v = b.features(&[4.0, 0.0], &[1.0, 1.0, 2.0]);
+        let v = FeatureKind::BbvMav.features(&[4.0, 0.0], &[1.0, 1.0, 2.0]);
         assert_eq!(v.len(), 5);
         let bbv_mass: f64 = v[..2].iter().sum();
         let mav_mass: f64 = v[2..].iter().sum();
@@ -434,16 +366,15 @@ mod tests {
 
     #[test]
     fn bbv_mav_features_tolerate_missing_mav() {
-        let b = FeatureKind::BbvMav.builder();
-        let v = b.features(&[4.0, 4.0], &[]);
+        let v = FeatureKind::BbvMav.features(&[4.0, 4.0], &[]);
         assert_eq!(v.len(), 2);
         assert!((v.iter().sum::<f64>() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn nearest_picks_first_minimum() {
-        let sel = NearestCentroidSelector;
-        let c = sel.select(&ctx(&[3, 7, 9], &[0.5, 0.2, 0.2], &[1; 10]));
+        let c =
+            RepresentativePolicy::NearestCentroid.select(&[3, 7, 9], &[0.5, 0.2, 0.2], &[1; 10]);
         assert_eq!(
             c,
             vec![Chosen {
@@ -455,8 +386,7 @@ mod tests {
 
     #[test]
     fn stratified_single_member_phase() {
-        let sel = StratifiedSelector { per_cluster: 3 };
-        let c = sel.select(&ctx(&[4], &[0.0], &[1; 5]));
+        let c = RepresentativePolicy::Stratified { per_cluster: 3 }.select(&[4], &[0.0], &[1; 5]);
         assert_eq!(
             c,
             vec![Chosen {
@@ -468,9 +398,8 @@ mod tests {
 
     #[test]
     fn stratified_caps_at_phase_size_without_duplicates() {
-        let sel = StratifiedSelector { per_cluster: 10 };
-        let members = [1, 3, 5];
-        let c = sel.select(&ctx(&members, &[0.3, 0.1, 0.2], &[2; 6]));
+        let sel = RepresentativePolicy::Stratified { per_cluster: 10 };
+        let c = sel.select(&[1, 3, 5], &[0.3, 0.1, 0.2], &[2; 6]);
         assert_eq!(c.len(), 3, "one per member, never more");
         let picked: Vec<usize> = c.iter().map(|x| x.interval).collect();
         assert_eq!(picked, vec![1, 3, 5]);
@@ -480,22 +409,20 @@ mod tests {
 
     #[test]
     fn stratified_zero_variance_picks_stratum_earliest() {
-        let sel = StratifiedSelector { per_cluster: 2 };
-        let members = [2, 4, 6, 8];
-        let c = sel.select(&ctx(&members, &[0.7; 4], &[1; 10]));
+        let sel = RepresentativePolicy::Stratified { per_cluster: 2 };
+        let c = sel.select(&[2, 4, 6, 8], &[0.7; 4], &[1; 10]);
         assert_eq!(c.iter().map(|x| x.interval).collect::<Vec<_>>(), [2, 6]);
     }
 
     #[test]
     fn stratified_shares_follow_instruction_mass() {
-        let sel = StratifiedSelector { per_cluster: 2 };
-        let members = [0, 1, 2, 3];
+        let sel = RepresentativePolicy::Stratified { per_cluster: 2 };
         let mut instrs = vec![0u64; 4];
         instrs[0] = 900;
         instrs[1] = 100;
         instrs[2] = 500;
         instrs[3] = 500;
-        let c = sel.select(&ctx(&members, &[0.0; 4], &instrs));
+        let c = sel.select(&[0, 1, 2, 3], &[0.0; 4], &instrs);
         assert!((c[0].share - 0.5).abs() < 1e-12);
         assert!((c[1].share - 0.5).abs() < 1e-12);
         let total: f64 = c.iter().map(|x| x.share).sum();
@@ -504,9 +431,8 @@ mod tests {
 
     #[test]
     fn stratified_zero_mass_falls_back_to_sizes() {
-        let sel = StratifiedSelector { per_cluster: 2 };
-        let members = [0, 1, 2];
-        let c = sel.select(&ctx(&members, &[0.0; 3], &[0; 3]));
+        let sel = RepresentativePolicy::Stratified { per_cluster: 2 };
+        let c = sel.select(&[0, 1, 2], &[0.0; 3], &[0; 3]);
         let total: f64 = c.iter().map(|x| x.share).sum();
         assert!((total - 1.0).abs() < 1e-12);
     }

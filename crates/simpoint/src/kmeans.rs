@@ -6,25 +6,26 @@
 //! harder than short ones ("considers the number of instructions in
 //! each interval during the clustering process", §3.2.4).
 //!
-//! ## Parallel Lloyd iteration
+//! ## Order of summation
 //!
-//! [`kmeans_with`] runs each Lloyd iteration as one fused
-//! assignment-and-partial-sum pass over fixed [`LLOYD_CHUNK`]-point
-//! chunks of the data, merging per-chunk partial centroid sums *in
-//! chunk order* on the calling thread. Chunk boundaries depend only on
-//! the input size, so every floating-point reduction associates the
-//! same way at any thread count: `kmeans_with` is bit-identical across
-//! pools, and [`kmeans`] (the serial entry point) produces exactly the
-//! same result.
+//! Each Lloyd iteration is one fused assignment-and-partial-sum pass
+//! over fixed [`LLOYD_CHUNK`]-point chunks of the data: every chunk
+//! sums its own weighted centroid coordinates and masses from zero, and
+//! the chunk partials are then added *in chunk order*. The final WCSS
+//! is summed the same way. A plain running sum over all points would
+//! associate the floating-point additions differently, and every stored
+//! clustering and `results_ref.json` were computed with this chunked
+//! order, so it stays even though the pass is serial: the
+//! parallelism of an analysis is its k×restart grid
+//! ([`analyze`](crate::analyze)), one serial `kmeans` per cell.
 
 use crate::vector::{distance_sq, VectorSet};
-use cbsp_par::Pool;
+use cbsp_par::chunk_ranges;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Points per Lloyd chunk. Fixed (never derived from the thread count)
-/// so the reduction tree — and therefore every f64 result — is the same
-/// at any parallelism level.
+/// Points per Lloyd chunk. Fixed: the chunking sets the order of every
+/// floating-point sum, and so every f64 result (see the module docs).
 pub const LLOYD_CHUNK: usize = 256;
 
 /// Result of one k-means run.
@@ -47,36 +48,11 @@ impl KMeansResult {
     }
 }
 
-/// Per-chunk output of the fused assignment + partial-sum pass.
-struct LloydPartial {
-    labels: Vec<u32>,
-    changed: bool,
-    /// Flat `k × dims` weighted coordinate sums.
-    sums: Vec<f64>,
-    /// Weight mass per cluster.
-    mass: Vec<f64>,
-}
-
-fn validate_inputs(data: &VectorSet, weights: &[f64], k: usize) {
-    assert!(!data.is_empty(), "kmeans needs at least one vector");
-    assert!(
-        k >= 1 && k <= data.len(),
-        "k={k} out of range for {} vectors",
-        data.len()
-    );
-    assert_eq!(weights.len(), data.len(), "one weight per vector");
-    assert!(
-        weights.iter().all(|w| w.is_finite() && *w >= 0.0),
-        "weights must be finite and non-negative"
-    );
-}
-
-/// Runs weighted k-means on `data`, serially.
+/// Runs weighted k-means on `data`.
 ///
 /// `weights[i]` scales vector `i`'s influence on centroids and on the
 /// objective. `seed` fixes the k-means++ initialization. Runs Lloyd
 /// iterations until assignments stabilize or `max_iters` is reached.
-/// Identical (bit-for-bit) to [`kmeans_with`] on any pool.
 ///
 /// # Panics
 ///
@@ -90,77 +66,55 @@ pub fn kmeans(
     seed: u64,
     max_iters: usize,
 ) -> KMeansResult {
-    kmeans_with(data, weights, k, seed, max_iters, &Pool::serial())
-}
-
-/// [`kmeans`] with the Lloyd iterations parallelized over `pool`.
-///
-/// The result is bit-identical at every thread count (see the module
-/// docs for why), so callers may size the pool freely — including
-/// nesting a serial pool inside an outer parallel search grid.
-///
-/// # Panics
-///
-/// Same contract as [`kmeans`].
-pub fn kmeans_with(
-    data: &VectorSet,
-    weights: &[f64],
-    k: usize,
-    seed: u64,
-    max_iters: usize,
-    pool: &Pool,
-) -> KMeansResult {
-    validate_inputs(data, weights, k);
+    assert!(!data.is_empty(), "kmeans needs at least one vector");
+    assert!(
+        k >= 1 && k <= data.len(),
+        "k={k} out of range for {} vectors",
+        data.len()
+    );
+    assert_eq!(weights.len(), data.len(), "one weight per vector");
+    assert!(
+        weights.iter().all(|w| w.is_finite() && *w >= 0.0),
+        "weights must be finite and non-negative"
+    );
     let n = data.len();
     let dims = data.dims();
 
     let mut centroids = plus_plus_init(data, weights, k, seed);
     let mut labels = vec![0u32; n];
     let mut iterations = 0;
+    // One chunk's partial sums, reset per chunk.
+    let mut part_sums = vec![0.0; k * dims];
+    let mut part_mass = vec![0.0; k];
 
     for iter in 0..max_iters.max(1) {
         iterations = iter + 1;
 
-        // Fused assignment + update accumulation: one parallel pass
-        // computes each chunk's new labels and its partial weighted
-        // centroid sums.
-        let partials = pool.map_chunks(n, LLOYD_CHUNK, |range| {
-            let mut part = LloydPartial {
-                labels: Vec::with_capacity(range.len()),
-                changed: false,
-                sums: vec![0.0; k * dims],
-                mass: vec![0.0; k],
-            };
+        // Fused assignment + update accumulation, chunk by chunk; each
+        // chunk's partial sums are added to the totals in chunk order.
+        let mut changed = false;
+        let mut sums = vec![0.0; k * dims];
+        let mut mass = vec![0.0; k];
+        for range in chunk_ranges(n, LLOYD_CHUNK) {
+            part_sums.fill(0.0);
+            part_mass.fill(0.0);
             for i in range {
                 let v = data.row(i);
                 let best = nearest(v, &centroids).0;
                 if labels[i] != best as u32 {
-                    part.changed = true;
+                    changed = true;
+                    labels[i] = best as u32;
                 }
-                part.labels.push(best as u32);
-                part.mass[best] += weights[i];
-                let sum = &mut part.sums[best * dims..(best + 1) * dims];
+                part_mass[best] += weights[i];
+                let sum = &mut part_sums[best * dims..(best + 1) * dims];
                 for (s, x) in sum.iter_mut().zip(v) {
                     *s += weights[i] * x;
                 }
             }
-            part
-        });
-
-        // Merge in chunk order: the same left-to-right association at
-        // any thread count.
-        let mut changed = false;
-        let mut sums = vec![0.0; k * dims];
-        let mut mass = vec![0.0; k];
-        let mut filled = 0;
-        for part in partials {
-            changed |= part.changed;
-            labels[filled..filled + part.labels.len()].copy_from_slice(&part.labels);
-            filled += part.labels.len();
-            for (s, p) in sums.iter_mut().zip(&part.sums) {
+            for (s, p) in sums.iter_mut().zip(&part_sums) {
                 *s += p;
             }
-            for (m, p) in mass.iter_mut().zip(&part.mass) {
+            for (m, p) in mass.iter_mut().zip(&part_mass) {
                 *m += p;
             }
         }
@@ -179,8 +133,8 @@ pub fn kmeans_with(
             }
         }
         // Empty clusters: reseed to the point farthest from its own
-        // (new) centroid — standard k-means repair, kept serial and in
-        // cluster order so it is deterministic.
+        // (new) centroid — standard k-means repair, in cluster order so
+        // it is deterministic.
         for (c, &m) in mass.iter().enumerate() {
             if m <= 0.0 {
                 let far = (0..n)
@@ -195,19 +149,13 @@ pub fn kmeans_with(
         }
     }
 
-    let wcss = pool
-        .reduce_chunks(
-            n,
-            LLOYD_CHUNK,
-            |range| {
-                range
-                    .map(|i| {
-                        weights[i] * distance_sq(data.row(i), centroids.row(labels[i] as usize))
-                    })
-                    .fold(0.0f64, |a, b| a + b)
-            },
-            |a, b| a + b,
-        )
+    let wcss = chunk_ranges(n, LLOYD_CHUNK)
+        .map(|range| {
+            range
+                .map(|i| weights[i] * distance_sq(data.row(i), centroids.row(labels[i] as usize)))
+                .fold(0.0f64, |a, b| a + b)
+        })
+        .reduce(|a, b| a + b)
         .unwrap_or(0.0);
     KMeansResult {
         centroids,
@@ -219,7 +167,7 @@ pub fn kmeans_with(
 
 /// Index and squared distance of the centroid nearest to `v`.
 #[inline]
-pub fn nearest(v: &[f64], centroids: &VectorSet) -> (usize, f64) {
+fn nearest(v: &[f64], centroids: &VectorSet) -> (usize, f64) {
     let mut best = (0, f64::INFINITY);
     for (c, centroid) in centroids.rows().enumerate() {
         let d = distance_sq(v, centroid);
@@ -238,13 +186,8 @@ pub fn nearest(v: &[f64], centroids: &VectorSet) -> (usize, f64) {
 /// is zero (all-zero weights, or every point coinciding with a chosen
 /// centroid — duplicate vectors), the draw falls back to a uniform
 /// choice over all points (see `sample_index`'s contract, covered by
-/// this module's tests).
-///
-/// # Panics
-///
-/// Same input contract as [`kmeans`].
-pub fn plus_plus_init(data: &VectorSet, weights: &[f64], k: usize, seed: u64) -> VectorSet {
-    validate_inputs(data, weights, k);
+/// this module's tests). Inputs are [`kmeans`]'s, already checked.
+fn plus_plus_init(data: &VectorSet, weights: &[f64], k: usize, seed: u64) -> VectorSet {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut centroids = VectorSet::with_capacity(data.dims(), k);
 
@@ -371,31 +314,6 @@ mod tests {
         let b = kmeans(&data, &weights, 3, 9, 100);
         assert_eq!(a.labels, b.labels);
         assert_eq!(a.wcss, b.wcss);
-    }
-
-    #[test]
-    fn pooled_run_is_bit_identical_to_serial() {
-        // Enough points for several chunks at every thread count.
-        let mut data = VectorSet::new(3);
-        let mut weights = Vec::new();
-        let mut x = 0x2468_ACE0u64;
-        for _ in 0..(3 * LLOYD_CHUNK + 17) {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            data.push(&[
-                (x % 1000) as f64 * 0.01,
-                ((x >> 10) % 1000) as f64 * 0.01,
-                ((x >> 20) % 7) as f64,
-            ]);
-            weights.push(1.0 + ((x >> 30) % 5) as f64);
-        }
-        let serial = kmeans(&data, &weights, 6, 11, 100);
-        for threads in [2, 3, 8] {
-            let pooled = kmeans_with(&data, &weights, 6, 11, 100, &Pool::new(threads));
-            assert_eq!(serial, pooled, "threads={threads} must match bit-for-bit");
-            assert_eq!(serial.wcss.to_bits(), pooled.wcss.to_bits());
-        }
     }
 
     #[test]

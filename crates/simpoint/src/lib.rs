@@ -10,9 +10,9 @@
 //!    ([`kmeans()`]),
 //! 4. score each clustering with the Bayesian Information Criterion and
 //!    pick the smallest k near the best score ([`bic()`]),
-//! 5. choose each cluster's centroid-nearest interval as its simulation
-//!    point and weight it by the cluster's instruction share
-//!    ([`analyze`]).
+//! 5. choose each cluster's representative interval — by default its
+//!    centroid-nearest one — and weight it by the cluster's instruction
+//!    share ([`analyze`], [`RepresentativePolicy::select`]).
 //!
 //! Variable-length intervals are supported throughout: interval
 //! instruction counts weight the clustering, the BIC, and the phase
@@ -22,24 +22,29 @@
 //!
 //! Vectors live in a flat row-major [`VectorSet`] (one allocation, no
 //! per-row pointer chase) and every distance goes through the unrolled
-//! [`vector::distance_sq`] kernel. The k×restart search grid, the Lloyd
-//! assignment loop, and normalization/projection all fan out over a
-//! [`cbsp_par::Pool`] sized by [`SimPointConfig::threads`]; every
-//! reduction is chunked with thread-count-independent boundaries and
-//! merged in chunk order, so results are **bit-identical at any thread
-//! count**.
+//! [`vector::distance_sq`] kernel. The k×restart search grid and
+//! normalization/projection fan out over a [`cbsp_par::Pool`] sized by
+//! [`SimPointConfig::threads`]; each grid cell runs one serial
+//! [`kmeans()`]. Every cell is a pure function of its seed and every
+//! chunked step has thread-count-independent boundaries merged in chunk
+//! order, so results are **bit-identical at any thread count**.
 //!
 //! ## Example
 //!
 //! ```
-//! use cbsp_simpoint::{analyze, SimPointConfig};
+//! use cbsp_simpoint::{analyze, RepresentativePolicy, SimPointConfig};
 //!
 //! // Six intervals alternating between two behaviours.
 //! let vectors: Vec<Vec<f64>> = (0..6)
 //!     .map(|i| if i % 2 == 0 { vec![9.0, 0.0] } else { vec![0.0, 9.0] })
 //!     .collect();
 //! let instrs = vec![1_000u64; 6];
-//! let result = analyze(&vectors, &instrs, &SimPointConfig::default());
+//! let result = analyze(
+//!     &vectors,
+//!     &instrs,
+//!     &SimPointConfig::default(),
+//!     RepresentativePolicy::NearestCentroid,
+//! );
 //! assert_eq!(result.k, 2);
 //! assert!((result.total_weight() - 1.0).abs() < 1e-9);
 //! ```
@@ -49,20 +54,14 @@
 
 pub mod bic;
 pub mod estimator;
-pub mod hamerly;
 pub mod kmeans;
 pub mod projection;
 pub mod select;
 pub mod vector;
 
 pub use bic::bic;
-pub use cbsp_par::Pool;
-pub use estimator::{
-    BbvFeatures, BbvMavFeatures, Chosen, EarliestSelector, EstimatorConfig, FeatureBuilder,
-    FeatureKind, NearestCentroidSelector, PhaseCtx, Selector, StratifiedSelector,
-};
-pub use hamerly::kmeans_hamerly_from;
-pub use kmeans::{kmeans, kmeans_with, KMeansResult};
+pub use estimator::{Chosen, EstimatorConfig, FeatureKind, RepresentativePolicy};
+pub use kmeans::{kmeans, KMeansResult};
 pub use projection::Projection;
-pub use select::{analyze, RepresentativePolicy, SimPoint, SimPointConfig, SimPointResult};
+pub use select::{analyze, SimPoint, SimPointConfig, SimPointResult};
 pub use vector::{distance_l1, distance_sq, VectorSet};

@@ -2,6 +2,7 @@
 //! search k → pick the clustering → select representatives and weights.
 
 use crate::bic::bic;
+use crate::estimator::RepresentativePolicy;
 use crate::kmeans::{kmeans, KMeansResult};
 use crate::projection::Projection;
 use crate::vector::{distance_sq, normalized, VectorSet};
@@ -11,43 +12,6 @@ use serde::{Deserialize, Serialize};
 /// Intervals per normalization chunk (fixed: layout is thread-count
 /// independent).
 const NORM_CHUNK: usize = 256;
-
-/// How the representative interval of each phase is chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum RepresentativePolicy {
-    /// The interval closest to the cluster centroid (SimPoint's
-    /// default, paper §2.3 step 5).
-    NearestCentroid,
-    /// The *earliest* interval whose distance to the centroid is within
-    /// `tolerance` (relative to the phase's distance spread) of the
-    /// best — SimPoint 3.0's "early simulation points" option
-    /// (Perelman et al., PACT 2003; the paper's reference \[13\]), which
-    /// trades a little representativeness for much less fast-forwarding
-    /// before each simulation region.
-    Earliest {
-        /// Allowed relative distance slack in `[0, 1]`.
-        tolerance: f64,
-    },
-    /// Per-cluster stratified sampling (arxiv 2603.22605): each phase
-    /// is split into up to `per_cluster` contiguous strata in interval
-    /// order, the centroid-nearest member of each stratum is selected,
-    /// and the phase weight is shared by stratum instruction mass. The
-    /// extra representatives trade slice replays for a variance-derived
-    /// confidence interval (see `cbsp_core::stratified_ci`).
-    Stratified {
-        /// Representatives per phase (clamped to the phase size).
-        per_cluster: usize,
-    },
-}
-
-// Not derived: the vendored serde derive parser does not understand a
-// `#[default]` variant attribute.
-#[allow(clippy::derivable_impls)]
-impl Default for RepresentativePolicy {
-    fn default() -> Self {
-        RepresentativePolicy::NearestCentroid
-    }
-}
 
 /// Configuration of a SimPoint analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -66,16 +30,10 @@ pub struct SimPointConfig {
     pub max_iters: usize,
     /// Master seed for projection and clustering.
     pub seed: u64,
-    /// Representative-selection policy.
-    pub representative: RepresentativePolicy,
-    /// Use Hamerly's bounds-accelerated k-means instead of plain Lloyd
-    /// iteration (same k-means++ initialization, same fixed point,
-    /// fewer distance computations — see [`crate::hamerly`]).
-    pub accelerated: bool,
     /// Worker threads for the analysis (`0` = all available cores).
     ///
     /// Purely an execution knob: the k×restart search grid and the
-    /// chunked reductions inside k-means are deterministic by
+    /// chunked normalization and projection are deterministic by
     /// construction, so the result is bit-identical at every value.
     /// Cache/artifact keys must therefore ignore this field.
     pub threads: usize,
@@ -90,8 +48,6 @@ impl Default for SimPointConfig {
             restarts: 5,
             max_iters: 100,
             seed: 0x51AD_2007,
-            representative: RepresentativePolicy::NearestCentroid,
-            accelerated: false,
             threads: 0,
         }
     }
@@ -153,7 +109,9 @@ impl SimPointResult {
 /// `instr_counts[i]` the instructions it spans. For fixed-length
 /// intervals all counts are (nearly) equal and this reduces to classic
 /// SimPoint; for variable-length intervals the counts weight both the
-/// clustering and the phase weights (§3.2.4).
+/// clustering and the phase weights (§3.2.4). `selector` chooses each
+/// phase's representatives after the clustering is decided, so it
+/// never changes `k` or the labels.
 ///
 /// # Panics
 ///
@@ -162,6 +120,7 @@ pub fn analyze(
     vectors: &[Vec<f64>],
     instr_counts: &[u64],
     config: &SimPointConfig,
+    selector: RepresentativePolicy,
 ) -> SimPointResult {
     assert!(!vectors.is_empty(), "need at least one interval");
     assert_eq!(
@@ -230,12 +189,7 @@ pub fn analyze(
             .seed
             .wrapping_add((k as u64) << 32)
             .wrapping_add(r as u64);
-        let run = if config.accelerated {
-            let init = crate::kmeans::plus_plus_init(&data, &weights, k, seed);
-            crate::hamerly::kmeans_hamerly_from(&data, &weights, init, config.max_iters)
-        } else {
-            kmeans(&data, &weights, k, seed, config.max_iters)
-        };
+        let run = kmeans(&data, &weights, k, seed, config.max_iters);
         cbsp_trace::add("simpoint/kmeans_runs", 1);
         cbsp_trace::add("simpoint/kmeans_iterations", run.iterations as u64);
         run
@@ -273,13 +227,11 @@ pub fn analyze(
         .unwrap_or(runs.len() - 1);
     let (k, clustering, _) = &runs[chosen_idx];
 
-    // Step 5: representatives and weights. The selection policy is a
-    // pluggable [`crate::estimator::Selector`]; phase weights stay the
+    // Step 5: representatives and weights. Phase weights stay the
     // phase's instruction fraction, split across representatives by the
     // selector's within-phase shares (`share == 1.0` for the classic
     // single-representative policies, which keeps their weights
     // bit-identical to the pre-estimator pipeline).
-    let selector = config.representative.selector();
     let mut points = Vec::with_capacity(*k);
     let mut phases = 0;
     for phase in 0..*k {
@@ -306,12 +258,7 @@ pub fn analyze(
             members.len() as f64 / n as f64
         };
         phases += 1;
-        let ctx = crate::estimator::PhaseCtx {
-            members: &members,
-            dists: &dists,
-            instr_counts,
-        };
-        for chosen in selector.select(&ctx) {
+        for chosen in selector.select(&members, &dists, instr_counts) {
             points.push(SimPoint {
                 phase: phase as u32,
                 interval: chosen.interval,
@@ -334,6 +281,8 @@ pub fn analyze(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const NEAREST: RepresentativePolicy = RepresentativePolicy::NearestCentroid;
 
     /// Builds `phases` synthetic phases of `per` intervals each; phase
     /// `p` concentrates its BBV mass on blocks `[p*8, p*8+8)`. Members
@@ -360,7 +309,7 @@ mod tests {
     #[test]
     fn recovers_clear_phase_structure() {
         let (vectors, counts) = phased_vectors(4, 10);
-        let r = analyze(&vectors, &counts, &SimPointConfig::default());
+        let r = analyze(&vectors, &counts, &SimPointConfig::default(), NEAREST);
         assert_eq!(r.k, 4, "four well-separated phases");
         assert!((r.total_weight() - 1.0).abs() < 1e-9);
         // Intervals of the same synthetic phase share a label.
@@ -379,7 +328,7 @@ mod tests {
     #[test]
     fn representative_belongs_to_its_phase() {
         let (vectors, counts) = phased_vectors(3, 7);
-        let r = analyze(&vectors, &counts, &SimPointConfig::default());
+        let r = analyze(&vectors, &counts, &SimPointConfig::default(), NEAREST);
         for pt in &r.points {
             assert_eq!(r.labels[pt.interval], pt.phase);
         }
@@ -389,7 +338,7 @@ mod tests {
     fn single_behaviour_yields_one_phase() {
         let vectors = vec![vec![5.0, 5.0, 0.0]; 30];
         let counts = vec![1000u64; 30];
-        let r = analyze(&vectors, &counts, &SimPointConfig::default());
+        let r = analyze(&vectors, &counts, &SimPointConfig::default(), NEAREST);
         assert_eq!(r.k, 1);
         assert_eq!(r.points[0].weight, 1.0);
     }
@@ -401,7 +350,7 @@ mod tests {
             max_k: 3,
             ..SimPointConfig::default()
         };
-        let r = analyze(&vectors, &counts, &config);
+        let r = analyze(&vectors, &counts, &config, NEAREST);
         assert!(r.k <= 3, "got k={}", r.k);
     }
 
@@ -422,7 +371,7 @@ mod tests {
             vectors.push(b);
             counts.push(100_000);
         }
-        let r = analyze(&vectors, &counts, &SimPointConfig::default());
+        let r = analyze(&vectors, &counts, &SimPointConfig::default(), NEAREST);
         // BIC may split the jittered sub-behaviours further, but the
         // instruction mass must land 90/10 across the two behaviour
         // families (block 0 vs block 8).
@@ -439,8 +388,8 @@ mod tests {
     #[test]
     fn analysis_is_deterministic() {
         let (vectors, counts) = phased_vectors(5, 9);
-        let a = analyze(&vectors, &counts, &SimPointConfig::default());
-        let b = analyze(&vectors, &counts, &SimPointConfig::default());
+        let a = analyze(&vectors, &counts, &SimPointConfig::default(), NEAREST);
+        let b = analyze(&vectors, &counts, &SimPointConfig::default(), NEAREST);
         assert_eq!(a, b);
     }
 
@@ -459,12 +408,13 @@ mod tests {
             }
         }
         let counts = vec![1_000u64; vectors.len()];
-        let nearest = analyze(&vectors, &counts, &SimPointConfig::default());
-        let early_config = SimPointConfig {
-            representative: RepresentativePolicy::Earliest { tolerance: 1.0 },
-            ..SimPointConfig::default()
-        };
-        let early = analyze(&vectors, &counts, &early_config);
+        let nearest = analyze(&vectors, &counts, &SimPointConfig::default(), NEAREST);
+        let early = analyze(
+            &vectors,
+            &counts,
+            &SimPointConfig::default(),
+            RepresentativePolicy::Earliest { tolerance: 1.0 },
+        );
         // Same clustering, but representatives are no later.
         assert_eq!(early.k, nearest.k);
         assert_eq!(early.labels, nearest.labels);
@@ -489,10 +439,8 @@ mod tests {
         let zero = analyze(
             &vectors,
             &counts,
-            &SimPointConfig {
-                representative: RepresentativePolicy::Earliest { tolerance: 0.0 },
-                ..SimPointConfig::default()
-            },
+            &SimPointConfig::default(),
+            RepresentativePolicy::Earliest { tolerance: 0.0 },
         );
         for (z, n) in zero.points.iter().zip(&nearest.points) {
             assert_eq!(z.interval, n.interval);
@@ -520,7 +468,7 @@ mod tests {
             max_k: 2,
             ..SimPointConfig::default()
         };
-        let r = analyze(&vectors, &counts, &config);
+        let r = analyze(&vectors, &counts, &config, NEAREST);
         let tight = r
             .points
             .iter()
@@ -538,27 +486,6 @@ mod tests {
     }
 
     #[test]
-    fn accelerated_analysis_matches_plain_analysis() {
-        let (vectors, counts) = phased_vectors(4, 12);
-        let plain = analyze(&vectors, &counts, &SimPointConfig::default());
-        let fast = analyze(
-            &vectors,
-            &counts,
-            &SimPointConfig {
-                accelerated: true,
-                ..SimPointConfig::default()
-            },
-        );
-        assert_eq!(fast.k, plain.k);
-        assert_eq!(fast.labels, plain.labels);
-        for (a, b) in fast.points.iter().zip(&plain.points) {
-            assert_eq!(a.phase, b.phase);
-            assert_eq!(a.interval, b.interval);
-            assert!((a.weight - b.weight).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn analysis_is_bit_identical_at_any_thread_count() {
         let (vectors, counts) = phased_vectors(5, 11);
         let serial = analyze(
@@ -568,6 +495,7 @@ mod tests {
                 threads: 1,
                 ..SimPointConfig::default()
             },
+            NEAREST,
         );
         for threads in [2, 8] {
             let pooled = analyze(
@@ -577,6 +505,7 @@ mod tests {
                     threads,
                     ..SimPointConfig::default()
                 },
+                NEAREST,
             );
             assert_eq!(serial, pooled, "threads={threads} must match exactly");
             for ((_, a), (_, b)) in serial.bic_scores.iter().zip(&pooled.bic_scores) {
@@ -588,12 +517,14 @@ mod tests {
     #[test]
     fn stratified_selects_multiple_points_per_phase() {
         let (vectors, counts) = phased_vectors(3, 9);
-        let config = SimPointConfig {
-            representative: RepresentativePolicy::Stratified { per_cluster: 3 },
-            ..SimPointConfig::default()
-        };
-        let nearest = analyze(&vectors, &counts, &SimPointConfig::default());
-        let strat = analyze(&vectors, &counts, &config);
+        let config = SimPointConfig::default();
+        let nearest = analyze(&vectors, &counts, &config, NEAREST);
+        let strat = analyze(
+            &vectors,
+            &counts,
+            &config,
+            RepresentativePolicy::Stratified { per_cluster: 3 },
+        );
         // Same clustering decision (selection happens after step 4)…
         assert_eq!(strat.k, nearest.k);
         assert_eq!(strat.labels, nearest.labels);
@@ -636,11 +567,11 @@ mod tests {
         let counts = vec![1_000u64; vectors.len()];
         let config = SimPointConfig {
             max_k: 2,
-            representative: RepresentativePolicy::Stratified { per_cluster: 4 },
             ..SimPointConfig::default()
         };
-        let a = analyze(&vectors, &counts, &config);
-        let b = analyze(&vectors, &counts, &config);
+        let policy = RepresentativePolicy::Stratified { per_cluster: 4 };
+        let a = analyze(&vectors, &counts, &config, policy);
+        let b = analyze(&vectors, &counts, &config, policy);
         assert_eq!(a, b, "degenerate stratified selection is deterministic");
         let lone_phase = a.labels[12];
         let lone_points: Vec<_> = a.points.iter().filter(|p| p.phase == lone_phase).collect();
@@ -657,7 +588,7 @@ mod tests {
     #[test]
     fn bic_scores_reported_for_every_k() {
         let (vectors, counts) = phased_vectors(2, 12);
-        let r = analyze(&vectors, &counts, &SimPointConfig::default());
+        let r = analyze(&vectors, &counts, &SimPointConfig::default(), NEAREST);
         assert_eq!(r.bic_scores.len(), 10);
         assert_eq!(r.bic_scores[0].0, 1);
         assert_eq!(r.bic_scores[9].0, 10);

@@ -35,8 +35,8 @@ pub fn normalized(v: &[f64]) -> Vec<f64> {
 /// A set of equal-dimension vectors in one contiguous row-major buffer.
 ///
 /// Row `i` occupies `data[i*dims .. (i+1)*dims]`. This is the storage
-/// format of every hot loop in the crate: k-means data and centroids,
-/// projected vectors, and the Hamerly bounds all index into flat rows.
+/// format of every hot loop in the crate: k-means data and centroids
+/// and projected vectors all index into flat rows.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct VectorSet {
     data: Vec<f64>,

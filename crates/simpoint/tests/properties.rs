@@ -5,11 +5,13 @@
 
 use cbsp_simpoint::vector::{distance_l1, distance_sq, normalize, normalized, KERNEL_LANES};
 use cbsp_simpoint::{
-    analyze, bic, kmeans, kmeans_hamerly_from, EstimatorConfig, Projection, RepresentativePolicy,
-    SimPointConfig, VectorSet,
+    analyze, bic, kmeans, EstimatorConfig, Projection, RepresentativePolicy, SimPointConfig,
+    VectorSet,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
+
+const NEAREST: RepresentativePolicy = RepresentativePolicy::NearestCentroid;
 
 fn vectors_strategy() -> impl Strategy<Value = Vec<Vec<f64>>> {
     // n vectors of shared dimension d, strictly positive mass.
@@ -100,7 +102,7 @@ proptest! {
     #[test]
     fn analyze_invariants_hold(vs in vectors_strategy(), instr_base in 1u64..1_000_000) {
         let instrs: Vec<u64> = (0..vs.len()).map(|i| instr_base + i as u64).collect();
-        let r = analyze(&vs, &instrs, &SimPointConfig::default());
+        let r = analyze(&vs, &instrs, &SimPointConfig::default(), NEAREST);
         // Weights sum to 1 and every representative carries its own label.
         prop_assert!((r.total_weight() - 1.0).abs() < 1e-9);
         prop_assert_eq!(r.labels.len(), vs.len());
@@ -120,7 +122,7 @@ proptest! {
     fn weights_equal_phase_instruction_shares(vs in vectors_strategy()) {
         let instrs: Vec<u64> = (0..vs.len()).map(|i| 1_000 + (i as u64 % 7) * 100).collect();
         let total: u64 = instrs.iter().sum();
-        let r = analyze(&vs, &instrs, &SimPointConfig::default());
+        let r = analyze(&vs, &instrs, &SimPointConfig::default(), NEAREST);
         for pt in &r.points {
             let share: u64 = r
                 .labels
@@ -130,45 +132,6 @@ proptest! {
                 .map(|(i, _)| instrs[i])
                 .sum();
             prop_assert!((pt.weight - share as f64 / total as f64).abs() < 1e-9);
-        }
-    }
-
-    /// Hamerly's accelerated k-means is exact: from any start it reaches
-    /// an assignment that is a k-means fixed point (every vector is
-    /// assigned to its nearest centroid, and every centroid is its
-    /// members' weighted mean).
-    #[test]
-    fn hamerly_reaches_a_fixed_point(vs in vectors_strategy(), k in 1usize..5, seed in 0usize..1000) {
-        let k = k.min(vs.len());
-        let weights = vec![1.0; vs.len()];
-        let data = VectorSet::from_rows(&vs);
-        let init = {
-            let mut init = VectorSet::with_capacity(data.dims(), k);
-            for i in 0..k {
-                init.push(data.row((seed + i * 7) % vs.len()));
-            }
-            init
-        };
-        let r = kmeans_hamerly_from(&data, &weights, init, 200);
-        // Assignment optimality.
-        for (i, v) in vs.iter().enumerate() {
-            let own = distance_sq(v, r.centroids.row(r.labels[i] as usize));
-            for c in r.centroids.rows() {
-                prop_assert!(own <= distance_sq(v, c) + 1e-9);
-            }
-        }
-        // Centroid optimality (nonempty clusters only).
-        for c in 0..k {
-            let members: Vec<usize> = (0..vs.len()).filter(|&i| r.labels[i] as usize == c).collect();
-            if members.is_empty() {
-                continue;
-            }
-            let dims = vs[0].len();
-            for d in 0..dims {
-                let mean: f64 = members.iter().map(|&i| vs[i][d]).sum::<f64>() / members.len() as f64;
-                prop_assert!((mean - r.centroids.row(c)[d]).abs() < 1e-6,
-                    "cluster {c} dim {d}: mean {mean} vs centroid {}", r.centroids.row(c)[d]);
-            }
         }
     }
 
@@ -183,8 +146,8 @@ proptest! {
     ) {
         let instrs: Vec<u64> = (0..vs.len()).map(|i| instr_base + i as u64).collect();
         let config = SimPointConfig { seed, threads: 1, ..SimPointConfig::default() };
-        let serial = analyze(&vs, &instrs, &config);
-        let pooled = analyze(&vs, &instrs, &SimPointConfig { threads: 8, ..config });
+        let serial = analyze(&vs, &instrs, &config, NEAREST);
+        let pooled = analyze(&vs, &instrs, &SimPointConfig { threads: 8, ..config }, NEAREST);
         prop_assert_eq!(&serial, &pooled);
         for ((_, a), (_, b)) in serial.bic_scores.iter().zip(&pooled.bic_scores) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
@@ -236,13 +199,10 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let instrs: Vec<u64> = (0..vs.len()).map(|i| 1_000 + (i as u64 % 5) * 500).collect();
-        let config = SimPointConfig {
-            seed,
-            representative: RepresentativePolicy::Stratified { per_cluster },
-            ..SimPointConfig::default()
-        };
-        let r = analyze(&vs, &instrs, &config);
-        prop_assert_eq!(&r, &analyze(&vs, &instrs, &config));
+        let config = SimPointConfig { seed, ..SimPointConfig::default() };
+        let policy = RepresentativePolicy::Stratified { per_cluster };
+        let r = analyze(&vs, &instrs, &config, policy);
+        prop_assert_eq!(&r, &analyze(&vs, &instrs, &config, policy));
         prop_assert!((r.total_weight() - 1.0).abs() < 1e-9);
         let mut per_phase: HashMap<u32, Vec<usize>> = HashMap::new();
         for pt in &r.points {
@@ -280,14 +240,10 @@ proptest! {
         let estimator = EstimatorConfig::parse(EstimatorConfig::KNOWN_TAGS[lane])
             .expect("known tag");
         let instrs: Vec<u64> = (0..vs.len()).map(|i| 1_000 + i as u64).collect();
-        let config = SimPointConfig {
-            seed,
-            threads: 1,
-            representative: estimator.selector,
-            ..SimPointConfig::default()
-        };
-        let serial = analyze(&vs, &instrs, &config);
-        let pooled = analyze(&vs, &instrs, &SimPointConfig { threads: 8, ..config });
+        let config = SimPointConfig { seed, threads: 1, ..SimPointConfig::default() };
+        let serial = analyze(&vs, &instrs, &config, estimator.selector);
+        let pooled = SimPointConfig { threads: 8, ..config };
+        let pooled = analyze(&vs, &instrs, &pooled, estimator.selector);
         prop_assert_eq!(&serial, &pooled);
     }
 

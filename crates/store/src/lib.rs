@@ -70,8 +70,8 @@ pub use blob::{
     derived_key, Blob, BLOB_FORMAT_VERSION, BLOB_HEADER_LEN, BLOB_MAGIC, BLOB_STAGE_MAX,
 };
 pub use orchestrator::{
-    pipeline_keys, stage_namespaces, CachePolicy, Orchestrator, PipelineKeys, Prepared, RunReport,
-    StageNamespaces, StageOutcome, STAGE_ORDER,
+    clustering_key, pipeline_keys, stage_namespaces, CachePolicy, Orchestrator, PipelineKeys,
+    Prepared, RunReport, StageNamespaces, StageOutcome, STAGE_ORDER,
 };
 pub use sha256::{hex_digest, Sha256};
 pub use store::{

@@ -21,7 +21,7 @@ use cbsp_core::{
 };
 use cbsp_program::workloads::Workload;
 use cbsp_program::{compile, Binary, CompileTarget, Input, Scale};
-use cbsp_simpoint::{EstimatorConfig, SimPointConfig};
+use cbsp_simpoint::{EstimatorConfig, RepresentativePolicy, SimPointConfig};
 use serde::Value;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -208,8 +208,8 @@ pub struct PipelineKeys {
 /// stage key, so estimator lanes can never collide, while the default
 /// lane's namespaces are the plain stage names and its keys stay
 /// byte-identical to the pre-estimator store. The selector additionally
-/// enters through the effective `representative` in the simpoint key
-/// config (mirroring what [`cbsp_core::simpoint_stage`] actually runs).
+/// enters the simpoint key through [`clustering_key`], as the policy
+/// [`cbsp_core::simpoint_stage`] runs.
 ///
 /// # Errors
 ///
@@ -221,6 +221,41 @@ pub fn pipeline_keys(
     config: &CbspConfig,
 ) -> Result<PipelineKeys, CbspError> {
     Digests::of(binaries, input).keys(binaries, config)
+}
+
+/// The clustering part of a key: the document the `simpoint` stage
+/// key and the FLI lease key hash for a clustering under `config` whose
+/// representatives `selector` chooses.
+///
+/// It holds `config`'s fields in declaration order, then
+/// `representative` (the selector), `accelerated` (always `false`) and
+/// `threads` (always 0; clustering is bit-identical at any thread
+/// count). The last three stand where `SimPointConfig` once carried a
+/// representative policy, a Hamerly k-means switch and the thread
+/// count, so every key derived before those fields went is unchanged.
+pub fn clustering_key(config: &SimPointConfig, selector: RepresentativePolicy) -> Value {
+    // Exhaustive: a field added to `SimPointConfig` fails to compile
+    // here until it is keyed.
+    let SimPointConfig {
+        max_k,
+        projection_dims,
+        bic_threshold,
+        restarts,
+        max_iters,
+        seed,
+        threads: _,
+    } = *config;
+    Value::Object(vec![
+        ("max_k".to_string(), key_part(&max_k)),
+        ("projection_dims".to_string(), key_part(&projection_dims)),
+        ("bic_threshold".to_string(), key_part(&bic_threshold)),
+        ("restarts".to_string(), key_part(&restarts)),
+        ("max_iters".to_string(), key_part(&max_iters)),
+        ("seed".to_string(), key_part(&seed)),
+        ("representative".to_string(), key_part(&selector)),
+        ("accelerated".to_string(), Value::Bool(false)),
+        ("threads".to_string(), Value::UInt(0)),
+    ])
 }
 
 impl Digests {
@@ -265,14 +300,12 @@ impl Digests {
             ],
         );
 
-        let key_config = SimPointConfig {
-            threads: 0,
-            representative: config.estimator.selector,
-            ..config.simpoint
-        };
         let simpoint = stage_key(
             &ns.simpoint,
-            &[Value::Str(vli.as_hex().to_string()), key_part(&key_config)],
+            &[
+                Value::Str(vli.as_hex().to_string()),
+                clustering_key(&config.simpoint, config.estimator.selector),
+            ],
         );
 
         let mut map_inputs = hash_parts;

@@ -58,13 +58,11 @@ use cbsp_sim::{
     record_trace, simulate_sliced_both, slice_trace, BothSlicings, EventTrace, IntervalSim,
     LevelStats, MemoryConfig, SimStats, SlicedTrace, TraceSlice,
 };
-use cbsp_simpoint::{SimPointConfig, SimPointResult};
+use cbsp_simpoint::{RepresentativePolicy, SimPointConfig, SimPointResult};
 
 use crate::blob::{derived_key, Blob};
-use crate::orchestrator::Prepared;
-use crate::store::{
-    content_hash, corrupt, key_part, read_through, stage_key, ArtifactStore, StageKey,
-};
+use crate::orchestrator::{clustering_key, Prepared};
+use crate::store::{content_hash, corrupt, read_through, stage_key, ArtifactStore, StageKey};
 use serde::Value;
 
 /// Stage name whole recorded traces are stored under, by
@@ -175,9 +173,8 @@ fn replay_key(
 /// Content key of the FLI lease for `prepared`'s binaries and input,
 /// each binary profiled at `interval_target`-instruction intervals and
 /// clustered under `config`: the binary digests in order, the input
-/// digest, the interval target and the configuration with `threads`
-/// normalized to 0, as the `simpoint` stage key does (clustering is
-/// bit-identical at any thread count).
+/// digest, the interval target and the [`clustering_key`] of `config`
+/// with the nearest-centroid policy [`run_per_binary`] runs.
 fn fli_key(prepared: &Prepared, interval_target: u64, config: &SimPointConfig) -> StageKey {
     let digests = prepared.digests();
     let mut inputs: Vec<Value> = digests
@@ -187,10 +184,10 @@ fn fli_key(prepared: &Prepared, interval_target: u64, config: &SimPointConfig) -
         .collect();
     inputs.push(Value::Str(digests.input.clone()));
     inputs.push(Value::UInt(interval_target));
-    inputs.push(key_part(&SimPointConfig {
-        threads: 0,
-        ..*config
-    }));
+    inputs.push(clustering_key(
+        config,
+        RepresentativePolicy::NearestCentroid,
+    ));
     stage_key(FLI_STAGE, &inputs)
 }
 
@@ -1432,7 +1429,6 @@ mod tests {
             ("input", &other_input, FLI_TARGET, config),
             ("interval target", &bins, FLI_TARGET / 2, config),
         ];
-        let early = cbsp_simpoint::RepresentativePolicy::Earliest { tolerance: 0.1 };
         for (what, changed) in [
             ("max_k", SimPointConfig { max_k: 6, ..config }),
             (
@@ -1467,20 +1463,6 @@ mod tests {
                 "seed",
                 SimPointConfig {
                     seed: config.seed + 1,
-                    ..config
-                },
-            ),
-            (
-                "representative",
-                SimPointConfig {
-                    representative: early,
-                    ..config
-                },
-            ),
-            (
-                "accelerated",
-                SimPointConfig {
-                    accelerated: !config.accelerated,
                     ..config
                 },
             ),
@@ -1558,5 +1540,96 @@ mod tests {
         assert_eq!(again, cold);
         assert_eq!(counters.get("simpoint/fli_cache_misses"), Some(&1));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The `simpoint` and `map` stage keys of every estimator lane, and
+    /// the FLI lease key, for swim's four Test-scale binaries at
+    /// 20,000-instruction intervals. Each hex is a key that stores
+    /// already hold: a change to the clustering key document, a stage
+    /// namespace, the swim workload or the compiler moves it.
+    #[test]
+    fn every_lane_keeps_its_clustering_keys() {
+        use cbsp_core::{CbspConfig, FuzzyConfig};
+        use cbsp_simpoint::{EstimatorConfig, RepresentativePolicy};
+        let _lock = cbsp_trace::test_lock();
+        let swim = Prepared::of(&workloads::by_name("swim").expect("in suite"), Scale::Test);
+        let mut lanes: Vec<(String, CbspConfig)> = EstimatorConfig::KNOWN_TAGS
+            .iter()
+            .map(|tag| {
+                let estimator = EstimatorConfig::parse(tag).expect("known tag");
+                let config = CbspConfig {
+                    estimator,
+                    ..CbspConfig::default()
+                };
+                (tag.to_string(), config)
+            })
+            .collect();
+        lanes.push((
+            "bbv fuzzy".to_string(),
+            CbspConfig {
+                fuzzy: Some(FuzzyConfig::default()),
+                ..CbspConfig::default()
+            },
+        ));
+        let early = EstimatorConfig {
+            selector: RepresentativePolicy::Earliest { tolerance: 0.3 },
+            ..EstimatorConfig::default()
+        };
+        lanes.push((
+            early.tag(),
+            CbspConfig {
+                estimator: early,
+                ..CbspConfig::default()
+            },
+        ));
+        let got: Vec<(String, String, String)> = lanes
+            .into_iter()
+            .map(|(lane, config)| {
+                let config = CbspConfig {
+                    interval_target: FLI_TARGET,
+                    ..config
+                };
+                let keys = swim.keys(&config).expect("keys derive");
+                (lane, keys.simpoint.to_string(), keys.map.to_string())
+            })
+            .collect();
+        let expected = [
+            (
+                "bbv",
+                "9e3d3cfc51f9f96dd6b25089651b608c8374d2103150f97460ec2a24de13044a",
+                "882a10bd85c87a4aa8125e12be713d47954fba18b27f0ebaf1aa76eaad239342",
+            ),
+            (
+                "bbv+mav",
+                "4da80c7acc871ecddfa853cfe4bd4b80f3bd7a61c9d60d89deb22d8fa270bf2e",
+                "9bb3b6c530a076c839749aa11cfe805d8570053c848299ade56ad280272660ef",
+            ),
+            (
+                "early",
+                "c118317952a2dbe0a68046ec5ce52b6f0cc8282e87c985679b54b3fafe140ff3",
+                "7f05fb834dd3b5c78b270f82856147e70efcfa0fb0919381ad10a4c009a57f49",
+            ),
+            (
+                "stratified",
+                "e42a7e3549240ae819be6a987d5fa7673ae0af04ba0a7b0d601d7d90a80fd582",
+                "4ffdf6557b2dc5be1261c089c4970b90d41fed4f1eb0fa881ed73faeb4709903",
+            ),
+            (
+                "bbv fuzzy",
+                "fb3dddb307898133841681b66b8ee9aeefbd278d5202faf3fc0b99757501b515",
+                "6e7b363ab063e1a2fd6b38bf1703ec8daa33b95b7c6561b90551c608bd9f8bd2",
+            ),
+            (
+                "bbv@early0.3",
+                "a22a4639f59ca1ac45d1205b97574a174d9fc1ed2a75d08b66c6ba840153987a",
+                "ef0db88878821a42624e988c7aa9d5225e891cc2b5bb1a150167c8dac2ac8bc5",
+            ),
+        ]
+        .map(|(lane, simpoint, map)| (lane.to_string(), simpoint.to_string(), map.to_string()));
+        assert_eq!(got, expected);
+        assert_eq!(
+            fli_key(&swim, FLI_TARGET, &SimPointConfig::default()).as_hex(),
+            "56502e736a436b411d664cce122f32049e7486901f7c2a8df78e1bcfa26fe17b"
+        );
     }
 }
